@@ -13,13 +13,25 @@ conservative bound n_terms * 2^(1-53) * value for that reason: the
 53-bit term evaluation dominates. A precision override evaluates terms
 one by one at the requested bits instead; it is orders of magnitude
 slower and meant for spot checks, not full-budget runs.
+
+Expressions compile to numpy evaluators with constant arithmetic folded
+to scalars and intermediate arrays reused in place; each term keeps the
+bits of a node-by-node array evaluation. Chunks are evaluated and
+totalled on up to 4 threads (no more than the machine's cores) and
+accumulated in chunk order on the calling thread, so results do not
+depend on the thread count. Python callables passed to partial_sum,
+tail_sum or checkpoint_sums may therefore be called from worker
+threads, several at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from mpmath import mp
@@ -50,6 +62,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 CHUNK = 1 << 20
+# Chunks are evaluated on at most this many threads (fewer on fewer
+# cores); the totals do not depend on the count.
+_MAX_WORKERS = 4
 
 # A fit abscissa must move at least this much over the checkpoints;
 # below it the template is unverifiable at desk scale (the deep-log
@@ -116,45 +131,89 @@ class RateCheck:
 # -- term compilation ----------------------------------------------------------
 
 
-def _compile(e: ex.Expr):
-    """Build an ndarray evaluator for a bound expression tree."""
+_ARITH = {
+    ex.Add: np.add, ex.Sub: np.subtract, ex.Mul: np.multiply, ex.Div: np.divide,
+}
+
+# numpy's power loop swaps in square, sqrt and reciprocal for a broadcast
+# exponent of 2, 1/2 and -1, and those round differently from the general
+# loop; such exponents stay arrays so every term keeps its bits.
+_SHORTCUT_EXPONENTS = (2.0, 0.5, -1.0)
+
+
+def _compile(e: ex.Expr, shared_n: bool):
+    """Build an ndarray evaluator for a bound expression tree.
+
+    Constant + - * / subtrees fold to a float, computed in the tree's own
+    float64 order; the result is either that float or a function of the
+    index array. Every term comes out bit-identical to evaluating each
+    node over whole arrays. shared_n says the index array is read more
+    than once, so no node may overwrite it.
+    """
     if isinstance(e, ex.Const):
-        c = float(e.value)
-        return lambda x: np.full_like(x, c)
+        return float(e.value)
     if isinstance(e, ex.Var):
         return lambda x: x
     if isinstance(e, ex.Param):
         raise UnboundParameterError([e.name])
-    if isinstance(e, ex.Add):
-        a, b = _compile(e.left), _compile(e.right)
-        return lambda x: a(x) + b(x)
-    if isinstance(e, ex.Sub):
-        a, b = _compile(e.left), _compile(e.right)
-        return lambda x: a(x) - b(x)
-    if isinstance(e, ex.Mul):
-        a, b = _compile(e.left), _compile(e.right)
-        return lambda x: a(x) * b(x)
-    if isinstance(e, ex.Div):
-        a, b = _compile(e.left), _compile(e.right)
-        return lambda x: a(x) / b(x)
+    op = _ARITH.get(type(e))
+    if op is not None:
+        a, b = _compile(e.left, shared_n), _compile(e.right, shared_n)
+        if not callable(a) and not callable(b):
+            with np.errstate(all="ignore"):
+                return float(op(a, b))
+        return _ufunc_node(op, (a, b), shared_n)
     if isinstance(e, ex.Pow):
-        a, b = _compile(e.base), _compile(e.exponent)
-        return lambda x: np.power(a(x), b(x))
+        a = _as_array(_compile(e.base, shared_n))
+        b = _compile(e.exponent, shared_n)
+        if not callable(b) and b in _SHORTCUT_EXPONENTS:
+            b = _as_array(b)
+        return _ufunc_node(np.power, (a, b), shared_n)
     if isinstance(e, ex.Exp):
-        a = _compile(e.arg)
-        return lambda x: np.exp(a(x))
+        return _ufunc_node(
+            np.exp, (_as_array(_compile(e.arg, shared_n)),), shared_n
+        )
     if isinstance(e, ex.IterLn):
-        a = _compile(e.arg)
-        k = e.count
-
-        def f(x, _a=a, _k=k):
-            y = _a(x)
-            for _ in range(_k):
-                y = np.log(y)
-            return y
-
+        f = _as_array(_compile(e.arg, shared_n))
+        for _ in range(e.count):
+            f = _ufunc_node(np.log, (f,), shared_n)
         return f
     raise TypeError(f"cannot compile {e!r}")
+
+
+def _ufunc_node(ufunc, parts, shared_n: bool):
+    """Evaluator applying ufunc to parts, each a float or an evaluator.
+
+    The result overwrites the first operand array that no other node
+    reads, which saves allocating (and faulting in) a fresh chunk-sized
+    array per node; elementwise ufuncs give the same bits in place.
+    """
+    def f(x):
+        args = [p(x) if callable(p) else p for p in parts]
+        out = next(
+            (v for v in args
+             if isinstance(v, np.ndarray) and not (shared_n and v is x)),
+            None,
+        )
+        return ufunc(*args, out=out)
+
+    return f
+
+
+def _as_array(f):
+    """Turn a folded constant into an evaluator filling the index's shape."""
+    if callable(f):
+        return f
+    return lambda x: np.full_like(x, f)
+
+
+def _n_uses(e: ex.Expr) -> int:
+    """How many times the index variable n occurs in the tree."""
+    if isinstance(e, ex.Var):
+        return 1
+    return sum(
+        _n_uses(c) for c in vars(e).values() if isinstance(c, ex.Expr)
+    )
 
 
 def _chunk_evaluator(term):
@@ -166,16 +225,19 @@ def _chunk_evaluator(term):
         }
 
         def f(idx):
+            # Read the range first: the evaluator may overwrite idx.
+            lo, hi = idx[0], idx[-1]
             vals = inner(idx)
-            if idx[0] <= 100:
+            if lo <= 100:
                 for k, v in overrides.items():
-                    if idx[0] <= k <= idx[-1]:
-                        vals[int(k - idx[0])] = v
+                    if lo <= k <= hi:
+                        vals[int(k - lo)] = v
             return vals
 
         return f
     if isinstance(term, cr.ExprTerm):
-        fn = _compile(term.expression)
+        e = term.expression
+        fn = _as_array(_compile(e, shared_n=_n_uses(e) > 1))
 
         def f(idx, _fn=fn):
             with np.errstate(all="ignore"):
@@ -205,7 +267,17 @@ def _chunk_evaluator(term):
     return f
 
 
-def _check_chunk(vals: np.ndarray, lo: int, text: str) -> None:
+def _chunk_total(evaluate, text: str, lo: int, hi: int) -> float:
+    """Evaluate the terms n = lo..hi and return their float64 total.
+
+    The total comes first; the full scan for bad terms runs only when it
+    is not finite or some term is negative, and names the first bad index.
+    """
+    vals = evaluate(np.arange(lo, hi + 1, dtype=np.float64))
+    with np.errstate(all="ignore"):
+        total = float(np.sum(vals))
+        if math.isfinite(total) and not vals.min() < 0:
+            return total
     # Exact zeros are tolerated: far tails of fast-decaying terms
     # underflow float64 and contribute nothing.
     if not np.isfinite(vals).all():
@@ -218,6 +290,50 @@ def _check_chunk(vals: np.ndarray, lo: int, text: str) -> None:
         raise PositivityViolation(
             f"{text}: term at n={lo + j} is negative", witness=lo + j
         )
+    raise RangeError(
+        f"{text}: the sum of the terms n={lo}..{hi} overflows float64"
+    )
+
+
+def _spans(n0: int, N: int, cuts) -> list:
+    """Chunk ranges (lo, hi, at_cut) covering [n0, N] in order."""
+    spans = []
+    ci = 0
+    lo = n0
+    while lo <= N:
+        hi = min(lo + CHUNK - 1, N)
+        # Stop a chunk early at a cut so the running total is exact
+        # at every requested index.
+        at_cut = ci < len(cuts) and lo <= cuts[ci] <= hi
+        if at_cut:
+            hi = cuts[ci]
+            ci += 1
+        spans.append((lo, hi, at_cut))
+        lo = hi + 1
+    return spans
+
+
+def _chunk_totals(total_of, spans) -> list:
+    """Chunk totals in span order, at most `workers` chunks in flight.
+
+    numpy releases the GIL inside its loops, so chunks evaluate in
+    parallel on threads; the window bounds memory and stops a failing
+    run within one window, raising the first failing chunk's error.
+    """
+    workers = min(os.cpu_count() or 1, _MAX_WORKERS)
+    if workers == 1 or len(spans) == 1:
+        return [total_of(lo, hi) for lo, hi, _ in spans]
+    from concurrent.futures import ThreadPoolExecutor
+
+    totals = []
+    window = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for lo, hi, _ in spans:
+            if len(window) == workers:
+                totals.append(window.popleft().result())
+            window.append(pool.submit(total_of, lo, hi))
+        totals += [f.result() for f in window]
+    return totals
 
 
 def _pairwise_merge(parts):
@@ -261,31 +377,23 @@ def _run(term, n0: int, N: int, method: str, budget: int, cuts=()):
         raise BudgetExceededError(
             f"{n_terms} term evaluations exceed the budget of {budget}"
         )
-    evaluate = _chunk_evaluator(term)
-    cuts = sorted(set(int(c) for c in cuts))
+    evaluate = partial(_chunk_total, _chunk_evaluator(term), term.text)
+    spans = _spans(n0, N, sorted(set(int(c) for c in cuts)))
     with mp.workprec(_ACC_BITS):
+        # Terms are evaluated at the accumulator precision (it matters to
+        # callables that use mpmath), but only this thread touches mpf
+        # values: the context is process-wide, and accumulating in chunk
+        # order keeps every bit independent of the worker count.
+        totals = _chunk_totals(evaluate, spans)
         running = mp.mpf(0)
         chunk_sums = []
         at_cuts = []
-        ci = 0
-        lo = n0
-        while lo <= N:
-            hi = min(lo + CHUNK - 1, N)
-            # Stop a chunk early at a cut so the running total is exact
-            # at every requested index.
-            while ci < len(cuts) and lo <= cuts[ci] <= hi:
-                hi = cuts[ci]
-                break
-            idx = np.arange(lo, hi + 1, dtype=np.float64)
-            vals = evaluate(idx)
-            _check_chunk(vals, lo, term.text)
-            s = mp.mpf(float(np.sum(vals)))
+        for (_, hi, at_cut), t in zip(spans, totals):
+            s = mp.mpf(t)
             chunk_sums.append(s)
             running += s
-            if ci < len(cuts) and hi == cuts[ci]:
+            if at_cut:
                 at_cuts.append((hi, running))
-                ci += 1
-            lo = hi + 1
         total = (
             _pairwise_merge(chunk_sums) if method == "pairwise" else running
         )

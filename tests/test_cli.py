@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -142,6 +143,17 @@ def test_sum_budget_exit_one(capsys):
     code, _, err = run(capsys, ["sum", "1/n", "1000000000"])
     assert code == 1
     assert "error in oracle summation" in err
+
+
+def test_sum_float_overflow_exit_one(capsys):
+    # Every term is finite, but their float64 total is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["sum", "10^308", "3", "--json"])
+    assert code == 1
+    assert out == ""
+    assert "error in oracle summation" in err
+    assert "overflows float64" in err
 
 
 # -- verify ------------------------------------------------------------------------

@@ -2,13 +2,19 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
 from logladder import criteria as cr
+from logladder import expr as ex
 from logladder import numeric as nm
 from logladder import sums
-from logladder.errors import BudgetExceededError, PositivityViolation
+from logladder.errors import (
+    BudgetExceededError,
+    PositivityViolation,
+    RangeError,
+)
 
 # Exact rational reference for the first frozen example.
 _FIRST_TEN = sum(Fraction(1, i * i) for i in range(1, 11))
@@ -209,3 +215,124 @@ def test_slope_check_determinism():
     a = sums.slope_check("1/(n*ln(n))", rep.final.rate, _CPS)
     b = sums.slope_check("1/(n*ln(n))", rep.final.rate, _CPS)
     assert a == b
+
+
+# -- compiled kernel --------------------------------------------------------------
+
+
+def _reference_compile(e):
+    """Naive evaluator: every node, constants included, over whole arrays."""
+    if isinstance(e, ex.Const):
+        c = float(e.value)
+        return lambda x: np.full_like(x, c)
+    if isinstance(e, ex.Var):
+        return lambda x: x
+    if isinstance(e, ex.Add):
+        a, b = _reference_compile(e.left), _reference_compile(e.right)
+        return lambda x: a(x) + b(x)
+    if isinstance(e, ex.Sub):
+        a, b = _reference_compile(e.left), _reference_compile(e.right)
+        return lambda x: a(x) - b(x)
+    if isinstance(e, ex.Mul):
+        a, b = _reference_compile(e.left), _reference_compile(e.right)
+        return lambda x: a(x) * b(x)
+    if isinstance(e, ex.Div):
+        a, b = _reference_compile(e.left), _reference_compile(e.right)
+        return lambda x: a(x) / b(x)
+    if isinstance(e, ex.Pow):
+        a, b = _reference_compile(e.base), _reference_compile(e.exponent)
+        return lambda x: np.power(a(x), b(x))
+    if isinstance(e, ex.Exp):
+        a = _reference_compile(e.arg)
+        return lambda x: np.exp(a(x))
+    if isinstance(e, ex.IterLn):
+        a = _reference_compile(e.arg)
+
+        def f(x):
+            y = a(x)
+            for _ in range(e.count):
+                y = np.log(y)
+            return y
+
+        return f
+    raise TypeError(e)
+
+
+@pytest.mark.parametrize("text", [
+    "n^2", "n^(1/2)", "n^(-1)", "1/(n^2+1)",
+    "(1/3+1/7)*n^(-2)", "2^(-1/2)*n^(-3/2)",
+    "1/(n*ln(n+1))", "exp(-n/1000)",
+])
+@pytest.mark.parametrize("lo", [1, 10**8 - sums.CHUNK + 1])
+def test_compiled_terms_bit_identical_to_reference(text, lo):
+    term = cr.ExprTerm(text)
+    idx = np.arange(lo, lo + sums.CHUNK, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        want = _reference_compile(term.expression)(idx.copy())
+    got = sums._chunk_evaluator(term)(idx.copy())
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def _run_with_workers(monkeypatch, workers, *args, **kw):
+    monkeypatch.setattr(sums.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sums, "_MAX_WORKERS", workers)
+    return sums._run(*args, **kw)
+
+
+@pytest.mark.parametrize("method", ["compensated", "pairwise"])
+def test_run_independent_of_worker_count(monkeypatch, method):
+    monkeypatch.setattr(sums, "CHUNK", 1000)
+    term = cr.ExprTerm("1/(n*ln(n+1))")
+    # Cuts mid-chunk, on the ends of the chunks they shape, past the end.
+    cuts = [500, 1500, 2499, 2500, 3500, 7777, 10500, 20000]
+    runs = [
+        _run_with_workers(monkeypatch, w, term, 1, 10500, method, 10**6,
+                          cuts=cuts)
+        for w in (1, 4, sums._MAX_WORKERS)
+    ]
+    total, at_cuts, n_terms = runs[0]
+    assert n_terms == 10500
+    assert [n for n, _ in at_cuts] == cuts[:-1]
+    assert at_cuts[-1][1] == total or method == "pairwise"
+    for other in runs[1:]:
+        assert other == runs[0]
+
+
+def _bad_from(n0, bad):
+    """Vectorized terms 1/n^2 that turn to bad from index n0 on."""
+    def fn(x):
+        out = np.where(np.asarray(x) < n0, 1.0 / np.square(x), bad)
+        return out if out.ndim else float(out)
+
+    return fn
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("source, first_bad, error", [
+    ("exp(n)", 710, RangeError),
+    (lambda n: 1.0 / n**2 if n < 3456 else -1.0, 3456, PositivityViolation),
+    (_bad_from(3456, -1.0), 3456, PositivityViolation),
+    (_bad_from(3456, np.nan), 3456, RangeError),
+])
+def test_run_error_names_first_bad_index(monkeypatch, workers, source,
+                                         first_bad, error):
+    # Every chunk from the first bad one on fails; with several in flight
+    # the error must still come from the earliest.
+    monkeypatch.setattr(sums, "CHUNK", 100)
+    term = cr._as_term(source, None)
+    with pytest.raises(error, match=f"term at n={first_bad} "):
+        _run_with_workers(monkeypatch, workers, term, 1, 9000,
+                          "compensated", 10**6)
+
+
+def test_mutated_prefix_summed():
+    mut = cr.MutatedTerm(cr.ExprTerm("1/n^2"), {1: 5, 7: "0.5"})
+    r = sums.partial_sum(mut, 10)
+    want = _FIRST_TEN - 1 - Fraction(1, 49) + 5 + Fraction(1, 2)
+    assert nm.to_float(r.value) == pytest.approx(float(want), rel=1e-14)
+
+
+def test_chunk_total_overflow_is_range_error():
+    with pytest.raises(RangeError, match="overflows float64"):
+        sums.partial_sum("10^308", 3)
