@@ -14,20 +14,15 @@ from .criteria import (
     CallableTerm,
     ExprTerm,
     MutatedTerm,
-    ORegularReport,
     RatePrediction,
     TermSource,
     Verdict,
     analyze,
     hierarchy_test,
-    local_order_statistic,
     log_ratio_test,
-    o_regular_bounds,
     one_sided_test,
     raabe_test,
-    scaled_log_diff_test,
     scaled_log_test,
-    slow_divergence_diff_test,
     slow_divergence_test,
 )
 from .errors import (
@@ -90,7 +85,6 @@ __all__ = [
     "LimitEstimate",
     "LogLadderError",
     "MutatedTerm",
-    "ORegularReport",
     "ParseError",
     "PositivityViolation",
     "PowerOfN",
@@ -108,18 +102,14 @@ __all__ = [
     "estimate_limit",
     "estimate_limsup_liminf",
     "hierarchy_test",
-    "local_order_statistic",
     "log_ratio_test",
     "make_grid",
-    "o_regular_bounds",
     "one_sided_test",
     "parse_scale",
     "partial_sum",
     "raabe_test",
-    "scaled_log_diff_test",
     "scaled_log_test",
     "slope_check",
-    "slow_divergence_diff_test",
     "slow_divergence_test",
     "tail_sum",
     "write_checkpoints_csv",

@@ -148,11 +148,17 @@ def _analyze(config: RunConfig):
         policy = cr.AnalysisPolicy(
             scale=config.scale, k_max=config.k_max, grid=config.grid
         )
+        cr._check_k_max(policy.k_max)
+        precision = None
+        if config.precision:
+            precision = nm.Precision(
+                config.precision, nm.get_precision().max_tower_level
+            )
     except ValueError as e:
         raise _StageError("policy validation", e)
     try:
-        if config.precision:
-            with nm.local_precision(config.precision):
+        if precision is not None:
+            with nm.local_precision(precision):
                 return cr.analyze(
                     config.expression, policy=policy,
                     params=config.params or None,
@@ -399,11 +405,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sum(args) -> int:
     config = _build_config(args)
+    if args.checkpoints and max(args.checkpoints) > args.upto:
+        raise _StageError("input parsing", ParseError(
+            f"checkpoint {max(args.checkpoints)} is past UPTO={args.upto}"
+        ))
     try:
         if args.checkpoints:
             rows = sums.checkpoint_sums(
-                config.expression, args.checkpoints,
-                method=args.method, budget=config.budget,
+                config.expression, args.checkpoints, budget=config.budget,
                 params=config.params or None,
             )
             if args.csv:
@@ -424,19 +433,19 @@ def _cmd_sum(args) -> int:
         if args.tail_from is not None:
             result = sums.tail_sum(
                 config.expression, args.tail_from, args.upto,
-                method=args.method, budget=config.budget,
+                budget=config.budget,
                 precision=precision, params=config.params or None,
             )
             kind = "tail"
         else:
             result = sums.partial_sum(
-                config.expression, args.upto, method=args.method,
+                config.expression, args.upto,
                 budget=config.budget, precision=precision,
                 params=config.params or None,
             )
             kind = "partial"
     except (BudgetExceededError, RangeError, PositivityViolation,
-            ValueError, ParseError, UnboundParameterError) as e:
+            ValueError) as e:
         raise _StageError("oracle summation", e)
     if config.fmt == "json":
         _emit({
@@ -599,12 +608,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "correction instead of starting at the first index",
     )
     p.add_argument(
-        "--method", choices=("compensated", "pairwise"),
-        default="compensated",
-    )
-    p.add_argument(
         "--checkpoints", type=int, nargs="+", default=None,
-        help="report running totals at these indices instead",
+        help="report running totals at these indices (none past UPTO) "
+             "instead",
     )
     p.add_argument("--csv", default=None, help="write checkpoints as CSV")
     p.set_defaults(fn=_cmd_sum)

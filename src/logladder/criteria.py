@@ -11,6 +11,14 @@ logarithms (see expr.LogCombo) plus pointwise corrections that vanish
 at infinity. The escalation cancellations therefore happen in exact
 rational arithmetic; floating point only enters through residual
 subexpressions and through the limit estimator.
+
+The ladder uses three statistics: the Raabe increment, the log
+quotient at a scale and escalation level, and ln g for slow
+divergence. Each is one _Statistic (its exact limit when the log split
+gives one, its grid, its sampler), and one runner, _measure, turns any
+of them into a limit estimate: exactly when it can, else by sampling
+the grid with n+1 companions, vetoing on pair spread, and calling the
+limit estimator. The tests differ only in how they read that estimate.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 from mpmath import mp
 
@@ -50,18 +59,12 @@ __all__ = [
     "Verdict",
     "AnalysisPolicy",
     "AnalysisReport",
-    "SandwichRow",
-    "ORegularReport",
     "raabe_test",
     "log_ratio_test",
     "scaled_log_test",
-    "scaled_log_diff_test",
-    "local_order_statistic",
     "slow_divergence_test",
-    "slow_divergence_diff_test",
     "hierarchy_test",
     "one_sided_test",
-    "o_regular_bounds",
     "analyze",
 ]
 
@@ -341,11 +344,7 @@ class AnalysisPolicy:
 
     scale: sc.ScaleFn | None = None
     k_max: int = 4
-    margin: Fraction = DECIDE_MARGIN
     backend: str = "auto"
-    tower_count: int = 12
-    geometric_count: int = 10
-    geometric_ratio: int = 10
     grid: object | None = None
 
     def __post_init__(self):
@@ -390,32 +389,12 @@ def _index_bits(n: ExtScalar) -> int:
     return max(1, int(mp.log(v + 2, 2)) + 1)
 
 
-def _delta_combo(combo: LogCombo, n: ExtScalar) -> ExtScalar:
-    """combo(n+1) - combo(n) via per-term stable increments.
-
-    Constant parts drop exactly. Residuals are differenced at a
-    precision boosted past the 1/n-scale cancellation.
-    """
-    total = nm.ZERO
-    for depth in sorted(combo.coeffs):
-        c = combo.coeffs[depth]
-        inc = nm.ONE if depth == 0 else sc.IterLog(depth).delta(n)
-        total = nm.ext_add(total, nm.ext_mul(nm.from_value(c), inc))
-    if combo.residuals:
-        bits = nm.get_precision().significand_bits
-        n1 = nm.ext_add(n, nm.ONE)
-        with nm.local_precision(bits + 2 * _index_bits(n) + 64):
-            for r in combo.residuals:
-                d = nm.ext_sub(ex.eval_expr(r, n1), ex.eval_expr(r, n))
-                total = nm.ext_add(total, d)
-    return total
-
-
 def _chain_combo(w: sc.ScaleFn, depth: int) -> LogCombo:
     return ex.linearize(w.ln_chain(depth))
 
 
-# -- symbolic kernel -------------------------------------------------------------
+def _infinite(sign) -> float:
+    return math.inf if sign > 0 else -math.inf
 
 
 def _symbolic_ratio(num: LogCombo, den: LogCombo):
@@ -425,12 +404,10 @@ def _symbolic_ratio(num: LogCombo, den: LogCombo):
     constant parts are dominated by any growing log, so the limit is
     read off the shallowest surviving terms: a shallower numerator term
     forces the ratio to +/- infinity, matching depths give the ratio of
-    coefficients, and a deeper numerator (or none) gives 0. The same
-    reading applies to ratios of first differences, because increments
-    of iterated logs at matching depth dominate all deeper ones.
+    coefficients, and a deeper numerator (or none) gives 0.
 
-    Returns ('finite', Fraction), ('infinite', +1 or -1), or None when
-    the exact route does not apply.
+    Returns a Fraction, +/-inf, or None when the exact route does not
+    apply.
     """
     if not (num.is_exact and den.is_exact):
         return None
@@ -440,10 +417,10 @@ def _symbolic_ratio(num: LogCombo, den: LogCombo):
     m, s = dl
     nl = num.leading()
     if nl is None or nl[0] > m:
-        return ("finite", Fraction(0))
+        return Fraction(0)
     if nl[0] == m:
-        return ("finite", nl[1] / s)
-    return ("infinite", 1 if nl[1] > 0 else -1)
+        return nl[1] / s
+    return _infinite(nl[1])
 
 
 def _exact_const_exp(combo: LogCombo) -> Fraction | None:
@@ -459,6 +436,13 @@ def _exact_const_exp(combo: LogCombo) -> Fraction | None:
 
 
 # -- grids ------------------------------------------------------------------------
+
+# Plain grids: _GEOMETRIC_COUNT integer points a factor _GEOMETRIC_RATIO
+# apart. Tower grids: _TOWER_COUNT points one unit apart on the
+# comparison log.
+_GEOMETRIC_RATIO = 10
+_GEOMETRIC_COUNT = 10
+_TOWER_COUNT = 12
 
 
 def _n_floor(term: TermSource) -> ExtScalar:
@@ -501,106 +485,71 @@ def _tower_start(level: int, n_floor: ExtScalar, extra_depth: int):
     return r0
 
 
-def _statistic_grid(term: TermSource, den_depth: int, num_depths,
-                    policy: AnalysisPolicy):
-    """Grid for a quotient statistic whose comparison log has den_depth."""
+def _choose_grid(term: TermSource, tower, policy: AnalysisPolicy):
+    """Sampling points for a statistic, or None when no grid fits.
+
+    tower is None for a plain integer grid, or (den_depth, num) for a
+    tower grid on the den_depth-fold log that also clears every deeper
+    log in the numerator combo num.
+    """
     if policy.grid is not None:
         return lm.make_grid(policy.grid)
-    if term.log_combo() is None:
+    if tower is None:
         start = _plain_start(term)
         if start is None:
             return None
         return lm.make_grid(
-            lm.Geometric(start, policy.geometric_ratio, policy.geometric_count)
+            lm.Geometric(start, _GEOMETRIC_RATIO, _GEOMETRIC_COUNT)
         )
+    den_depth, num = tower
     if den_depth > nm.get_precision().max_tower_level:
         return None
-    extra = max((d for d in num_depths if d > den_depth), default=den_depth)
+    extra = max((d for d in num.coeffs if d > den_depth), default=den_depth)
     r0 = _tower_start(den_depth, _n_floor(term), extra - den_depth)
     if r0 is None:
         return None
-    return lm.make_grid(
-        lm.TowerGeometric(den_depth, r0, 1, policy.tower_count)
-    )
+    return lm.make_grid(lm.TowerGeometric(den_depth, r0, 1, _TOWER_COUNT))
 
 
-def _plain_grid(term: TermSource, policy: AnalysisPolicy):
-    if policy.grid is not None:
-        return lm.make_grid(policy.grid)
-    start = _plain_start(term)
-    if start is None:
-        return None
-    return lm.make_grid(
-        lm.Geometric(start, policy.geometric_ratio, policy.geometric_count)
-    )
-
-
-# -- sampling ----------------------------------------------------------------------
+# -- the statistic kernel ----------------------------------------------------------
 
 _SKIP = (DomainError, DivisionByZero, RangeError, CancellationError)
 
 
-def _collect(sampler, grid):
-    values, dropped = [], 0
-    for n in grid:
-        try:
-            values.append(sampler(n))
-        except _SKIP:
-            dropped += 1
-    return values, dropped
+@dataclass(frozen=True)
+class _Statistic:
+    """One ladder statistic: its exact limit, its grid and its sampler.
 
-
-def _pair_spread(a: ExtScalar, b: ExtScalar):
-    fa, fb = nm.to_float(a), nm.to_float(b)
-    if math.isinf(fa) or math.isinf(fb):
-        return 0.0 if (fa > 0) == (fb > 0) else math.inf
-    return abs(fb - fa) / (1 + max(abs(fa), abs(fb)))
-
-
-def _sample_grid(sampler, grid):
-    """Primary samples plus n+1 companions at plain points.
-
-    Returns (values, interleaved, spreads, dropped): values follows the
-    grid, interleaved also holds the companion samples in order, and
-    spreads holds the relative gap of each pair.
+    exact is the limit read off an exact log split: a Fraction, a
+    constant LogCombo (whose value is the limit), +/-inf, or None when
+    there is no exact split. grid(policy) gives the sampling points or
+    None; sampler(n) evaluates the statistic at one point.
     """
-    values, inter, spreads, dropped = [], [], [], 0
-    for n in grid:
-        try:
-            v = sampler(n)
-        except _SKIP:
-            dropped += 1
-            continue
-        values.append(v)
-        inter.append(v)
-        if n.level == 0:
-            try:
-                v2 = sampler(nm.ext_add(n, nm.ONE))
-            except _SKIP:
-                continue
-            inter.append(v2)
-            spreads.append(_pair_spread(v, v2))
-    return values, inter, spreads, dropped
+
+    exact: object
+    grid: Callable
+    sampler: Callable
 
 
-def _estimate(sampler, grid, margin=DECIDE_MARGIN):
-    """Estimate the sampler's limit over the grid.
+def _raabe_statistic(term: TermSource) -> _Statistic:
+    """n * (a_{n+1}/a_n - 1), sampled from the terms themselves."""
+    combo = term.log_combo()
+    exact = None
+    if combo is not None and combo.is_exact:
+        # Exact product of log powers: each factor (k-fold log)^c
+        # contributes c to the statistic at depth 1 and only o(1)
+        # beyond it, so the limit is the depth-1 coefficient; a
+        # depth-0 term means a geometric factor and an infinite limit.
+        c0 = combo.coeffs.get(0, Fraction(0))
+        exact = _infinite(c0) if c0 != 0 else combo.coeffs.get(1, Fraction(0))
+    bits = nm.get_precision().significand_bits
 
-    Geometric integer grids can stride over a periodic component of the
-    statistic (even indices only, say) and watch a subsequence that
-    settles or blows up while the full statistic oscillates. At plain
-    points the sampler is therefore also evaluated at n+1, and pair
-    spreads beyond the decision margin veto any verdict from the
-    strided subsequence.
-    """
-    values, _, spreads, dropped = _sample_grid(sampler, grid)
-    if len(values) < 8:
-        return None, dropped
-    if spreads and max(spreads[-3:]) > float(margin):
-        return lm.LimitEstimate(
-            "not_converged", samples_used=len(values)
-        ), dropped
-    return lm.estimate_limit(values), dropped
+    def sample(n):
+        with nm.local_precision(bits + _index_bits(n) + 64):
+            r = nm.ext_div(term.term(nm.ext_add(n, nm.ONE)), term.term(n))
+            return nm.ext_mul(n, nm.ext_sub(r, nm.ONE))
+
+    return _Statistic(exact, partial(_choose_grid, term, None), sample)
 
 
 def _quotient_pieces(term: TermSource, w: sc.ScaleFn, level: int,
@@ -627,8 +576,31 @@ def _quotient_pieces(term: TermSource, w: sc.ScaleFn, level: int,
     return num, _chain_combo(w, level + 1)
 
 
-def _combo_quotient_sampler(num: LogCombo, den: LogCombo, corr):
+def _quotient_statistic(term: TermSource, w: sc.ScaleFn, level: int,
+                        include_delta: bool) -> _Statistic:
+    """num/den of _quotient_pieces, sampled from the combos when the
+    term has a log split and from the terms otherwise."""
     bits = nm.get_precision().significand_bits
+    pieces = _quotient_pieces(term, w, level, include_delta)
+    if pieces is None:
+        chains = [w.ln_chain(i) for i in range(1, level + 1)]
+        den_expr = w.ln_chain(level + 1)
+
+        def sample(n):
+            with nm.local_precision(bits + 64):
+                nv = nm.ext_ln(term.term(n))
+                if include_delta:
+                    nv = nm.ext_sub(nv, w.log_delta(n))
+                for c in chains:
+                    nv = nm.ext_add(nv, ex.eval_expr(c, n))
+                dv = ex.eval_expr(den_expr, n)
+                if not dv.sign > 0:
+                    raise DomainError("comparison log not yet positive")
+                return nm.ext_div(nv, dv)
+
+        return _Statistic(None, partial(_choose_grid, term, None), sample)
+    num, den = pieces
+    corr = w.delta_correction if include_delta else None
 
     def sample(n):
         with nm.local_precision(bits + 64):
@@ -640,81 +612,133 @@ def _combo_quotient_sampler(num: LogCombo, den: LogCombo, corr):
                 nv = nm.ext_sub(nv, corr(n))
             return nm.ext_div(nv, dv)
 
-    return sample
+    dl = den.leading()
+    den_depth = dl[0] if dl is not None else level + 1
+    return _Statistic(
+        _symbolic_ratio(num, den),
+        partial(_choose_grid, term, (den_depth, num)),
+        sample,
+    )
 
 
-def _raw_quotient_sampler(term: TermSource, w: sc.ScaleFn, level: int,
-                          include_delta: bool):
+def _slow_divergence_statistic(term: TermSource,
+                               w: sc.ScaleFn) -> _Statistic:
+    """ln g(n) with g = w(n) a_n / dw(n)."""
     bits = nm.get_precision().significand_bits
-    chains = [w.ln_chain(i) for i in range(1, level + 1)]
-    den_expr = w.ln_chain(level + 1)
+    pieces = _quotient_pieces(term, w, 1, include_delta=True)
+    if pieces is None:
+        def sample(n):
+            with nm.local_precision(bits + 64):
+                g = nm.ext_div(
+                    nm.ext_mul(w.value(n), term.term(n)), w.delta(n)
+                )
+                return nm.ext_ln(g)
+
+        return _Statistic(None, partial(_choose_grid, term, None), sample)
+    lng = pieces[0]
 
     def sample(n):
         with nm.local_precision(bits + 64):
-            nv = nm.ext_ln(term.term(n))
-            if include_delta:
-                nv = nm.ext_sub(nv, w.log_delta(n))
-            for c in chains:
-                nv = nm.ext_add(nv, ex.eval_expr(c, n))
-            dv = ex.eval_expr(den_expr, n)
-            if not dv.sign > 0:
-                raise DomainError("comparison log not yet positive")
-            return nm.ext_div(nv, dv)
+            v = _eval_combo(lng, n)
+            return nm.ext_sub(v, w.delta_correction(n))
 
-    return sample
-
-
-def _combo_difference_sampler(num: LogCombo, den: LogCombo, corr):
-    bits = nm.get_precision().significand_bits
-
-    def sample(n):
-        if n.level > 0:
-            raise RangeError("difference statistics need plain indices")
-        with nm.local_precision(bits + 2 * _index_bits(n) + 64):
-            dd = _delta_combo(den, n)
-            if dd.sign == 0:
-                raise DivisionByZero("scale increment vanished")
-            dn = _delta_combo(num, n)
-            if corr is not None:
-                n1 = nm.ext_add(n, nm.ONE)
-                dn = nm.ext_sub(dn, nm.ext_sub(corr(n1), corr(n)))
-            return nm.ext_div(dn, dd)
-
-    return sample
+    lead = lng.leading()
+    exact = None
+    if lng.is_exact:
+        exact = lng if lead is None else _infinite(lead[1])
+    grid_depth = lead[0] if lead is not None and lead[0] >= 1 else 1
+    return _Statistic(
+        exact, partial(_choose_grid, term, (grid_depth, lng)), sample
+    )
 
 
-def _raw_difference_sampler(term: TermSource, w: sc.ScaleFn, level: int,
-                            include_delta: bool):
-    bits = nm.get_precision().significand_bits
-    chains = [w.ln_chain(i) for i in range(1, level + 1)]
-    den_expr = w.ln_chain(level + 1)
+def _pair_spread(a: ExtScalar, b: ExtScalar):
+    fa, fb = nm.to_float(a), nm.to_float(b)
+    if math.isinf(fa) or math.isinf(fb):
+        return 0.0 if (fa > 0) == (fb > 0) else math.inf
+    return abs(fb - fa) / (1 + max(abs(fa), abs(fb)))
 
-    def sample(n):
-        if n.level > 0:
-            raise RangeError("difference statistics need plain indices")
-        with nm.local_precision(bits + 2 * _index_bits(n) + 64):
-            n1 = nm.ext_add(n, nm.ONE)
-            dn = nm.ext_ln(nm.ext_div(term.term(n1), term.term(n)))
-            if include_delta:
-                dn = nm.ext_sub(
-                    dn, nm.ext_ln(nm.ext_div(w.delta(n1), w.delta(n)))
-                )
-            for c in chains:
-                dn = nm.ext_add(dn, nm.ext_ln(nm.ext_div(
-                    ex.eval_expr(c, n1), ex.eval_expr(c, n))))
-            dv = nm.ext_ln(nm.ext_div(
-                ex.eval_expr(den_expr, n1), ex.eval_expr(den_expr, n)))
-            if dv.sign == 0:
-                raise DivisionByZero("scale increment vanished")
-            return nm.ext_div(dn, dv)
 
-    return sample
+def _sample_grid(sampler, grid):
+    """Primary samples plus n+1 companions at plain points.
+
+    Returns (values, interleaved, spreads): values follows the grid,
+    interleaved also holds the companion samples in order, and spreads
+    holds the relative gap of each pair.
+    """
+    values, inter, spreads = [], [], []
+    for n in grid:
+        try:
+            v = sampler(n)
+        except _SKIP:
+            continue
+        values.append(v)
+        inter.append(v)
+        if n.level == 0:
+            try:
+                v2 = sampler(nm.ext_add(n, nm.ONE))
+            except _SKIP:
+                continue
+            inter.append(v2)
+            spreads.append(_pair_spread(v, v2))
+    return values, inter, spreads
+
+
+class _Measure(NamedTuple):
+    """What the runner learned about a statistic's limit.
+
+    est is None when the signal is insufficient (no grid, or fewer than
+    8 samples). exact is the finite exact limit (see _Statistic) when
+    the exact route decided it. samples holds every sample in grid
+    order, n+1 companions included; it is None on the exact route.
+    """
+
+    est: lm.LimitEstimate | None
+    exact: object = None
+    samples: list | None = None
+
+
+def _measure(stat: _Statistic, policy: AnalysisPolicy,
+             test_id: str) -> _Measure:
+    """Estimate a statistic's limit: exactly when its split allows and
+    the backend is not numeric, else by sampling its grid.
+
+    Geometric integer grids can stride over a periodic component of the
+    statistic (even indices only, say) and watch a subsequence that
+    settles or blows up while the full statistic oscillates. At plain
+    points the sampler is therefore also evaluated at n+1, and pair
+    spreads beyond the decision margin veto any limit from the strided
+    subsequence.
+    """
+    exact = stat.exact
+    if exact is not None and policy.backend != "numeric":
+        if isinstance(exact, float):
+            return _Measure(lm.LimitEstimate.exact_infinite(
+                1 if exact > 0 else -1
+            ))
+        value = exact.const_value() if isinstance(exact, LogCombo) else exact
+        return _Measure(lm.LimitEstimate.exact(value), exact)
+    if policy.backend == "symbolic":
+        raise LogLadderError(
+            f"{test_id}: no exact log split for the symbolic backend"
+        )
+    grid = stat.grid(policy)
+    if grid is None:
+        return _Measure(None, samples=[])
+    values, inter, spreads = _sample_grid(stat.sampler, grid)
+    if len(values) < 8:
+        return _Measure(None, samples=inter)
+    if spreads and max(spreads[-3:]) > float(DECIDE_MARGIN):
+        est = lm.LimitEstimate("not_converged", samples_used=len(values))
+    else:
+        est = lm.estimate_limit(values)
+    return _Measure(est, samples=inter)
 
 
 # -- decisions ----------------------------------------------------------------------
 
 
-def _decide(est: lm.LimitEstimate, exact: Fraction | None, margin: Fraction):
+def _decide(est: lm.LimitEstimate, exact: Fraction | None):
     """Side of the -1 boundary, or None when undecided."""
     if est.status == "diverged":
         return "converges" if est.direction < 0 else "diverges"
@@ -724,30 +748,11 @@ def _decide(est: lm.LimitEstimate, exact: Fraction | None, margin: Fraction):
         if exact == -1:
             return None
         return "converges" if exact < -1 else "diverges"
-    if est.value < nm.from_value(Fraction(-1) - margin):
+    if est.value < nm.from_value(Fraction(-1) - DECIDE_MARGIN):
         return "converges"
-    if est.value > nm.from_value(Fraction(-1) + margin):
+    if est.value > nm.from_value(Fraction(-1) + DECIDE_MARGIN):
         return "diverges"
     return None
-
-
-def _ratio_rate(decision: str, w: sc.ScaleFn, level: int,
-                est: lm.LimitEstimate, exact: Fraction | None):
-    kind = "log-ratio-" if level == 0 else "log-log-"
-    kind += "tail" if decision == "converges" else "partial"
-    return RatePrediction(
-        template=kind, scale=w, level=level,
-        order=est.value, exact_order=exact,
-    )
-
-
-def _precise_rate(decision: str, w: sc.ScaleFn, est: lm.LimitEstimate,
-                  exact: Fraction | None):
-    kind = "precise-tail" if decision == "converges" else "precise-partial"
-    return RatePrediction(
-        template=kind, scale=w, level=0,
-        order=est.value, exact_order=exact,
-    )
 
 
 def _inconclusive(test_id, w, level, est, reason, exact=None, notes=()):
@@ -759,73 +764,45 @@ def _inconclusive(test_id, w, level, est, reason, exact=None, notes=()):
     )
 
 
-def _ratio_verdict(term: TermSource, w: sc.ScaleFn, level: int,
-                   policy: AnalysisPolicy, test_id: str,
-                   include_delta: bool, form: str = "quotient") -> Verdict:
-    """Shared engine for the quotient and difference log tests."""
-    pieces = _quotient_pieces(term, w, level, include_delta)
-    exact = None
-    est = None
-    if pieces is not None and policy.backend != "numeric":
-        sym = _symbolic_ratio(*pieces)
-        if sym is not None:
-            if sym[0] == "finite":
-                exact = sym[1]
-                est = lm.LimitEstimate.exact(exact)
-            else:
-                est = lm.LimitEstimate.exact_infinite(sym[1])
+def _limit_verdict(m: _Measure, test_id: str, w: sc.ScaleFn | None,
+                   level: int, template: str) -> Verdict:
+    """Read a two-sided limit against -1.
+
+    A finite limit attaches the rate template (completed by '-tail' or
+    '-partial'); an infinite one decides by its sign alone, one-sided.
+    """
+    est, exact = m.est, m.exact
     if est is None:
-        if policy.backend == "symbolic":
-            raise LogLadderError(
-                f"{test_id}: no exact log split for the symbolic backend"
-            )
-        corr = w.delta_correction if include_delta else None
-        if form == "quotient":
-            if pieces is not None:
-                num, den = pieces
-                dl = den.leading()
-                den_depth = dl[0] if dl is not None else level + 1
-                grid = _statistic_grid(
-                    term, den_depth, num.coeffs.keys(), policy
-                )
-                sampler = _combo_quotient_sampler(num, den, corr)
-            else:
-                grid = _plain_grid(term, policy)
-                sampler = _raw_quotient_sampler(term, w, level, include_delta)
-        else:
-            grid = _plain_grid(term, policy)
-            if pieces is not None:
-                sampler = _combo_difference_sampler(*pieces, corr)
-            else:
-                sampler = _raw_difference_sampler(
-                    term, w, level, include_delta
-                )
-        if grid is None:
-            return _inconclusive(test_id, w, level, None, "insufficient-signal")
-        est, _ = _estimate(sampler, grid, policy.margin)
-        if est is None:
-            return _inconclusive(
-                test_id, w, level, None, "insufficient-signal"
-            )
-    decision = _decide(est, exact, policy.margin)
+        return _inconclusive(test_id, w, level, None, "insufficient-signal")
+    decision = _decide(est, exact)
     if decision is None:
         reason = (
             "statistic-at-boundary" if est.status == "converged"
             else "statistic-not-convergent"
         )
         return _inconclusive(test_id, w, level, est, reason, exact)
-    rate = None
-    one_sided = False
-    if est.status == "converged":
-        if form == "difference" and level == 0:
-            rate = _precise_rate(decision, w, est, exact)
-        else:
-            rate = _ratio_rate(decision, w, level, est, exact)
-    else:
-        one_sided = True  # unbounded statistic: one-sided comparison
+    if est.status != "converged":
+        return Verdict(decision, test_id, w, level, est, one_sided=True)
+    rate = RatePrediction(
+        template=template + (
+            "tail" if decision == "converges" else "partial"
+        ),
+        scale=w if w is not None else sc.Identity(),
+        level=level, order=est.value, exact_order=exact,
+    )
     return Verdict(
-        decision, test_id, w, level, est,
-        rate=rate, exact_value=exact, one_sided=one_sided,
+        decision, test_id, w, level, est, rate=rate, exact_value=exact,
+    )
+
+
+def _ratio_verdict(term: TermSource, w: sc.ScaleFn, level: int,
+                   policy: AnalysisPolicy, test_id: str,
+                   include_delta: bool) -> Verdict:
+    """The quotient log test at one escalation level."""
+    stat = _quotient_statistic(term, w, level, include_delta)
+    template = "log-ratio-" if level == 0 else "log-log-"
+    return _limit_verdict(
+        _measure(stat, policy, test_id), test_id, w, level, template
     )
 
 
@@ -842,58 +819,8 @@ def raabe_test(seq, policy: AnalysisPolicy | None = None,
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
-    combo = term.log_combo()
-    exact = None
-    est = None
-    if (combo is not None and combo.is_exact
-            and policy.backend != "numeric"):
-        # Exact product of log powers: each factor (k-fold log)^c
-        # contributes c to the statistic at depth 1 and only o(1)
-        # beyond it, so the limit is the depth-1 coefficient; a
-        # depth-0 term means a geometric factor and an infinite limit.
-        c0 = combo.coeffs.get(0, Fraction(0))
-        if c0 != 0:
-            est = lm.LimitEstimate.exact_infinite(1 if c0 > 0 else -1)
-        else:
-            exact = combo.coeffs.get(1, Fraction(0))
-            est = lm.LimitEstimate.exact(exact)
-    if est is None:
-        if policy.backend == "symbolic":
-            raise LogLadderError(
-                "raabe: no exact log split for the symbolic backend"
-            )
-        grid = _plain_grid(term, policy)
-        if grid is None:
-            return _inconclusive("raabe", None, 0, None, "insufficient-signal")
-        bits = nm.get_precision().significand_bits
-
-        def sample(n):
-            with nm.local_precision(bits + _index_bits(n) + 64):
-                r = nm.ext_div(
-                    term.term(nm.ext_add(n, nm.ONE)), term.term(n)
-                )
-                return nm.ext_mul(n, nm.ext_sub(r, nm.ONE))
-
-        est, _ = _estimate(sample, grid, policy.margin)
-        if est is None:
-            return _inconclusive("raabe", None, 0, None, "insufficient-signal")
-    decision = _decide(est, exact, policy.margin)
-    if decision is None:
-        reason = (
-            "statistic-at-boundary" if est.status == "converged"
-            else "statistic-not-convergent"
-        )
-        return _inconclusive("raabe", None, 0, est, reason, exact)
-    rate = None
-    one_sided = False
-    if est.status == "converged":
-        rate = _precise_rate(decision, sc.Identity(), est, exact)
-    else:
-        one_sided = True
-    return Verdict(
-        decision, "raabe", None, 0, est,
-        rate=rate, exact_value=exact, one_sided=one_sided,
-    )
+    m = _measure(_raabe_statistic(term), policy, "raabe")
+    return _limit_verdict(m, "raabe", None, 0, "precise-")
 
 
 def log_ratio_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
@@ -926,128 +853,43 @@ def scaled_log_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     )
 
 
-def scaled_log_diff_test(seq, w: sc.ScaleFn,
-                         policy: AnalysisPolicy | None = None,
-                         params=None) -> Verdict:
-    """First-difference form: lim d ln(a_n/dw(n)) / d ln w(n).
-
-    Stronger rates than the quotient form when decisive: the precise
-    templates, partial sums ~ (1/(1+order)) (w(n)/dw(n)) a_n and the
-    mirrored tail form.
-    """
-    policy = policy or AnalysisPolicy()
-    term = _as_term(seq, params)
-    return _ratio_verdict(
-        term, w, 0, policy, "scaled-log-diff",
-        include_delta=True, form="difference",
-    )
-
-
-def local_order_statistic(seq, w: sc.ScaleFn, n, form: str = "quotient",
-                          params=None) -> ExtScalar:
-    """Pointwise order of a_n against the scale increment.
-
-    quotient:   ln(a_n / dw(n)) / ln w(n) at the given n.
-    difference: the increment of ln(a_n/dw(n)) over the increment of
-                ln w(n) between n and n+1.
-    """
-    term = _as_term(seq, params)
-    n = nm.from_value(n)
-    bits = nm.get_precision().significand_bits
-    if form == "quotient":
-        with nm.local_precision(bits + 64):
-            num = nm.ext_sub(nm.ext_ln(term.term(n)), w.log_delta(n))
-            den = ex.eval_expr(w.ln_chain(1), n)
-            if not den.sign > 0:
-                raise DomainError("comparison log not yet positive")
-            return nm.ext_div(num, den)
-    if form == "difference":
-        sampler = _raw_difference_sampler(term, w, 0, include_delta=True)
-        return sampler(n)
-    raise ValueError(f"unknown form {form!r}")
-
-
 _BOUND_NOTE = (
     "one-sided: the term-to-increment ratio stays bounded away from "
     "zero, so the partial sums grow at least like ln of the scale"
 )
 
 
-def _slow_divergence(term: TermSource, w: sc.ScaleFn,
-                     policy: AnalysisPolicy, mode: str,
-                     test_id: str, identify_constant: bool) -> Verdict:
-    pieces = _quotient_pieces(term, w, 1, include_delta=True)
-    lng = pieces[0] if pieces is not None else None
-    est = None
-    exact_c = None
-    if (lng is not None and lng.is_exact
-            and policy.backend != "numeric"):
-        lead = lng.leading()
-        if lead is None:
-            value = lng.const_value()
-            est = lm.LimitEstimate(
-                "converged", value, nm.ZERO, "exact", 0
-            )
-            if identify_constant:
-                exact_c = _exact_const_exp(lng)
-        else:
-            est = lm.LimitEstimate.exact_infinite(1 if lead[1] > 0 else -1)
-    values = None
+def slow_divergence_test(seq, w: sc.ScaleFn,
+                         policy: AnalysisPolicy | None = None,
+                         params=None, mode: str = "full") -> Verdict:
+    """Growth of g(n) = w(n) a_n / dw(n) when the scaled-log limit is -1.
+
+    If g tends to a finite limit C > 0 the series diverges with partial
+    sums ~ C ln w(n). If g only stays bounded away from zero, the series
+    still diverges but only the one-sided floor ln w(n) is claimed.
+    mode restricts which outcome may fire: 'convergent', 'bound', or
+    'full'.
+    """
+    if mode not in ("full", "convergent", "bound"):
+        raise ValueError(f"unknown mode {mode!r}")
+    policy = policy or AnalysisPolicy()
+    term = _as_term(seq, params)
+    test_id = "slow-divergence"
+    m = _measure(_slow_divergence_statistic(term, w), policy, test_id)
+    est = m.est
     if est is None:
-        if policy.backend == "symbolic":
-            raise LogLadderError(
-                f"{test_id}: no exact log split for the symbolic backend"
-            )
-        if lng is not None:
-            lead = lng.leading()
-            grid_depth = lead[0] if lead is not None and lead[0] >= 1 else 1
-            grid = _statistic_grid(term, grid_depth, lng.coeffs.keys(), policy)
-
-            def sampler(n):
-                with nm.local_precision(
-                        nm.get_precision().significand_bits + 64):
-                    v = _eval_combo(lng, n)
-                    return nm.ext_sub(v, w.delta_correction(n))
-        else:
-            grid = _plain_grid(term, policy)
-
-            def sampler(n):
-                with nm.local_precision(
-                        nm.get_precision().significand_bits + 64):
-                    g = nm.ext_div(
-                        nm.ext_mul(w.value(n), term.term(n)), w.delta(n)
-                    )
-                    return nm.ext_ln(g)
-        if grid is None:
-            return _inconclusive(test_id, w, 0, None, "insufficient-signal")
-        primary, values, spreads, _ = _sample_grid(sampler, grid)
-        if len(primary) < 8:
-            return _inconclusive(test_id, w, 0, None, "insufficient-signal")
-        if spreads and max(spreads[-3:]) > float(policy.margin):
-            est = lm.LimitEstimate(
-                "not_converged", samples_used=len(primary)
-            )
-        else:
-            est = lm.estimate_limit(primary)
+        return _inconclusive(test_id, w, 0, None, "insufficient-signal")
     # Interpret the limit of ln g, g = w * a_n / dw.
     if est.status == "converged" and mode in ("full", "convergent"):
-        if identify_constant:
-            c = (nm.from_value(exact_c) if exact_c is not None
-                 else nm.ext_exp(est.value))
-            rate = RatePrediction(
-                template="slow-log", scale=w,
-                constant=c, exact_constant=exact_c,
-            )
-            notes = ()
-        else:
-            rate = RatePrediction(template="slow-log", scale=w)
-            notes = (
-                "proportionality constant not identified by this form; "
-                "estimate it from checkpoint sums",
-            )
+        exact_c = _exact_const_exp(m.exact) if m.exact is not None else None
+        c = (nm.from_value(exact_c) if exact_c is not None
+             else nm.ext_exp(est.value))
+        rate = RatePrediction(
+            template="slow-log", scale=w,
+            constant=c, exact_constant=exact_c,
+        )
         return Verdict(
-            "diverges", test_id, w, 0, est, rate=rate,
-            exact_value=exact_c, notes=notes,
+            "diverges", test_id, w, 0, est, rate=rate, exact_value=exact_c,
         )
     if est.status == "diverged":
         if est.direction > 0 and mode in ("full", "bound"):
@@ -1062,9 +904,9 @@ def _slow_divergence(term: TermSource, w: sc.ScaleFn,
             return _inconclusive(
                 test_id, w, 0, est, "term-to-increment-ratio-vanishes"
             )
-    if (est.status == "not_converged" and values is not None
+    if (est.status == "not_converged" and m.samples is not None
             and mode in ("full", "bound")):
-        _, inf_est = lm.estimate_limsup_liminf(values)
+        _, inf_est = lm.estimate_limsup_liminf(m.samples)
         bounded_below = (
             inf_est.status == "converged"
             or (inf_est.status == "diverged" and inf_est.direction > 0)
@@ -1084,45 +926,6 @@ def _slow_divergence(term: TermSource, w: sc.ScaleFn,
     return _inconclusive(test_id, w, 0, est, reason)
 
 
-def slow_divergence_test(seq, w: sc.ScaleFn,
-                         policy: AnalysisPolicy | None = None,
-                         params=None, mode: str = "full") -> Verdict:
-    """Growth of g(n) = w(n) a_n / dw(n) when the scaled-log limit is -1.
-
-    If g tends to a finite limit C > 0 the series diverges with partial
-    sums ~ C ln w(n). If g only stays bounded away from zero, the series
-    still diverges but only the one-sided floor ln w(n) is claimed.
-    mode restricts which outcome may fire: 'convergent', 'bound', or
-    'full'.
-    """
-    if mode not in ("full", "convergent", "bound"):
-        raise ValueError(f"unknown mode {mode!r}")
-    policy = policy or AnalysisPolicy()
-    term = _as_term(seq, params)
-    return _slow_divergence(
-        term, w, policy, mode, "slow-divergence", identify_constant=True
-    )
-
-
-def slow_divergence_diff_test(seq, w: sc.ScaleFn,
-                              policy: AnalysisPolicy | None = None,
-                              params=None, mode: str = "full") -> Verdict:
-    """Difference-form variant of the slow-divergence test.
-
-    Works from accumulated increments of ln g rather than from g
-    itself, so a convergent outcome asserts partial sums ~ E ln w(n)
-    for some constant E > 0 without identifying E.
-    """
-    if mode not in ("full", "convergent", "bound"):
-        raise ValueError(f"unknown mode {mode!r}")
-    policy = policy or AnalysisPolicy()
-    term = _as_term(seq, params)
-    return _slow_divergence(
-        term, w, policy, mode, "slow-divergence-diff",
-        identify_constant=False,
-    )
-
-
 def _zero_statistic_note(level: int) -> str:
     return (
         f"level-{level} statistic is 0, so the predicted exponent of "
@@ -1133,9 +936,18 @@ def _zero_statistic_note(level: int) -> str:
     )
 
 
+def _check_k_max(k_max: int) -> None:
+    """Reject escalation depths past the active tower budget."""
+    limit = nm.get_precision().max_tower_level - 2
+    if k_max > limit:
+        raise ValueError(
+            f"k_max={k_max} exceeds the tower budget (max {limit})"
+        )
+
+
 def hierarchy_test(seq, w: sc.ScaleFn, k_max: int | None = None,
                    policy: AnalysisPolicy | None = None,
-                   params=None, form: str = "quotient") -> list:
+                   params=None) -> list:
     """Escalation levels 1..k_max of the scaled-log statistic.
 
     Level j adds the j-th iterated log of w(n) to the numerator and
@@ -1144,26 +956,18 @@ def hierarchy_test(seq, w: sc.ScaleFn, k_max: int | None = None,
     level j+1. Raises ExhaustedHierarchy (carrying the per-level
     verdicts) when no level decides.
     """
-    if form not in ("quotient", "difference"):
-        raise ValueError(f"unknown form {form!r}")
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
     k_max = policy.k_max if k_max is None else k_max
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    limit = nm.get_precision().max_tower_level - 2
-    if k_max > limit:
-        raise ValueError(
-            f"k_max={k_max} exceeds the tower budget (max {limit})"
-        )
-    test_id = "hierarchy" if form == "quotient" else "hierarchy-diff"
+    _check_k_max(k_max)
     levels = []
     for j in range(1, k_max + 1):
         v = _ratio_verdict(
-            term, w, j, policy, test_id,
-            include_delta=True, form=form,
+            term, w, j, policy, "hierarchy", include_delta=True
         )
-        if v.decision == "diverges" and _is_zero_statistic(v, policy.margin):
+        if v.decision == "diverges" and _is_zero_statistic(v):
             v = replace(v, notes=v.notes + (_zero_statistic_note(j),))
         levels.append(v)
         if v.decisive:
@@ -1173,13 +977,13 @@ def hierarchy_test(seq, w: sc.ScaleFn, k_max: int | None = None,
     raise ExhaustedHierarchy(levels)
 
 
-def _is_zero_statistic(v: Verdict, margin: Fraction) -> bool:
+def _is_zero_statistic(v: Verdict) -> bool:
     if v.exact_value is not None:
         return v.exact_value == 0
     est = v.statistic
     if est.status != "converged":
         return False
-    return abs(est.value) < nm.from_value(margin)
+    return abs(est.value) < nm.from_value(DECIDE_MARGIN)
 
 
 def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
@@ -1192,37 +996,19 @@ def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
-    pieces = _quotient_pieces(term, w, 0, include_delta=True)
-    if pieces is not None and policy.backend != "numeric":
-        sym = _symbolic_ratio(*pieces)
-        if sym is not None:
-            # Exact statistics have a plain limit; both envelopes agree
-            # with it, so the two-sided verdict carries over.
-            v = _ratio_verdict(
-                term, w, 0, policy, "one-sided", include_delta=True
-            )
-            return replace(v, one_sided=True)
-    if policy.backend == "symbolic":
-        raise LogLadderError(
-            "one-sided: no exact log split for the symbolic backend"
-        )
-    if pieces is not None:
-        num, den = pieces
-        dl = den.leading()
-        den_depth = dl[0] if dl is not None else 1
-        grid = _statistic_grid(term, den_depth, num.coeffs.keys(), policy)
-        sampler = _combo_quotient_sampler(num, den, w.delta_correction)
-    else:
-        grid = _plain_grid(term, policy)
-        sampler = _raw_quotient_sampler(term, w, 0, include_delta=True)
-    if grid is None:
-        return _inconclusive("one-sided", w, 0, None, "insufficient-signal")
-    _, values, _, _ = _sample_grid(sampler, grid)
+    stat = _quotient_statistic(term, w, 0, include_delta=True)
+    m = _measure(stat, policy, "one-sided")
+    if m.samples is None:
+        # Exact statistics have a plain limit; both envelopes agree
+        # with it, so the two-sided verdict carries over.
+        v = _limit_verdict(m, "one-sided", w, 0, "log-ratio-")
+        return replace(v, one_sided=True)
+    values = m.samples
     if len(values) < 8:
         return _inconclusive("one-sided", w, 0, None, "insufficient-signal")
     sup_est, inf_est = lm.estimate_limsup_liminf(values)
-    lo = nm.from_value(Fraction(-1) - policy.margin)
-    hi = nm.from_value(Fraction(-1) + policy.margin)
+    lo = nm.from_value(Fraction(-1) - DECIDE_MARGIN)
+    hi = nm.from_value(Fraction(-1) + DECIDE_MARGIN)
     if sup_est.status == "diverged" and sup_est.direction < 0:
         return Verdict("converges", "one-sided", w, 0, sup_est,
                        one_sided=True, notes=("upper envelope",))
@@ -1255,97 +1041,6 @@ def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     return _inconclusive(
         "one-sided", w, 0, sup_est, "envelopes-straddle-boundary"
     )
-
-
-# -- order-envelope sandwich ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SandwichRow:
-    """Predicted bounds and empirical samples of a(t n)/a(n) for one t."""
-
-    t: object
-    lower: ExtScalar | None
-    upper: ExtScalar | None
-    samples: tuple
-    violations: int
-
-
-@dataclass(frozen=True)
-class ORegularReport:
-    """Envelope orders of the terms and the induced ratio sandwich.
-
-    lower_order and upper_order estimate liminf and limsup of the
-    increment ratio d ln a_n / d ln w(n). For each requested t the
-    asymptotic sandwich is t^lower <= a(t n)/a(n) <= t^upper; sample
-    violations beyond the tolerance are counted as diagnostics of
-    estimator uncertainty, not as refutations.
-    """
-
-    lower_order: lm.LimitEstimate
-    upper_order: lm.LimitEstimate
-    rows: tuple
-    tolerance: float
-    note: str = ""
-
-
-def o_regular_bounds(seq, w: sc.ScaleFn, t_list,
-                     policy: AnalysisPolicy | None = None,
-                     params=None, tolerance: float = 0.05) -> ORegularReport:
-    """Two-sided growth sandwich from the envelopes of d ln a / d ln w."""
-    policy = policy or AnalysisPolicy()
-    term = _as_term(seq, params)
-    for t in t_list:
-        if not float(t) >= 1:
-            raise ValueError("sandwich factors t must be at least 1")
-    grid = _plain_grid(term, policy)
-    if grid is None:
-        empty = lm.LimitEstimate("not_converged")
-        return ORegularReport(empty, empty, (), tolerance,
-                              note="no usable integer grid")
-    combo = term.log_combo()
-    if combo is not None:
-        sampler = _combo_difference_sampler(
-            combo, _chain_combo(w, 1), None
-        )
-    else:
-        sampler = _raw_difference_sampler(term, w, 0, include_delta=False)
-    _, values, _, _ = _sample_grid(sampler, grid)
-    if len(values) < 8:
-        empty = lm.LimitEstimate("not_converged")
-        return ORegularReport(empty, empty, (), tolerance,
-                              note="too few valid samples")
-    sup_est, inf_est = lm.estimate_limsup_liminf(values)
-    if not (sup_est.status == "converged" and inf_est.status == "converged"):
-        return ORegularReport(
-            inf_est, sup_est, (), tolerance,
-            note="order envelopes not finite; sandwich unavailable",
-        )
-    rows = []
-    check_points = [n for n in grid if n.level == 0][-6:]
-    for t in t_list:
-        tf = ex._as_fraction(t)
-        lower = nm.ext_pow(nm.from_value(tf), inf_est.value)
-        upper = nm.ext_pow(nm.from_value(tf), sup_est.value)
-        lo_gate = nm.ext_mul(lower, nm.from_value(1 - tolerance))
-        hi_gate = nm.ext_mul(upper, nm.from_value(1 + tolerance))
-        samples = []
-        violations = 0
-        for n in check_points:
-            idx = int(n.as_mpf())
-            scaled = (tf.numerator * idx) // tf.denominator
-            try:
-                ratio = nm.ext_div(
-                    term.term(nm.from_value(scaled)),
-                    term.term(nm.from_value(idx)),
-                )
-            except _SKIP:
-                continue
-            samples.append((idx, ratio))
-            if ratio < lo_gate or ratio > hi_gate:
-                violations += 1
-        rows.append(SandwichRow(t, lower, upper, tuple(samples), violations))
-    return ORegularReport(inf_est, sup_est, tuple(rows), tolerance)
 
 
 # -- the ladder -------------------------------------------------------------------
@@ -1387,12 +1082,7 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
-    prec = nm.get_precision()
-    if policy.k_max > prec.max_tower_level - 2:
-        raise ValueError(
-            f"k_max={policy.k_max} exceeds the tower budget "
-            f"(max {prec.max_tower_level - 2})"
-        )
+    _check_k_max(policy.k_max)
     combo = term.log_combo()
     symbolic_ok = combo is not None and combo.is_exact
     if policy.backend == "symbolic" and not symbolic_ok:

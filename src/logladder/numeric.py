@@ -47,7 +47,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "absorption_log",
-    "arith",
     "ext_add",
     "ext_sub",
     "ext_mul",
@@ -683,20 +682,3 @@ def iter_ln(k: int, x: ExtScalar) -> ExtScalar:
         x = ext_ln(x)
     return x
 
-
-_ARITH_OPS = {
-    "add": ext_add,
-    "sub": ext_sub,
-    "mul": ext_mul,
-    "div": ext_div,
-    "pow": ext_pow,
-}
-
-
-def arith(op: str, x, y) -> ExtScalar:
-    """Named dispatch over the binary operations."""
-    try:
-        f = _ARITH_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return f(from_value(x), from_value(y))

@@ -92,9 +92,6 @@ class ScaleFn:
             e, _ = ex.log_transform(e)
         return e
 
-    def inverse(self, x: ExtScalar) -> ExtScalar:
-        raise NotImplementedError
-
     def check_assumptions(self, grid=None) -> AssumptionReport:
         raise NotImplementedError
 
@@ -118,9 +115,6 @@ class Identity(ScaleFn):
 
     def log_delta_combo(self) -> LogCombo:
         return LogCombo({}, Fraction(0), [], [])
-
-    def inverse(self, x: ExtScalar) -> ExtScalar:
-        return x
 
     def check_assumptions(self, grid=None) -> AssumptionReport:
         return AssumptionReport(True, "structural", ())
@@ -180,11 +174,6 @@ class IterLog(ScaleFn):
                 level = ln_level
         return nm.from_value(total)
 
-    def inverse(self, x: ExtScalar) -> ExtScalar:
-        for _ in range(self.depth):
-            x = nm.ext_exp(x)
-        return x
-
     def check_assumptions(self, grid=None) -> AssumptionReport:
         return AssumptionReport(True, "structural", ())
 
@@ -238,9 +227,6 @@ class PowerOfN(ScaleFn):
             corr = mp.ln(mp.expm1(s * t) / (s * t)) + mp.ln(nv * t)
         return nm.from_value(corr)
 
-    def inverse(self, x: ExtScalar) -> ExtScalar:
-        return nm.ext_pow(x, nm.from_value(Fraction(1) / self.sigma))
-
     def check_assumptions(self, grid=None) -> AssumptionReport:
         return AssumptionReport(True, "structural", ())
 
@@ -287,46 +273,6 @@ class Custom(ScaleFn):
                         "scale increment lost more than the doubled-precision margin"
                     )
         return d
-
-    def inverse(self, x: ExtScalar) -> ExtScalar:
-        xv = x.as_mpf()
-        bits = nm.get_precision().significand_bits
-
-        def f(t):
-            return ex.eval_expr(self._expr, nm.from_value(t)).as_mpf()
-
-        with mp.workprec(bits + 10):
-            lo = mp.mpf(1)
-            # Walk up until defined and past x.
-            flo = None
-            for _ in range(64):
-                try:
-                    flo = f(lo)
-                    break
-                except (DomainError, CancellationError):
-                    lo *= 4
-            if flo is None:
-                raise DomainError("scale is nowhere evaluable")
-            hi = lo
-            fhi = flo
-            for _ in range(1 << 12):
-                if fhi >= xv:
-                    break
-                hi = hi * 2
-                fhi = f(hi)
-            else:
-                raise RangeError("could not bracket the inverse")
-            if flo > xv:
-                raise DomainError("inverse target below the scale range")
-            for _ in range(bits + 16):
-                mid = (lo + hi) / 2
-                if f(mid) >= xv:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo <= abs(hi) * mp.mpf(2) ** (-bits):
-                    break
-        return nm.from_value(hi)
 
     def check_assumptions(self, grid=None) -> AssumptionReport:
         failures: list[str] = []

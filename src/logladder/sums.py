@@ -88,11 +88,13 @@ class SumResult:
 
     n_terms: int
     value: ExtScalar
-    summation_method: str
     estimated_roundoff: ExtScalar
     precision_bits: int = _TERM_BITS
     truncation_correction: ExtScalar | None = None
     note: str = ""
+    # Not a field: chunk totals are always accumulated in index order
+    # at _ACC_BITS; reports keep the name.
+    summation_method = "compensated"
 
     @property
     def estimate(self) -> ExtScalar:
@@ -336,16 +338,6 @@ def _chunk_totals(total_of, spans) -> list:
     return totals
 
 
-def _pairwise_merge(parts):
-    while len(parts) > 1:
-        nxt = [
-            parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-        parts = nxt
-    return parts[0] if parts else mp.mpf(0)
-
-
 def _start_index(term) -> int:
     try:
         v = term.n_start.as_mpf()
@@ -360,16 +352,12 @@ def _start_index(term) -> int:
     return int(mp.ceil(v))
 
 
-def _run(term, n0: int, N: int, method: str, budget: int, cuts=()):
+def _run(term, n0: int, N: int, budget: int, cuts=()):
     """Sum a_n for n in [n0, N], recording totals at the cut indices.
 
     Returns (final total, [(cut, running total)], n_terms), everything
-    in mpf at the accumulator precision. The running totals come from
-    the sequential accumulator; with the pairwise method the final
-    total is re-merged as a fixed binary tree over the chunk sums.
+    in mpf at the accumulator precision.
     """
-    if method not in ("compensated", "pairwise"):
-        raise ValueError(f"unknown summation method {method!r}")
     if N < n0:
         raise ValueError(f"empty summation range [{n0}, {N}]")
     n_terms = N - n0 + 1
@@ -386,18 +374,12 @@ def _run(term, n0: int, N: int, method: str, budget: int, cuts=()):
         # order keeps every bit independent of the worker count.
         totals = _chunk_totals(evaluate, spans)
         running = mp.mpf(0)
-        chunk_sums = []
         at_cuts = []
         for (_, hi, at_cut), t in zip(spans, totals):
-            s = mp.mpf(t)
-            chunk_sums.append(s)
-            running += s
+            running += mp.mpf(t)
             if at_cut:
                 at_cuts.append((hi, running))
-        total = (
-            _pairwise_merge(chunk_sums) if method == "pairwise" else running
-        )
-        return total, at_cuts, n_terms
+        return running, at_cuts, n_terms
 
 
 def _run_precise(term, n0: int, N: int, budget: int, bits: int, cuts=()):
@@ -434,8 +416,7 @@ def _roundoff(n_terms: int, value, bits: int) -> ExtScalar:
 # -- public operations ----------------------------------------------------------
 
 
-def partial_sum(seq, N, method: str = "compensated",
-                budget: int = DEFAULT_BUDGET, n0: int | None = None,
+def partial_sum(seq, N, budget: int = DEFAULT_BUDGET, n0: int | None = None,
                 precision: int = _TERM_BITS, params=None) -> SumResult:
     """Sum the terms from the sequence's first index through N."""
     term = cr._as_term(seq, params)
@@ -445,12 +426,11 @@ def partial_sum(seq, N, method: str = "compensated",
         total, _, n_terms = _run_precise(term, start, N, budget, precision)
         bits = precision
     else:
-        total, _, n_terms = _run(term, start, N, method, budget)
+        total, _, n_terms = _run(term, start, N, budget)
         bits = _TERM_BITS
     return SumResult(
         n_terms=n_terms,
         value=nm.from_value(total),
-        summation_method=method,
         estimated_roundoff=_roundoff(n_terms, total, bits),
         precision_bits=bits,
     )
@@ -485,9 +465,9 @@ def _fitted_remainder(term, N: int):
     return mp.mpf(rem), ""
 
 
-def tail_sum(seq, n, N, method: str = "compensated",
-             budget: int = DEFAULT_BUDGET, precision: int = _TERM_BITS,
-             params=None, verdict: str | None = None) -> SumResult:
+def tail_sum(seq, n, N, budget: int = DEFAULT_BUDGET,
+             precision: int = _TERM_BITS, params=None,
+             verdict: str | None = None) -> SumResult:
     """Sum the terms from n through N, inclusive of both ends.
 
     The result's truncation_correction carries a fitted remainder for
@@ -504,7 +484,7 @@ def tail_sum(seq, n, N, method: str = "compensated",
         total, _, n_terms = _run_precise(term, n, N, budget, precision)
         bits = precision
     else:
-        total, _, n_terms = _run(term, n, N, method, budget)
+        total, _, n_terms = _run(term, n, N, budget)
         bits = _TERM_BITS
     rem, note = _fitted_remainder(term, N)
     corr = nm.from_value(rem) if rem is not None else None
@@ -514,7 +494,6 @@ def tail_sum(seq, n, N, method: str = "compensated",
     return SumResult(
         n_terms=n_terms,
         value=nm.from_value(total),
-        summation_method=method,
         estimated_roundoff=_roundoff(n_terms, total, bits),
         precision_bits=bits,
         truncation_correction=corr,
@@ -522,9 +501,8 @@ def tail_sum(seq, n, N, method: str = "compensated",
     )
 
 
-def checkpoint_sums(seq, checkpoints, method: str = "compensated",
-                    budget: int = DEFAULT_BUDGET, n0: int | None = None,
-                    params=None) -> list:
+def checkpoint_sums(seq, checkpoints, budget: int = DEFAULT_BUDGET,
+                    n0: int | None = None, params=None) -> list:
     """Running totals (N, S(N)) at each checkpoint, from one pass."""
     term = cr._as_term(seq, params)
     cps = sorted(set(int(c) for c in checkpoints))
@@ -535,7 +513,7 @@ def checkpoint_sums(seq, checkpoints, method: str = "compensated",
         raise ValueError(
             f"checkpoint {cps[0]} is below the first index {start}"
         )
-    _, at_cuts, _ = _run(term, start, cps[-1], method, budget, cuts=cps)
+    _, at_cuts, _ = _run(term, start, cps[-1], budget, cuts=cps)
     return [(n, nm.from_value(s)) for n, s in at_cuts]
 
 
@@ -593,8 +571,7 @@ def _insufficient(prediction, cps, tolerance, note) -> RateCheck:
 
 
 def slope_check(seq, prediction, checkpoints, tolerance: float = 0.02,
-                method: str = "compensated", budget: int = DEFAULT_BUDGET,
-                params=None) -> RateCheck:
+                budget: int = DEFAULT_BUDGET, params=None) -> RateCheck:
     """Fit the predicted growth template against checkpoint sums.
 
     slow-log templates fit consecutive slopes of S(N) against ln w(N)
@@ -626,7 +603,7 @@ def slope_check(seq, prediction, checkpoints, tolerance: float = 0.02,
                 f"checkpoints, below the {SIGNAL_EFOLDS} needed to fit",
             )
 
-    rows = checkpoint_sums(term, cps, method=method, budget=budget)
+    rows = checkpoint_sums(term, cps, budget=budget)
     sums = [nm.to_float(s) for _, s in rows]
     note = ""
     tail = prediction.sum_kind == "tail"

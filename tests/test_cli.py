@@ -145,6 +145,43 @@ def test_sum_budget_exit_one(capsys):
     assert "error in oracle summation" in err
 
 
+def test_sum_unbound_parameter_is_input_error(capsys):
+    code, out, err = run(capsys, ["sum", "(ln(n))^t/n", "1000"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: ")
+    assert "unbound parameter(s): t" in err
+
+
+def test_sum_checkpoints_past_upto_rejected(capsys):
+    code, out, err = run(capsys, [
+        "sum", "1/n^2", "10", "--checkpoints", "1000", "2000",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: ")
+    assert "2000" in err
+
+
+def test_sum_has_no_method_option(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sum", "1/n^2", "10", "--method", "pairwise"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("option, message", [
+    (["--kmax", "9"], "exceeds the tower budget"),
+    (["--precision", "10"], "significand_bits must be at least 64"),
+])
+def test_bad_policy_is_validation_error(capsys, command, option, message):
+    code, out, err = run(capsys, [command, "1/n^2", *option])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in policy validation: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_sum_float_overflow_exit_one(capsys):
     # Every term is finite, but their float64 total is not.
     with warnings.catch_warnings():

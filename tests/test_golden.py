@@ -1,0 +1,145 @@
+"""Golden lock: reports stay byte-identical across refactors.
+
+Each case stores the exit code and the sha256 of stdout of one
+``logladder`` argv, or the sha256 of the JSON rows (trace plus final
+verdict) that ``analyze`` gives for a float callable. Callables reach
+the raw samplers, which expression input never does.
+
+A change that alters any verdict, statistic, rate, warning or output
+byte fails here. When such a change is intended, regenerate the file
+and say why in the change log:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+from logladder import cli
+from logladder import corpus
+from logladder import criteria as cr
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+_EXPONENTS = ("-2", "-3/2", "-1", "-1/2", "0", "1")
+_FLOAT_EXPONENTS = (-2.0, -1.5, -1.0, -0.5, 0.0, 1.0)
+
+
+def _bertrand(ps, shift):
+    var = f"(n+{shift})"
+    factors = []
+    for k, p in enumerate(ps):
+        base = var if k == 0 else "(" + "ln(" * k + var + ")" * k + ")"
+        factors.append(f"{base}^({p})")
+    return "*".join(factors)
+
+
+def _argv_cases():
+    cases = []
+    for e in corpus.ENTRIES:
+        argv = ["analyze", e.expression, "--json"]
+        argv += [f"--param={k}={v}" for k, v in sorted(e.params.items())]
+        if e.scale:
+            argv += ["--w", e.scale]
+        cases.append((f"corpus:{e.entry_id}", argv))
+    rng = random.Random("golden")
+    tuples = [ps for m in (1, 2, 3)
+              for ps in itertools.product(_EXPONENTS, repeat=m)]
+    picked = rng.sample(tuples, 27)
+    for ps in picked:
+        c = rng.choice((1, 2, 3))
+        cases.append((f"shift:{c}:{' '.join(ps)}",
+                      ["analyze", _bertrand(ps, c), "--json"]))
+    for c in (1, 2, 3):
+        ps = ("-1", "-1", "-1")
+        if ps not in picked:
+            cases.append((f"shift:{c}:{' '.join(ps)}",
+                          ["analyze", _bertrand(ps, c), "--json"]))
+    for w in ("n", "ln", "lnln", "pow:1/2"):
+        # a shifted term pinned to lnln samples for about 10 s, so that
+        # scale only sees the exact form
+        texts = ("1/(n*ln(n))",) if w == "lnln" else (
+            "1/(n*ln(n))", "(n+2)^(-3/2)")
+        for text in texts:
+            cases.append((f"w:{w}:{text}",
+                          ["analyze", text, "--w", w, "--json"]))
+    cases.append(("grid", ["analyze", "(n+1)^(-3/2)", "--grid",
+                           "geometric:200:3:12", "--json"]))
+    cases.append(("examples", ["examples", "--json"]))
+    cases.append(("sum:partial", ["sum", "1/(n*ln(n+1))", "20000", "--json"]))
+    cases.append(("sum:tail", ["sum", "n^(-3/2)", "20000", "--tail-from",
+                               "100"]))
+    return cases
+
+
+def _callable(key):
+    if key == "harmonic-log":
+        return lambda n: 1 / (n * math.log(n))
+    if key == "oscillating":
+        return lambda n: (2 + (-1) ** n) / n ** 0.5
+    p0, p1 = (float(x) for x in key.split(","))
+    return lambda n: n ** p0 * math.log(n) ** p1
+
+
+def _callable_keys():
+    keys = [f"{p0},{p1}" for p0, p1 in
+            itertools.product(_FLOAT_EXPONENTS, repeat=2)]
+    return keys + ["harmonic-log", "oscillating"]
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_argv(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, _sha(out.getvalue())
+
+
+def run_callable(key):
+    report = cr.analyze(cr.CallableTerm(_callable(key), n_start=2, text=key))
+    rows = [cli._verdict_json(v) for v in report.trace + [report.final]]
+    return _sha(json.dumps(rows, sort_keys=True))
+
+
+def _load():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case_id, argv", _argv_cases(),
+                         ids=[c[0] for c in _argv_cases()])
+def test_golden_argv(case_id, argv):
+    want = _load()["argv"][case_id]
+    assert want["argv"] == argv
+    code, digest = run_argv(argv)
+    assert (code, digest) == (want["exit"], want["sha256"])
+
+
+def test_golden_callables():
+    want = _load()["callables"]
+    got = {key: run_callable(key) for key in _callable_keys()}
+    assert got == want
+
+
+if __name__ == "__main__":
+    golden = {"argv": {}, "callables": {}}
+    for case_id, argv in _argv_cases():
+        code, digest = run_argv(argv)
+        golden["argv"][case_id] = {"argv": argv, "exit": code,
+                                   "sha256": digest}
+    for key in _callable_keys():
+        golden["callables"][key] = run_callable(key)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(golden['argv'])} argv and "
+          f"{len(golden['callables'])} callable cases to {GOLDEN}")

@@ -121,10 +121,3 @@ def test_parse_scale_forms():
     assert isinstance(sc.parse_scale("pow:1/2"), sc.PowerOfN)
     with pytest.raises((LogLadderError, ValueError)):
         sc.parse_scale("bogus")
-
-
-def test_inverse_roundtrip():
-    w = sc.IterLog(1)
-    n = nm.from_value(10**5)
-    back = w.inverse(w.value(n))
-    assert nm.to_float(back) == pytest.approx(1e5, rel=1e-10)

@@ -41,17 +41,6 @@ def test_partial_sum_monotone_in_n():
         prev = v
 
 
-def test_methods_agree_within_roundoff():
-    a = sums.partial_sum("1/(n*ln(n))", 10**6, method="compensated")
-    b = sums.partial_sum("1/(n*ln(n))", 10**6, method="pairwise")
-    tol = nm.to_float(a.estimated_roundoff) + nm.to_float(
-        b.estimated_roundoff
-    )
-    assert abs(nm.to_float(a.value) - nm.to_float(b.value)) <= tol
-    assert a.summation_method == "compensated"
-    assert b.summation_method == "pairwise"
-
-
 def test_roundoff_invariant():
     r = sums.partial_sum("1/n^2", 10**5)
     bound = r.n_terms * 2.0 ** (1 - r.precision_bits) * nm.to_float(r.value)
@@ -280,21 +269,19 @@ def _run_with_workers(monkeypatch, workers, *args, **kw):
     return sums._run(*args, **kw)
 
 
-@pytest.mark.parametrize("method", ["compensated", "pairwise"])
-def test_run_independent_of_worker_count(monkeypatch, method):
+def test_run_independent_of_worker_count(monkeypatch):
     monkeypatch.setattr(sums, "CHUNK", 1000)
     term = cr.ExprTerm("1/(n*ln(n+1))")
     # Cuts mid-chunk, on the ends of the chunks they shape, past the end.
     cuts = [500, 1500, 2499, 2500, 3500, 7777, 10500, 20000]
     runs = [
-        _run_with_workers(monkeypatch, w, term, 1, 10500, method, 10**6,
-                          cuts=cuts)
+        _run_with_workers(monkeypatch, w, term, 1, 10500, 10**6, cuts=cuts)
         for w in (1, 4, sums._MAX_WORKERS)
     ]
     total, at_cuts, n_terms = runs[0]
     assert n_terms == 10500
     assert [n for n, _ in at_cuts] == cuts[:-1]
-    assert at_cuts[-1][1] == total or method == "pairwise"
+    assert at_cuts[-1][1] == total
     for other in runs[1:]:
         assert other == runs[0]
 
@@ -322,8 +309,7 @@ def test_run_error_names_first_bad_index(monkeypatch, workers, source,
     monkeypatch.setattr(sums, "CHUNK", 100)
     term = cr._as_term(source, None)
     with pytest.raises(error, match=f"term at n={first_bad} "):
-        _run_with_workers(monkeypatch, workers, term, 1, 9000,
-                          "compensated", 10**6)
+        _run_with_workers(monkeypatch, workers, term, 1, 9000, 10**6)
 
 
 def test_mutated_prefix_summed():
