@@ -373,15 +373,17 @@ class AnalysisReport:
 
 
 def _eval_combo(combo: LogCombo, n: ExtScalar) -> ExtScalar:
-    """Value of the combo at n under the active precision."""
-    total = combo.const_value()
-    for depth in sorted(combo.coeffs):
-        c = combo.coeffs[depth]
-        v = n if depth == 0 else nm.iter_ln(depth, n)
-        total = nm.ext_add(total, nm.ext_mul(nm.from_value(c), v))
-    for r in combo.residuals:
-        total = nm.ext_add(total, ex.eval_expr(r, n))
-    return total
+    """Value of the combo at n under the active precision, entered once
+    for the whole combo."""
+    with nm._Working():
+        total = combo.const_value()
+        for depth in sorted(combo.coeffs):
+            c = combo.coeffs[depth]
+            v = n if depth == 0 else nm.iter_ln(depth, n)
+            total = nm.ext_add(total, nm.ext_mul(nm.from_value(c), v))
+        for r in combo.residuals:
+            total = nm.ext_add(total, ex.eval_expr(r, n))
+        return total
 
 
 def _index_bits(n: ExtScalar) -> int:
@@ -543,10 +545,20 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
         c0 = combo.coeffs.get(0, Fraction(0))
         exact = _infinite(c0) if c0 != 0 else combo.coeffs.get(1, Fraction(0))
     bits = nm.get_precision().significand_bits
+    # a(n+1) of a grid point is a(n) of its n+1 companion: each term is
+    # evaluated once per index and precision for the life of the statistic.
+    memo = {}
+
+    def value(n, precision):
+        key = (n.sign, n.level, n.mag, precision)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = term.term(n)
+        return v
 
     def sample(n):
-        with nm.local_precision(bits + _index_bits(n) + 64):
-            r = nm.ext_div(term.term(nm.ext_add(n, nm.ONE)), term.term(n))
+        with nm.local_precision(bits + _index_bits(n) + 64) as p:
+            r = nm.ext_div(value(nm.ext_add(n, nm.ONE), p), value(n, p))
             return nm.ext_mul(n, nm.ext_sub(r, nm.ONE))
 
     return _Statistic(exact, partial(_choose_grid, term, None), sample)
@@ -797,13 +809,13 @@ def _limit_verdict(m: _Measure, test_id: str, w: sc.ScaleFn | None,
 
 def _ratio_verdict(term: TermSource, w: sc.ScaleFn, level: int,
                    policy: AnalysisPolicy, test_id: str,
-                   include_delta: bool) -> Verdict:
-    """The quotient log test at one escalation level."""
+                   include_delta: bool) -> tuple[Verdict, _Measure]:
+    """The quotient log test at one escalation level, and the measure it
+    read (the envelope reading at the same scale reuses it)."""
     stat = _quotient_statistic(term, w, level, include_delta)
     template = "log-ratio-" if level == 0 else "log-log-"
-    return _limit_verdict(
-        _measure(stat, policy, test_id), test_id, w, level, template
-    )
+    m = _measure(stat, policy, test_id)
+    return _limit_verdict(m, test_id, w, level, template), m
 
 
 # -- public tests ----------------------------------------------------------------
@@ -834,7 +846,7 @@ def log_ratio_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     term = _as_term(seq, params)
     return _ratio_verdict(
         term, w, 0, policy, "log-ratio", include_delta=False
-    )
+    )[0]
 
 
 def scaled_log_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
@@ -847,7 +859,11 @@ def scaled_log_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     limit lands on -1.
     """
     policy = policy or AnalysisPolicy()
-    term = _as_term(seq, params)
+    return _scaled_log(_as_term(seq, params), w, policy)[0]
+
+
+def _scaled_log(term: TermSource, w: sc.ScaleFn, policy: AnalysisPolicy):
+    """The scaled-log verdict at w and its measure."""
     return _ratio_verdict(
         term, w, 0, policy, "scaled-log", include_delta=True
     )
@@ -964,7 +980,7 @@ def hierarchy_test(seq, w: sc.ScaleFn, k_max: int | None = None,
     _check_k_max(k_max)
     levels = []
     for j in range(1, k_max + 1):
-        v = _ratio_verdict(
+        v, _ = _ratio_verdict(
             term, w, j, policy, "hierarchy", include_delta=True
         )
         if v.decision == "diverges" and _is_zero_statistic(v):
@@ -997,7 +1013,11 @@ def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
     stat = _quotient_statistic(term, w, 0, include_delta=True)
-    m = _measure(stat, policy, "one-sided")
+    return _envelope_verdict(_measure(stat, policy, "one-sided"), w)
+
+
+def _envelope_verdict(m: _Measure, w: sc.ScaleFn) -> Verdict:
+    """The one-sided reading of a scaled-log measure at w."""
     if m.samples is None:
         # Exact statistics have a plain limit; both envelopes agree
         # with it, so the two-sided verdict carries over.
@@ -1046,8 +1066,23 @@ def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
 # -- the ladder -------------------------------------------------------------------
 
 
-def _undecided_chain(term, w, policy, trace):
-    """Escalation once the scaled-log limit lands on -1 at scale w."""
+def _scale_rungs(term, w, policy, trace):
+    """Scaled-log at w, then escalation on a boundary limit or the
+    envelopes otherwise; both read the one scaled-log measure."""
+    v, m = _scaled_log(term, w, policy)
+    trace.append(v)
+    if v.decisive:
+        return v
+    if v.reason == "statistic-at-boundary":
+        return _undecided_chain(term, w, policy, trace, m)
+    v = _envelope_verdict(m, w)
+    trace.append(v)
+    return v if v.decisive else None
+
+
+def _undecided_chain(term, w, policy, trace, m):
+    """Escalation once the scaled-log limit (measure m) lands on -1 at
+    scale w."""
     v = slow_divergence_test(term, w, policy, mode="convergent")
     trace.append(v)
     if v.decisive:
@@ -1063,7 +1098,7 @@ def _undecided_chain(term, w, policy, trace):
     trace.append(v)
     if v.decisive:
         return v
-    v = one_sided_test(term, w, policy)
+    v = _envelope_verdict(m, w)
     trace.append(v)
     if v.decisive:
         return v
@@ -1109,36 +1144,14 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
             if v.decisive:
                 final = v
             if final is None:
-                v = scaled_log_test(term, sc.Identity(), policy)
+                v, _ = _scaled_log(term, sc.Identity(), policy)
                 trace.append(v)
                 if v.decisive:
                     final = v
             if final is None:
-                w1 = sc.IterLog(1)
-                v = scaled_log_test(term, w1, policy)
-                trace.append(v)
-                if v.decisive:
-                    final = v
-                elif v.reason == "statistic-at-boundary":
-                    final = _undecided_chain(term, w1, policy, trace)
-                else:
-                    v = one_sided_test(term, w1, policy)
-                    trace.append(v)
-                    if v.decisive:
-                        final = v
+                final = _scale_rungs(term, sc.IterLog(1), policy, trace)
         else:
-            w = policy.scale
-            v = scaled_log_test(term, w, policy)
-            trace.append(v)
-            if v.decisive:
-                final = v
-            elif v.reason == "statistic-at-boundary":
-                final = _undecided_chain(term, w, policy, trace)
-            else:
-                v = one_sided_test(term, w, policy)
-                trace.append(v)
-                if v.decisive:
-                    final = v
+            final = _scale_rungs(term, policy.scale, policy, trace)
     if final is None:
         final = Verdict(
             "inconclusive", "ladder", policy.scale, 0,

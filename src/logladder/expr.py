@@ -146,6 +146,14 @@ def iterln(count: int, arg: Expr) -> Expr:
 _FN_LOGS = {"ln": 1, "lnln": 2, "lnlnln": 3, "lnlnlnln": 4}
 _LOG_BASES = {f"log_{d}": d for d in range(2, 10)}
 
+# Deepest accepted expression, in parentheses and in tree levels (an
+# iterated log counts once per log). The parser and every walk over a
+# parsed tree (bind, log_transform, linearize, eval_expr, the summation
+# compiler) recurse at most a few frames per level, so this keeps them
+# well inside Python's default recursion limit.
+_MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -154,6 +162,7 @@ class _Lexer:
         self.tok = None
         self.val = None
         self.tok_pos = 0
+        self.depth = 0
         self.advance()
 
     def advance(self):
@@ -205,11 +214,31 @@ def parse(text: str) -> Expr:
     e = _parse_expr(lx)
     if lx.tok != "end":
         raise ParseError(f"trailing input {lx.val!r}", lx.tok_pos)
+    if _depth(e) > _MAX_DEPTH:
+        raise ParseError(_TOO_DEEP)
     _validate_powers(e)
     return e
 
 
+def _depth(e: Expr) -> int:
+    """Tree levels of e, counted without recursion."""
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        x, d = stack.pop()
+        if isinstance(x, IterLn):
+            d += x.count - 1
+        deepest = max(deepest, d)
+        stack.extend(
+            (c, d + 1) for c in vars(x).values() if isinstance(c, Expr)
+        )
+    return deepest
+
+
 def _parse_expr(lx: _Lexer) -> Expr:
+    lx.depth += 1
+    if lx.depth > _MAX_DEPTH:
+        raise ParseError(_TOO_DEEP, lx.tok_pos)
     negate = False
     if lx.tok == "-":
         lx.advance()
@@ -225,6 +254,7 @@ def _parse_expr(lx: _Lexer) -> Expr:
         lx.advance()
         rhs = _parse_term(lx)
         e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+    lx.depth -= 1
     return e
 
 
@@ -455,11 +485,11 @@ def bind(e: Expr, params: dict) -> Expr:
 
 
 def eval_expr(e: Expr, n, params: dict | None = None) -> ExtScalar:
-    """Evaluate at n (coerced to ExtScalar) under the active precision."""
-    n = nm.from_value(n)
-    env = None
-    if params:
-        env = {k: nm.from_value(_as_fraction(v)) for k, v in params.items()}
+    """Evaluate at n (coerced to ExtScalar) under the active precision.
+
+    The working precision is entered once for the whole tree; every
+    operation inside computes at the same bits as it would on its own.
+    """
 
     def ev(x: Expr) -> ExtScalar:
         if isinstance(x, Const):
@@ -486,7 +516,14 @@ def eval_expr(e: Expr, n, params: dict | None = None) -> ExtScalar:
             return nm.iter_ln(x.count, ev(x.arg))
         raise TypeError(f"not an expression node: {x!r}")
 
-    return ev(e)
+    with nm._Working():
+        n = nm.from_value(n)
+        env = None
+        if params:
+            env = {
+                k: nm.from_value(_as_fraction(v)) for k, v in params.items()
+            }
+        return ev(e)
 
 
 # -- domain inference ---------------------------------------------------------
@@ -586,6 +623,9 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar, params) -> ExtScalar:
     from mpmath import mp
 
     for _ in range(80):
+        if hi.level == 0 and hi.mag < 1e15 and hi.mag - lo.mag < 1:
+            # Integer resolution: the walk below settles n exactly.
+            break
         try:
             llo = nm.ext_ln(lo).as_mpf() if nm.ext_cmp(lo, nm.ONE) > 0 else mp.mpf(0)
             lhi = nm.ext_ln(hi).as_mpf()

@@ -131,6 +131,34 @@ def _bits() -> int:
     return get_precision().significand_bits
 
 
+class _Working:
+    """Run the enclosed mpmath arithmetic at bits + _GUARD.
+
+    mp.prec is switched (and restored on exit) only when it differs from
+    that target, so an evaluation that enters the guard once runs every
+    operation inside it without another switch. local_precision moves
+    the target but never mp.prec itself: code outside the guard, user
+    callables included, keeps the ambient mpmath precision.
+    """
+
+    __slots__ = ("_saved",)
+
+    def __enter__(self):
+        target = _prec_stack[-1].significand_bits + _GUARD
+        saved = mp.prec
+        if saved == target:
+            self._saved = None
+        else:
+            mp.prec = target
+            self._saved = saved
+        return self
+
+    def __exit__(self, *exc):
+        if self._saved is not None:
+            mp.prec = self._saved
+        return False
+
+
 _absorb_sinks: list[list[AbsorptionWarning]] = []
 
 
@@ -183,7 +211,7 @@ class ExtScalar:
         """exp applied `level` times to residue, canonicalized."""
         if level < 0:
             raise ValueError("tower level must be nonnegative")
-        with mp.workprec(_bits() + _GUARD):
+        with _Working():
             r = _to_mpf(residue)
             h = level
             while h > 0:
@@ -217,7 +245,7 @@ class ExtScalar:
         """Plain signed value, or RangeError if the tower does not fit."""
         if self.level == 0:
             return self.mag if self.sign >= 0 else -self.mag
-        with mp.workprec(_bits() + _GUARD):
+        with _Working():
             v = self.mag
             for _ in range(self.level):
                 if v > _EXP_ARG_CAP:
@@ -350,7 +378,7 @@ def from_value(x) -> ExtScalar:
         return x
     if isinstance(x, str):
         return parse_scalar(x)
-    with mp.workprec(_bits() + _GUARD):
+    with _Working():
         return _plain(_to_mpf(x))
 
 
@@ -366,7 +394,7 @@ def parse_scalar(text: str) -> ExtScalar:
     s = text.strip()
     m = _TOWER_RE.match(s)
     try:
-        with mp.workprec(_bits() + _GUARD):
+        with _Working():
             if m:
                 return ExtScalar.tower(int(m.group(1)), mp.mpf(m.group(2)))
             return _plain(mp.mpf(s))
@@ -398,7 +426,7 @@ def to_float(x: ExtScalar) -> float:
 
 def _cmp_mag(x: ExtScalar, y: ExtScalar) -> int:
     """Order the magnitudes of two nonzero scalars."""
-    with mp.workprec(_bits() + _GUARD):
+    with _Working():
         hx, rx = x.level, x.mag
         hy, ry = y.level, y.mag
         # Strip ln from both sides until one is plain. ln preserves order
@@ -446,7 +474,7 @@ def _log_gap_exceeds(big: ExtScalar, small: ExtScalar, bits: int) -> bool:
         return False
     if gap.level > 0:
         return True
-    with mp.workprec(_bits() + _GUARD):
+    with _Working():
         return gap.mag > mp.mpf(bits) * mp.ln(2)
 
 
@@ -475,7 +503,7 @@ def _add_pairs(sx: int, xm: ExtScalar, sy: int, ym: ExtScalar):
         return sx, xm
 
     prec = _bits()
-    with mp.workprec(prec + _GUARD):
+    with _Working():
         lx = None
         ly = None
         if xm.level > 0:
@@ -566,7 +594,7 @@ def ext_mul(x: ExtScalar, y: ExtScalar) -> ExtScalar:
         return ZERO
     sign = x.sign * y.sign
     if x.level == 0 and y.level == 0:
-        with mp.workprec(_bits() + _GUARD):
+        with _Working():
             return _materialize(sign, _plain(x.mag * y.mag))
     # Tower involved: multiply on the log side. Exponent arithmetic there
     # is an add, which carries its own absorption reporting.
@@ -583,7 +611,7 @@ def ext_div(x: ExtScalar, y: ExtScalar) -> ExtScalar:
         return ZERO
     sign = x.sign * y.sign
     if x.level == 0 and y.level == 0:
-        with mp.workprec(_bits() + _GUARD):
+        with _Working():
             return _materialize(sign, _plain(x.mag / y.mag))
     lx = ext_ln(ext_abs(x))
     ly = ext_ln(ext_abs(y))
@@ -603,13 +631,13 @@ def ext_pow(x: ExtScalar, y: ExtScalar) -> ExtScalar:
             raise DomainError(
                 "non-integer power of a negative value"
             )
-        with mp.workprec(_bits() + _GUARD):
+        with _Working():
             e = int(y.mag) * y.sign
             sign = -1 if e % 2 else 1
         mag = ext_pow(ext_abs(x), y)
         return _materialize(sign, mag)
     if x.level == 0 and y.level == 0 and mp.isint(y.mag) and y.mag <= 4096:
-        with mp.workprec(_bits() + _GUARD):
+        with _Working():
             return _plain(x.mag ** (int(y.mag) * y.sign))
     return ext_exp(ext_mul(y, ext_ln(x)))
 
@@ -624,7 +652,7 @@ def ext_ln(x: ExtScalar) -> ExtScalar:
         if x.level == 1:
             return _plain(x.mag)
         return ExtScalar(1, x.level - 1, x.mag)
-    with mp.workprec(_bits() + _GUARD):
+    with _Working():
         return _plain(mp.ln(x.mag))
 
 
@@ -639,7 +667,7 @@ def ext_exp(x: ExtScalar) -> ExtScalar:
                 f"tower level {x.level + 1} exceeds the configured maximum {cap}"
             )
         return ExtScalar(1, x.level + 1, x.mag)
-    with mp.workprec(_bits() + _GUARD):
+    with _Working():
         v = x.mag if x.sign > 0 else -x.mag
         if abs(v) <= _EXP_ARG_CAP:
             return _plain(mp.exp(v))
@@ -655,7 +683,7 @@ def ext_ln1p(x: ExtScalar) -> ExtScalar:
     if x.level > 0:
         _note_absorption(f"1 absorbed into {fmt(x)} under ln1p")
         return ext_ln(x)
-    with mp.workprec(_bits() + _GUARD):
+    with _Working():
         v = x.mag if x.sign > 0 else -x.mag
         if v <= -1:
             raise DomainError("ln1p of a value at or below -1")
@@ -669,7 +697,7 @@ def ext_expm1(x: ExtScalar) -> ExtScalar:
     if x.level > 0:
         _note_absorption(f"1 absorbed into exp of {fmt(x)} under expm1")
         return ext_exp(x)
-    with mp.workprec(_bits() + _GUARD):
+    with _Working():
         v = x.mag if x.sign > 0 else -x.mag
         return _plain(mp.expm1(v))
 

@@ -33,7 +33,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
 from mpmath import mp
 
 from . import criteria as cr
@@ -133,8 +132,10 @@ class RateCheck:
 # -- term compilation ----------------------------------------------------------
 
 
+# numpy is imported on first use, so commands that never sum (analyze)
+# never load it; the arithmetic table therefore names its ufuncs.
 _ARITH = {
-    ex.Add: np.add, ex.Sub: np.subtract, ex.Mul: np.multiply, ex.Div: np.divide,
+    ex.Add: "add", ex.Sub: "subtract", ex.Mul: "multiply", ex.Div: "divide",
 }
 
 # numpy's power loop swaps in square, sqrt and reciprocal for a broadcast
@@ -152,6 +153,8 @@ def _compile(e: ex.Expr, shared_n: bool):
     node over whole arrays. shared_n says the index array is read more
     than once, so no node may overwrite it.
     """
+    import numpy as np
+
     if isinstance(e, ex.Const):
         return float(e.value)
     if isinstance(e, ex.Var):
@@ -160,6 +163,7 @@ def _compile(e: ex.Expr, shared_n: bool):
         raise UnboundParameterError([e.name])
     op = _ARITH.get(type(e))
     if op is not None:
+        op = getattr(np, op)
         a, b = _compile(e.left, shared_n), _compile(e.right, shared_n)
         if not callable(a) and not callable(b):
             with np.errstate(all="ignore"):
@@ -190,6 +194,8 @@ def _ufunc_node(ufunc, parts, shared_n: bool):
     reads, which saves allocating (and faulting in) a fresh chunk-sized
     array per node; elementwise ufuncs give the same bits in place.
     """
+    import numpy as np
+
     def f(x):
         args = [p(x) if callable(p) else p for p in parts]
         out = next(
@@ -206,6 +212,8 @@ def _as_array(f):
     """Turn a folded constant into an evaluator filling the index's shape."""
     if callable(f):
         return f
+    import numpy as np
+
     return lambda x: np.full_like(x, f)
 
 
@@ -220,6 +228,8 @@ def _n_uses(e: ex.Expr) -> int:
 
 def _chunk_evaluator(term):
     """Map an index array to term values, choosing the fastest route."""
+    import numpy as np
+
     if isinstance(term, cr.MutatedTerm):
         inner = _chunk_evaluator(term.base)
         overrides = {
@@ -275,6 +285,8 @@ def _chunk_total(evaluate, text: str, lo: int, hi: int) -> float:
     The total comes first; the full scan for bad terms runs only when it
     is not finite or some term is negative, and names the first bad index.
     """
+    import numpy as np
+
     vals = evaluate(np.arange(lo, hi + 1, dtype=np.float64))
     with np.errstate(all="ignore"):
         total = float(np.sum(vals))

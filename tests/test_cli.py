@@ -193,6 +193,40 @@ def test_sum_float_overflow_exit_one(capsys):
     assert "overflows float64" in err
 
 
+def _nested_sum(depth):
+    """1/(n^2+1/(n^2+...)) with `depth` parenthesized levels."""
+    text = "1"
+    for _ in range(depth):
+        text = f"1/(n^2+{text})"
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 600 + "n" + ")" * 600,
+    _nested_sum(300),
+    "+".join(["n"] * 3000),
+])
+@pytest.mark.parametrize("command", ["analyze", "sum"])
+def test_deep_nesting_is_input_error(capsys, text, command):
+    argv = [command, text] + (["100"] if command == "sum" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: ")
+    assert "nested deeper than 100 levels" in err
+    assert "Traceback" not in err
+
+
+def test_nesting_at_the_limit_analyzes(capsys):
+    # 49 levels make a tree exactly 100 deep; one more is refused
+    code, out, _ = run(capsys, ["analyze", _nested_sum(49)])
+    assert code == 0
+    assert "converges [raabe]" in out
+    code, _, err = run(capsys, ["analyze", _nested_sum(50)])
+    assert code == 1
+    assert "nested deeper than 100 levels" in err
+
+
 # -- verify ------------------------------------------------------------------------
 
 
