@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
     UnboundParameterError,
 )
-from .limits import Geometric, TowerGeometric, make_grid
+from .limits import Geometric, TowerGeometric
 from .scale import parse_scale
 
 __all__ = ["RunConfig", "main"]
@@ -120,7 +120,7 @@ def _parse_grid(text: str):
 
 def _build_config(args) -> RunConfig:
     try:
-        params = _parse_params(getattr(args, "param", None))
+        params = _parse_params(args.param)
         scale = None
         w = getattr(args, "w", None)
         if w and w != "auto":
@@ -135,10 +135,10 @@ def _build_config(args) -> RunConfig:
         params=params,
         scale=scale,
         k_max=getattr(args, "kmax", 4),
-        precision=getattr(args, "precision", 0) or 0,
+        precision=args.precision,
         grid=grid,
         budget=getattr(args, "budget", sums.DEFAULT_BUDGET),
-        fmt="json" if getattr(args, "json", False) else "text",
+        fmt="json" if args.json else "text",
         expect=getattr(args, "expect", None),
     )
 
@@ -148,12 +148,9 @@ def _analyze(config: RunConfig):
         policy = cr.AnalysisPolicy(
             scale=config.scale, k_max=config.k_max, grid=config.grid
         )
-        cr._check_k_max(policy.k_max)
         precision = None
         if config.precision:
-            precision = nm.Precision(
-                config.precision, nm.get_precision().max_tower_level
-            )
+            precision = nm.Precision(config.precision)
     except ValueError as e:
         raise _StageError("policy validation", e)
     try:
@@ -483,9 +480,7 @@ def _cmd_sum(args) -> int:
 def _cmd_examples(args) -> int:
     as_json = getattr(args, "json", False)
     try:
-        rows = corpus_mod.run_corpus(
-            entry_ids=args.only or None, raise_on_mismatch=False
-        )
+        rows = corpus_mod.run_corpus(entry_ids=args.only or None)
     except LogLadderError as e:
         raise _StageError("corpus run", e)
     failures = [
@@ -544,13 +539,33 @@ def _cmd_examples(args) -> int:
 # -- argument wiring --------------------------------------------------------------
 
 
-def _add_common(p, expect=False):
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors like every other input error: exit 1 with
+    the stage named (argparse would exit 2, the inconclusive code)."""
+
+    def error(self, message):
+        raise _StageError("input parsing", ParseError(message))
+
+
+def _add_common(p):
+    """Options every analysis and summation command reads."""
     p.add_argument("expression", help="term formula in n, e.g. '1/(n*ln(n))'")
     p.add_argument(
         "--param", action="append", metavar="NAME=VALUE",
         help="bind a parameter (repeatable); values may be rational "
              "like 1/2 or decimal",
     )
+    p.add_argument(
+        "--precision", type=int, default=0, metavar="BITS",
+        help="working precision override in bits",
+    )
+    p.add_argument(
+        "--json", action="store_true", help="emit a JSON report"
+    )
+
+
+def _add_ladder(p):
+    """Options of the decision ladder (analyze, verify)."""
     p.add_argument(
         "--w", default="auto",
         help="scale: auto, n, ln, lnln, lnlnln, pow:SIGMA, or expr:...; "
@@ -561,30 +576,23 @@ def _add_common(p, expect=False):
         help="deepest escalation level to try (default 4)",
     )
     p.add_argument(
-        "--precision", type=int, default=0, metavar="BITS",
-        help="working precision override in bits",
-    )
-    p.add_argument(
         "--grid", default=None,
         help="sampling grid override: 'geometric:START:RATIO:COUNT' or "
-             "'tower:LEVEL:START:STEP:COUNT', ';'-joined",
+             "'tower:LEVEL:START:STEP:COUNT', ';'-joined; the first point "
+             "must be at least 1",
     )
+
+
+def _add_budget(p):
+    """The oracle's term budget (sum, verify)."""
     p.add_argument(
         "--budget", type=int, default=sums.DEFAULT_BUDGET,
         help="oracle term-evaluation budget (default 10^8)",
     )
-    p.add_argument(
-        "--json", action="store_true", help="emit a JSON report"
-    )
-    if expect:
-        p.add_argument(
-            "--expect", choices=("converges", "diverges"), default=None,
-            help="exit 3 when the verdict disagrees (for CI)",
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="logladder",
         description="Convergence analysis for positive series by "
                     "scaled-log statistics, with a summation oracle.",
@@ -594,13 +602,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze", help="run the decision ladder on a sequence"
     )
-    _add_common(p, expect=True)
+    _add_common(p)
+    _add_ladder(p)
+    p.add_argument(
+        "--expect", choices=("converges", "diverges"), default=None,
+        help="exit 3 when the verdict disagrees (for CI)",
+    )
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser(
         "sum", help="sum terms directly (ground truth, no analysis)"
     )
     _add_common(p)
+    _add_budget(p)
     p.add_argument("upto", type=int, help="last index to sum")
     p.add_argument(
         "--tail-from", type=int, default=None, metavar="N",
@@ -619,6 +633,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="check the predicted rate against checkpoint sums"
     )
     _add_common(p)
+    _add_ladder(p)
+    _add_budget(p)
     p.add_argument(
         "--checkpoints", type=int, nargs="+", default=None,
         help="oracle checkpoints (default 10^4..10^7 by decades)",
@@ -643,8 +659,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except _StageError as e:
         print(str(e), file=sys.stderr)

@@ -2,9 +2,9 @@
 
 Each entry records the exact deciding statistic, scale, and level the
 analyzer must reproduce, plus any trace rows that document why earlier
-rungs hand off. The runner re-analyzes every entry and raises
-CorpusMismatch listing all deviations, so this doubles as a quick
-end-to-end regression of the decision ladder.
+rungs hand off. The runner re-analyzes every entry and lists every
+deviation in its rows, so this doubles as a quick end-to-end regression
+of the decision ladder.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import criteria as cr
 from . import numeric as nm
-from .errors import CorpusMismatch
 from .scale import parse_scale
 
 __all__ = ["CorpusEntry", "CorpusRow", "ENTRIES", "run_corpus"]
@@ -271,15 +270,15 @@ def _fmt_statistic(verdict) -> str:
     return nm.fmt(est.value, digits=6)
 
 
-def run_corpus(entry_ids=None, raise_on_mismatch: bool = True):
-    """Analyze every corpus entry and compare against expectations.
+def run_corpus(entry_ids=None):
+    """Analyze every corpus entry (or those named in entry_ids) and
+    compare against expectations.
 
-    Returns the table rows; raises CorpusMismatch naming each deviation
-    unless raise_on_mismatch is false.
+    Returns the table rows; each row lists its entry's deviations. Ids
+    that name no entry are ignored.
     """
     wanted = set(entry_ids) if entry_ids is not None else None
     rows = []
-    failures = []
     for entry in ENTRIES:
         if wanted is not None and entry.entry_id not in wanted:
             continue
@@ -307,15 +306,5 @@ def run_corpus(entry_ids=None, raise_on_mismatch: bool = True):
                 ),
                 deviations=tuple(devs),
             )
-        )
-        for d in devs:
-            failures.append(f"{entry.entry_id}: {d}")
-    if wanted is not None:
-        missing = wanted - {e.entry_id for e in ENTRIES}
-        for m in sorted(missing):
-            failures.append(f"{m}: no such corpus entry")
-    if failures and raise_on_mismatch:
-        raise CorpusMismatch(
-            "corpus deviations:\n  " + "\n  ".join(failures)
         )
     return rows

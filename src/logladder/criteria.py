@@ -98,9 +98,6 @@ class TermSource:
     def log_combo(self) -> LogCombo | None:
         return None
 
-    def normal_form(self) -> ex.LogPowerForm | None:
-        return None
-
 
 class ExprTerm(TermSource):
     """Terms defined by a parsed expression with all parameters bound."""
@@ -136,9 +133,6 @@ class ExprTerm(TermSource):
             self._combo = ex.linearize(log_expr)
         return self._combo
 
-    def normal_form(self) -> ex.LogPowerForm | None:
-        return ex.to_log_power(self.expression)
-
 
 class CallableTerm(TermSource):
     """Terms supplied by a Python callable on integer indices.
@@ -163,14 +157,11 @@ class CallableTerm(TermSource):
         return self._n_start
 
     def term(self, n: ExtScalar) -> ExtScalar:
-        if isinstance(n, ExtScalar):
-            if n.level > 0 or n.as_mpf() > mp.mpf(2) ** 62:
-                raise RangeError(
-                    "callable terms are sampled at plain integer indices only"
-                )
-            idx = int(n.as_mpf())
-        else:
-            idx = int(n)
+        if n.level > 0 or n.as_mpf() > mp.mpf(2) ** 62:
+            raise RangeError(
+                "callable terms are sampled at plain integer indices only"
+            )
+        idx = int(n.as_mpf())
         v = nm.from_value(self.fn(idx))
         if v.sign < 0:
             # exact zeros pass: they read as underflowed terms, and the
@@ -211,19 +202,14 @@ class MutatedTerm(TermSource):
         return self.base.n_start
 
     def term(self, n: ExtScalar) -> ExtScalar:
-        if isinstance(n, ExtScalar) and n.level == 0:
+        if n.level == 0:
             v = n.as_mpf()
             if abs(v) <= 100 and v == int(v) and int(v) in self.overrides:
                 return self.overrides[int(v)]
-        elif isinstance(n, int) and n in self.overrides:
-            return self.overrides[n]
         return self.base.term(n)
 
     def log_combo(self) -> LogCombo | None:
         return self.base.log_combo()
-
-    def normal_form(self) -> ex.LogPowerForm | None:
-        return self.base.normal_form()
 
 
 def _as_term(seq, params=None) -> TermSource:
@@ -352,6 +338,14 @@ class AnalysisPolicy:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
+        # Level j divides by the (j+1)-fold log of the scale; at w = ln n
+        # that is the (j+2)-fold log of n, whose tower grid must fit
+        # under the tower cap.
+        limit = nm.MAX_TOWER_LEVEL - 2
+        if self.k_max > limit:
+            raise ValueError(
+                f"k_max={self.k_max} exceeds the tower budget (max {limit})"
+            )
 
 
 @dataclass
@@ -361,12 +355,9 @@ class AnalysisReport:
     sequence: str
     params: dict
     backend: str
-    normal_form: ex.LogPowerForm | None
-    policy: AnalysisPolicy
     trace: list
     final: Verdict
     warnings: list
-    oracle: dict | None = None
 
 
 # -- combo evaluation -----------------------------------------------------------
@@ -504,7 +495,7 @@ def _choose_grid(term: TermSource, tower, policy: AnalysisPolicy):
             lm.Geometric(start, _GEOMETRIC_RATIO, _GEOMETRIC_COUNT)
         )
     den_depth, num = tower
-    if den_depth > nm.get_precision().max_tower_level:
+    if den_depth > nm.MAX_TOWER_LEVEL:
         return None
     extra = max((d for d in num.coeffs if d > den_depth), default=den_depth)
     r0 = _tower_start(den_depth, _n_floor(term), extra - den_depth)
@@ -952,19 +943,9 @@ def _zero_statistic_note(level: int) -> str:
     )
 
 
-def _check_k_max(k_max: int) -> None:
-    """Reject escalation depths past the active tower budget."""
-    limit = nm.get_precision().max_tower_level - 2
-    if k_max > limit:
-        raise ValueError(
-            f"k_max={k_max} exceeds the tower budget (max {limit})"
-        )
-
-
-def hierarchy_test(seq, w: sc.ScaleFn, k_max: int | None = None,
-                   policy: AnalysisPolicy | None = None,
+def hierarchy_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
                    params=None) -> list:
-    """Escalation levels 1..k_max of the scaled-log statistic.
+    """Escalation levels 1..policy.k_max of the scaled-log statistic.
 
     Level j adds the j-th iterated log of w(n) to the numerator and
     compares against the (j+1)-fold log: the level-j limit below -1
@@ -974,12 +955,8 @@ def hierarchy_test(seq, w: sc.ScaleFn, k_max: int | None = None,
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
-    k_max = policy.k_max if k_max is None else k_max
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    _check_k_max(k_max)
     levels = []
-    for j in range(1, k_max + 1):
+    for j in range(1, policy.k_max + 1):
         v, _ = _ratio_verdict(
             term, w, j, policy, "hierarchy", include_delta=True
         )
@@ -1088,7 +1065,7 @@ def _undecided_chain(term, w, policy, trace, m):
     if v.decisive:
         return v
     try:
-        levels = hierarchy_test(term, w, policy.k_max, policy)
+        levels = hierarchy_test(term, w, policy)
         trace.extend(levels)
         if levels and levels[-1].decisive:
             return levels[-1]
@@ -1117,7 +1094,6 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
-    _check_k_max(policy.k_max)
     combo = term.log_combo()
     symbolic_ok = combo is not None and combo.is_exact
     if policy.backend == "symbolic" and not symbolic_ok:
@@ -1170,8 +1146,6 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
         sequence=term.text,
         params=dict(getattr(term, "params", {})),
         backend=backend,
-        normal_form=term.normal_form(),
-        policy=policy,
         trace=trace,
         final=final,
         warnings=warnings,

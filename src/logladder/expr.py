@@ -484,11 +484,12 @@ def bind(e: Expr, params: dict) -> Expr:
 # -- evaluation ---------------------------------------------------------------
 
 
-def eval_expr(e: Expr, n, params: dict | None = None) -> ExtScalar:
+def eval_expr(e: Expr, n) -> ExtScalar:
     """Evaluate at n (coerced to ExtScalar) under the active precision.
 
-    The working precision is entered once for the whole tree; every
-    operation inside computes at the same bits as it would on its own.
+    Parameters must be bound first (see bind). The working precision is
+    entered once for the whole tree; every operation inside computes at
+    the same bits as it would on its own.
     """
 
     def ev(x: Expr) -> ExtScalar:
@@ -497,8 +498,6 @@ def eval_expr(e: Expr, n, params: dict | None = None) -> ExtScalar:
         if isinstance(x, Var):
             return n
         if isinstance(x, Param):
-            if env and x.name in env:
-                return env[x.name]
             raise UnboundParameterError([x.name])
         if isinstance(x, Add):
             return nm.ext_add(ev(x.left), ev(x.right))
@@ -518,11 +517,6 @@ def eval_expr(e: Expr, n, params: dict | None = None) -> ExtScalar:
 
     with nm._Working():
         n = nm.from_value(n)
-        env = None
-        if params:
-            env = {
-                k: nm.from_value(_as_fraction(v)) for k, v in params.items()
-            }
         return ev(e)
 
 
@@ -557,14 +551,14 @@ def _iter_exp_one(k: int) -> ExtScalar:
     return v
 
 
-def domain_start(e: Expr, params: dict | None = None) -> ExtScalar:
+def domain_start(e: Expr) -> ExtScalar:
     """Smallest integer n at which every iterated log in e clears its
     safety threshold exp^k(1) * (1 + 1e-6).
 
     For thresholds too large to enumerate integers the real solution is
     returned, rounded up to the representable resolution.
     """
-    missing = free_params(e) - set(params or {})
+    missing = free_params(e)
     if missing:
         raise UnboundParameterError(missing)
     best = nm.ONE
@@ -576,22 +570,22 @@ def domain_start(e: Expr, params: dict | None = None) -> ExtScalar:
         threshold = nm.ext_mul(
             _iter_exp_one(k), nm.from_value(Fraction(1000001, 1000000))
         )
-        n_k = _first_n_reaching(arg, threshold, params)
+        n_k = _first_n_reaching(arg, threshold)
         if nm.ext_cmp(n_k, best) > 0:
             best = n_k
     return best
 
 
-def _eval_or_none(arg: Expr, n: ExtScalar, params) -> ExtScalar | None:
+def _eval_or_none(arg: Expr, n: ExtScalar) -> ExtScalar | None:
     from .errors import DivisionByZero
 
     try:
-        return eval_expr(arg, n, params)
+        return eval_expr(arg, n)
     except (DomainError, DivisionByZero):
         return None
 
 
-def _first_n_reaching(arg: Expr, threshold: ExtScalar, params) -> ExtScalar:
+def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> ExtScalar:
     """Minimal integer n >= 1 with arg(n) > threshold, assuming arg is
     eventually increasing (true for the supported expression class)."""
     if isinstance(arg, Var):
@@ -605,7 +599,7 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar, params) -> ExtScalar:
         return threshold
 
     def above(n: ExtScalar) -> bool:
-        v = _eval_or_none(arg, n, params)
+        v = _eval_or_none(arg, n)
         return v is not None and nm.ext_cmp(v, threshold) > 0
 
     # Search on a doubly exponential ladder, then bisect.
@@ -653,7 +647,7 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar, params) -> ExtScalar:
     return hi
 
 
-def check_positive(e: Expr, n0: ExtScalar, params: dict | None = None) -> None:
+def check_positive(e: Expr, n0: ExtScalar) -> None:
     """Sampled positivity check past n0; raises PositivityViolation."""
     from .errors import (
         CancellationError,
@@ -680,7 +674,7 @@ def check_positive(e: Expr, n0: ExtScalar, params: dict | None = None) -> None:
             points.append(p)
     for p in points:
         try:
-            v = eval_expr(e, p, params)
+            v = eval_expr(e, p)
         except (RangeError, CancellationError, DivisionByZero, DomainError):
             continue
         if v.sign <= 0:
@@ -751,7 +745,7 @@ def to_log_power(e: Expr) -> LogPowerForm | None:
         return None
     from mpmath import mp
 
-    with mp.workprec(nm.get_precision().significand_bits + 10):
+    with nm._Working():
         c = mp.mpf(1)
         for base, power in consts:
             b = mp.mpf(base.numerator) / mp.mpf(base.denominator)

@@ -49,6 +49,8 @@ class Geometric:
             raise ValueError("count must be at least 1")
         if not float(self.ratio) > 1:
             raise ValueError("ratio must exceed 1")
+        if not float(self.start) >= 1:
+            raise ValueError("start must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,10 @@ class TowerGeometric:
             raise ValueError("level must be at least 1")
         if not float(self.step) > 0:
             raise ValueError("step must be positive")
+        # exp^level(start) is below 1 only at level 1 with start < 0.
+        if self.level == 1 and float(self.start) < 0:
+            raise ValueError("start must be at least 0 at level 1, "
+                             "so that exp(start) is at least 1")
 
 
 def make_grid(schedule) -> list[ExtScalar]:
@@ -86,7 +92,7 @@ def make_grid(schedule) -> list[ExtScalar]:
             p = nm.ext_mul(p, ratio)
         return pts
     if isinstance(schedule, TowerGeometric):
-        with mp.workprec(nm.get_precision().significand_bits + 10):
+        with nm._Working():
             start = mp.mpf(str(schedule.start))
             step = mp.mpf(str(schedule.step))
             return [
@@ -123,6 +129,11 @@ class LimitEstimate:
         return cls("diverged", None, None, "exact", 0, direction)
 
 
+# Relative tolerance of every plateau and extrapolation check: the
+# double nearest 0.001.
+_REL_TOL = mp.mpf(0.001)
+
+
 def _to_working_floats(values):
     """Map samples to mpf, using None for tower-range magnitudes."""
     xs = []
@@ -139,7 +150,7 @@ def _to_working_floats(values):
     return xs
 
 
-def _plateau(xs, rel_tol, method, count):
+def _plateau(xs, method, count):
     scale = max(abs(xs[-1]), mp.mpf(1))
     window = xs[-min(len(xs), 6):]
     diffs = [abs(b - a) for a, b in zip(window, window[1:])]
@@ -153,7 +164,7 @@ def _plateau(xs, rel_tol, method, count):
             count,
         )
     dmax = max(diffs)
-    if dmax > rel_tol * scale:
+    if dmax > _REL_TOL * scale:
         return None
     moving = [d for d in diffs if d > tiny]
     signed = [
@@ -168,13 +179,13 @@ def _plateau(xs, rel_tol, method, count):
         if rho >= mp.mpf("0.9"):
             return None
         projected = dmax * rho / (1 - rho)
-        if projected > rel_tol * scale:
+        if projected > _REL_TOL * scale:
             return None
     elif len(moving) >= 2:
         # Sign changes inside a narrow window: the samples are rattling
         # at a noise floor around the limit, not drifting toward it.
         span = max(window) - min(window)
-        if span > 2 * rel_tol * scale:
+        if span > 2 * _REL_TOL * scale:
             return None
         return LimitEstimate(
             "converged",
@@ -239,19 +250,16 @@ def _neville_at_zero(points):
     return table[0]
 
 
-def estimate_limit(values, rel_tol=None) -> LimitEstimate:
+def estimate_limit(values) -> LimitEstimate:
     """Estimate the limit of a sampled sequence.
 
     values: at least 8 samples, in grid order. Accepts ExtScalar, mpf, or
     float entries; tower-range entries are treated as off-scale large.
     """
-    if rel_tol is None:
-        rel_tol = mp.mpf("0.001")
     values = list(values)
     if len(values) < 8:
         raise ValueError("estimate_limit needs at least 8 samples")
-    with mp.workprec(nm.get_precision().significand_bits + 10):
-        rel_tol = mp.mpf(rel_tol)
+    with nm._Working():
         xs = _to_working_floats(values)
         n_off = sum(1 for x in xs if x is None)
         if n_off:
@@ -264,7 +272,7 @@ def estimate_limit(values, rel_tol=None) -> LimitEstimate:
             if len(xs) < 8:
                 return LimitEstimate("not_converged", samples_used=len(values))
 
-        est = _plateau(xs, rel_tol, "plateau", len(xs))
+        est = _plateau(xs, "plateau", len(xs))
         if est:
             return est
         est = _diverging(xs)
@@ -281,7 +289,7 @@ def estimate_limit(values, rel_tol=None) -> LimitEstimate:
 
         ys = _aitken(xs)
         if len(ys) >= 3:
-            est = _plateau(ys, rel_tol, "aitken", len(xs))
+            est = _plateau(ys, "aitken", len(xs))
             if est:
                 return est
         if len(ys) >= 4:
@@ -293,7 +301,7 @@ def estimate_limit(values, rel_tol=None) -> LimitEstimate:
             e1 = _neville_at_zero(pts)
             e2 = _neville_at_zero(pts[1:])
             scale = max(abs(e1), mp.mpf(1))
-            if abs(e1 - e2) <= rel_tol * scale:
+            if abs(e1 - e2) <= _REL_TOL * scale:
                 return LimitEstimate(
                     "converged",
                     nm.from_value(e1),
@@ -304,7 +312,7 @@ def estimate_limit(values, rel_tol=None) -> LimitEstimate:
         return LimitEstimate("not_converged", samples_used=len(values))
 
 
-def estimate_limsup_liminf(values, rel_tol=None):
+def estimate_limsup_liminf(values):
     """Limits of the suffix maxima and minima of the samples.
 
     Returns (limsup_estimate, liminf_estimate). Useful for statistics
@@ -314,7 +322,7 @@ def estimate_limsup_liminf(values, rel_tol=None):
     values = list(values)
     if len(values) < 8:
         raise ValueError("estimate_limsup_liminf needs at least 8 samples")
-    with mp.workprec(nm.get_precision().significand_bits + 10):
+    with nm._Working():
         xs = _to_working_floats(values)
         if any(x is None for x in xs):
             sup = LimitEstimate(
@@ -323,7 +331,7 @@ def estimate_limsup_liminf(values, rel_tol=None):
             finite = [x for x in xs if x is not None]
             if len(finite) >= 8:
                 _, inf = estimate_limsup_liminf(
-                    [nm.from_value(x) for x in finite], rel_tol
+                    [nm.from_value(x) for x in finite]
                 )
             else:
                 inf = LimitEstimate("not_converged", samples_used=len(xs))
@@ -355,6 +363,6 @@ def estimate_limsup_liminf(values, rel_tol=None):
                 if x != compressed[-1]:
                     compressed.append(x)
             use = compressed if len(compressed) >= 8 else seq
-            return estimate_limit([nm.from_value(x) for x in use], rel_tol)
+            return estimate_limit([nm.from_value(x) for x in use])
 
         return run(sup_seq), run(inf_seq)

@@ -65,8 +65,8 @@ __all__ = [
     "parse_scalar",
     "to_float",
     "get_precision",
-    "set_precision",
     "local_precision",
+    "MAX_TOWER_LEVEL",
 ]
 
 _GUARD = 10
@@ -78,26 +78,25 @@ _EXP_CAP_BITS = 1 << 14
 with mp.workprec(64):
     _EXP_ARG_CAP = mp.mpf("0.693147180559945") * mp.mpf(2) ** _EXP_CAP_BITS
 
+# How high a tower exp() may build before raising RangeError; a canonical
+# tower at the top level is allowed a residue past e so the cap does not
+# bite on ordinary deep grids.
+MAX_TOWER_LEVEL = 6
+
 
 @dataclass(frozen=True)
 class Precision:
     """Working precision for extended arithmetic.
 
     significand_bits is the mantissa size used by every operation (a few
-    guard bits are added internally). max_tower_level bounds how high a
-    tower exp() may build before raising RangeError; a canonical tower at
-    the top level is allowed a residue past e so the cap does not bite on
-    ordinary deep grids.
+    guard bits are added internally).
     """
 
     significand_bits: int = 256
-    max_tower_level: int = 6
 
     def __post_init__(self):
         if self.significand_bits < 64:
             raise ValueError("significand_bits must be at least 64")
-        if self.max_tower_level < 4:
-            raise ValueError("max_tower_level must be at least 4")
 
 
 _prec_stack: list[Precision] = [Precision()]
@@ -107,19 +106,11 @@ def get_precision() -> Precision:
     return _prec_stack[-1]
 
 
-def set_precision(precision: Precision) -> None:
-    """Replace the default precision at the bottom of the stack."""
-    if not isinstance(precision, Precision):
-        raise TypeError("set_precision expects a Precision")
-    _prec_stack[0] = precision
-
-
 @contextmanager
 def local_precision(precision):
     """Temporarily switch precision. Accepts a Precision or a bit count."""
     if isinstance(precision, int):
-        base = get_precision()
-        precision = Precision(precision, base.max_tower_level)
+        precision = Precision(precision)
     _prec_stack.append(precision)
     try:
         yield precision
@@ -225,21 +216,17 @@ class ExtScalar:
                     break
             if h == 0:
                 return _plain(r)
-            cap = get_precision().max_tower_level
-            while h > cap:
+            while h > MAX_TOWER_LEVEL:
                 # Fold excess levels into the residue; at the cap the
                 # residue may exceed e.
                 if r > _EXP_ARG_CAP:
                     raise RangeError(
-                        f"tower level {h} exceeds the configured maximum {cap}"
+                        f"tower level {h} exceeds the configured maximum "
+                        f"{MAX_TOWER_LEVEL}"
                     )
                 r = mp.exp(r)
                 h -= 1
             return cls(1, h, r)
-
-    @property
-    def is_plain(self) -> bool:
-        return self.level == 0
 
     def as_mpf(self):
         """Plain signed value, or RangeError if the tower does not fit."""
@@ -312,46 +299,8 @@ class ExtScalar:
             return NotImplemented
         return ext_cmp(self, o) >= 0
 
-    def __add__(self, other):
-        o = self._coerced(other)
-        return NotImplemented if o is None else ext_add(self, o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        return NotImplemented if o is None else ext_sub(self, o)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        return NotImplemented if o is None else ext_sub(o, self)
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        return NotImplemented if o is None else ext_mul(self, o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        return NotImplemented if o is None else ext_div(self, o)
-
-    def __rtruediv__(self, other):
-        o = self._coerced(other)
-        return NotImplemented if o is None else ext_div(o, self)
-
-    def __pow__(self, other):
-        o = self._coerced(other)
-        return NotImplemented if o is None else ext_pow(self, o)
-
-    def __neg__(self):
-        return ext_neg(self)
-
     def __abs__(self):
         return ext_abs(self)
-
-    def __float__(self):
-        return to_float(self)
 
 
 def _e():
@@ -661,10 +610,10 @@ def ext_exp(x: ExtScalar) -> ExtScalar:
         return ONE
     if x.level > 0:
         # x is a positive tower; exp raises the level by one.
-        cap = get_precision().max_tower_level
-        if x.level + 1 > cap:
+        if x.level + 1 > MAX_TOWER_LEVEL:
             raise RangeError(
-                f"tower level {x.level + 1} exceeds the configured maximum {cap}"
+                f"tower level {x.level + 1} exceeds the configured maximum "
+                f"{MAX_TOWER_LEVEL}"
             )
         return ExtScalar(1, x.level + 1, x.mag)
     with _Working():

@@ -92,7 +92,7 @@ class ScaleFn:
             e, _ = ex.log_transform(e)
         return e
 
-    def check_assumptions(self, grid=None) -> AssumptionReport:
+    def check_assumptions(self) -> AssumptionReport:
         raise NotImplementedError
 
     def __repr__(self):
@@ -116,7 +116,7 @@ class Identity(ScaleFn):
     def log_delta_combo(self) -> LogCombo:
         return LogCombo({}, Fraction(0), [], [])
 
-    def check_assumptions(self, grid=None) -> AssumptionReport:
+    def check_assumptions(self) -> AssumptionReport:
         return AssumptionReport(True, "structural", ())
 
 
@@ -156,7 +156,7 @@ class IterLog(ScaleFn):
         except RangeError:
             return nm.ZERO
         bits = nm.get_precision().significand_bits
-        with mp.workprec(bits + 10):
+        with nm._Working():
             ld = mp.mpf(0)
             total = mp.mpf(0)
             level = nv
@@ -174,7 +174,7 @@ class IterLog(ScaleFn):
                 level = ln_level
         return nm.from_value(total)
 
-    def check_assumptions(self, grid=None) -> AssumptionReport:
+    def check_assumptions(self) -> AssumptionReport:
         return AssumptionReport(True, "structural", ())
 
 
@@ -219,7 +219,7 @@ class PowerOfN(ScaleFn):
         except RangeError:
             return nm.ZERO
         bits = nm.get_precision().significand_bits
-        with mp.workprec(bits + 10):
+        with nm._Working():
             s = mp.mpf(self.sigma.numerator) / mp.mpf(self.sigma.denominator)
             t = mp.log1p(1 / nv)
             if s * t < -(bits + 64) * mp.ln(2):
@@ -227,7 +227,7 @@ class PowerOfN(ScaleFn):
             corr = mp.ln(mp.expm1(s * t) / (s * t)) + mp.ln(nv * t)
         return nm.from_value(corr)
 
-    def check_assumptions(self, grid=None) -> AssumptionReport:
+    def check_assumptions(self) -> AssumptionReport:
         return AssumptionReport(True, "structural", ())
 
 
@@ -274,11 +274,10 @@ class Custom(ScaleFn):
                     )
         return d
 
-    def check_assumptions(self, grid=None) -> AssumptionReport:
+    def check_assumptions(self) -> AssumptionReport:
         failures: list[str] = []
         notes: list[str] = []
-        if grid is None:
-            grid = [nm.from_value(10**k) for k in range(3, 13)]
+        grid = [nm.from_value(10**k) for k in range(3, 13)]
         vals = []
         for p in grid:
             try:

@@ -404,7 +404,7 @@ def _run_precise(term, n0: int, N: int, budget: int, bits: int, cuts=()):
     cuts = sorted(set(int(c) for c in cuts))
     at_cuts = []
     ci = 0
-    with nm.local_precision(bits), mp.workprec(bits + 10):
+    with nm.local_precision(bits), nm._Working():
         running = mp.mpf(0)
         for n in range(n0, N + 1):
             v = term.term(nm.from_value(n))
@@ -428,11 +428,11 @@ def _roundoff(n_terms: int, value, bits: int) -> ExtScalar:
 # -- public operations ----------------------------------------------------------
 
 
-def partial_sum(seq, N, budget: int = DEFAULT_BUDGET, n0: int | None = None,
+def partial_sum(seq, N, budget: int = DEFAULT_BUDGET,
                 precision: int = _TERM_BITS, params=None) -> SumResult:
     """Sum the terms from the sequence's first index through N."""
     term = cr._as_term(seq, params)
-    start = _start_index(term) if n0 is None else int(n0)
+    start = _start_index(term)
     N = int(N)
     if precision > _TERM_BITS:
         total, _, n_terms = _run_precise(term, start, N, budget, precision)
@@ -478,15 +478,12 @@ def _fitted_remainder(term, N: int):
 
 
 def tail_sum(seq, n, N, budget: int = DEFAULT_BUDGET,
-             precision: int = _TERM_BITS, params=None,
-             verdict: str | None = None) -> SumResult:
+             precision: int = _TERM_BITS, params=None) -> SumResult:
     """Sum the terms from n through N, inclusive of both ends.
 
     The result's truncation_correction carries a fitted remainder for
     the terms beyond N (local power fit at N, integrated); when the fit
     shows no clear decay the correction is absent and a note says why.
-    Pass the ladder's verdict to get a warning note when a tail is
-    requested for a series not marked convergent.
     """
     term = cr._as_term(seq, params)
     n, N = int(n), int(N)
@@ -500,9 +497,6 @@ def tail_sum(seq, n, N, budget: int = DEFAULT_BUDGET,
         bits = _TERM_BITS
     rem, note = _fitted_remainder(term, N)
     corr = nm.from_value(rem) if rem is not None else None
-    if verdict is not None and verdict != "converges":
-        warn = "tail requested for a series the ladder does not mark convergent"
-        note = f"{warn}; {note}" if note else warn
     return SumResult(
         n_terms=n_terms,
         value=nm.from_value(total),
@@ -514,13 +508,13 @@ def tail_sum(seq, n, N, budget: int = DEFAULT_BUDGET,
 
 
 def checkpoint_sums(seq, checkpoints, budget: int = DEFAULT_BUDGET,
-                    n0: int | None = None, params=None) -> list:
+                    params=None) -> list:
     """Running totals (N, S(N)) at each checkpoint, from one pass."""
     term = cr._as_term(seq, params)
     cps = sorted(set(int(c) for c in checkpoints))
     if not cps:
         raise ValueError("no checkpoints given")
-    start = _start_index(term) if n0 is None else int(n0)
+    start = _start_index(term)
     if cps[0] < start:
         raise ValueError(
             f"checkpoint {cps[0]} is below the first index {start}"

@@ -109,6 +109,16 @@ def test_analyze_bad_grid(capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("grid", ["geometric:-5:10:12", "tower:1:-3:1:12"])
+def test_grid_below_index_one_is_input_error(capsys, grid):
+    # Raabe sampled at negative indices used to read this divergent
+    # series as convergent and exit 0.
+    code, out, err = run(capsys, ["analyze", "2^n/(n^2+1)", "--grid", grid])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: --grid: ")
+
+
 # -- sum ---------------------------------------------------------------------------
 
 
@@ -164,8 +174,36 @@ def test_sum_checkpoints_past_upto_rejected(capsys):
 
 
 def test_sum_has_no_method_option(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["sum", "1/n^2", "10", "--method", "pairwise"])
+    code, out, err = run(capsys, [
+        "sum", "1/n^2", "10", "--method", "pairwise",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze"], "required: expression"),
+    (["analyze", "1/n^2", "--kmax", "abc"], "invalid int value: 'abc'"),
+    (["sum", "1/n^2", "10", "--w", "ln"], "unrecognized arguments: --w ln"),
+    (["sum", "1/n^2", "10", "--kmax", "2"], "unrecognized arguments"),
+    (["sum", "1/n^2", "10", "--grid", "geometric:200:3:12"],
+     "unrecognized arguments"),
+    (["analyze", "1/n^2", "--budget", "5"], "unrecognized arguments"),
+])
+def test_usage_error_exits_one_names_stage(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: ")
+    assert message in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--kmax" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -182,13 +182,14 @@ def test_hierarchy_exhausts():
     with pytest.raises(ExhaustedHierarchy):
         cr.hierarchy_test(
             "1/(n*ln(n)*lnln(n)*lnlnln(n)*lnlnlnln(n))",
-            sc.IterLog(1), k_max=2,
+            sc.IterLog(1), policy=cr.AnalysisPolicy(k_max=2),
         )
 
 
 def test_hierarchy_kmax_validation():
     with pytest.raises(ValueError):
-        cr.hierarchy_test("1/(n*ln(n))", sc.IterLog(1), k_max=50)
+        cr.hierarchy_test("1/(n*ln(n))", sc.IterLog(1),
+                          policy=cr.AnalysisPolicy(k_max=50))
 
 
 # -- one-sided and o-regular -------------------------------------------------------
@@ -311,7 +312,6 @@ def test_policy_validation():
         cr.AnalysisPolicy(k_max=0)
     with pytest.raises(ValueError):
         cr.AnalysisPolicy(backend="psychic")
-    # large k_max is accepted at construction; the hierarchy rejects it
-    policy = cr.AnalysisPolicy(k_max=99)
-    with pytest.raises(ValueError):
-        cr.hierarchy_test("1/n", sc.Identity(), policy=policy)
+    # k_max past the tower budget is rejected at construction
+    with pytest.raises(ValueError, match="exceeds the tower budget"):
+        cr.AnalysisPolicy(k_max=99)

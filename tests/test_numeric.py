@@ -26,12 +26,12 @@ def test_zero_one_constants():
 def test_plain_arithmetic():
     a = nm.from_value(3)
     b = nm.from_value(2)
-    assert nm.to_float(a + b) == 5.0
-    assert nm.to_float(a - b) == 1.0
-    assert nm.to_float(a * b) == 6.0
-    assert nm.to_float(a / b) == 1.5
-    assert nm.to_float(a ** b) == 9.0
-    assert nm.to_float(-a) == -3.0
+    assert nm.to_float(nm.ext_add(a, b)) == 5.0
+    assert nm.to_float(nm.ext_sub(a, b)) == 1.0
+    assert nm.to_float(nm.ext_mul(a, b)) == 6.0
+    assert nm.to_float(nm.ext_div(a, b)) == 1.5
+    assert nm.to_float(nm.ext_pow(a, b)) == 9.0
+    assert nm.to_float(nm.ext_neg(a)) == -3.0
     assert nm.to_float(abs(nm.from_value(-4))) == 4.0
 
 

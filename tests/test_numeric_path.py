@@ -76,7 +76,7 @@ def _precisions(point):
 def _record(e, point, prec):
     with nm.local_precision(prec):
         try:
-            v = ex.eval_expr(ex.parse(e), _index(point), _PARAMS)
+            v = ex.eval_expr(ex.bind(ex.parse(e), _PARAMS), _index(point))
         except errors.LogLadderError as err:
             return type(err).__name__
     man, exp = v.mag.man_exp

@@ -107,6 +107,7 @@ def test_hierarchy_consistency_at_deciding_level(p):
     deciding = full[-1]
     assert deciding.level == 1
     rerun = cr.hierarchy_test("(lnln(n))^p/(n*ln(n))", sc.IterLog(1),
-                              k_max=1, params={"p": p})
+                              policy=cr.AnalysisPolicy(k_max=1),
+                              params={"p": p})
     assert rerun[-1].decision == deciding.decision
     assert rerun[-1].exact_value == deciding.exact_value
