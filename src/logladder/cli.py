@@ -402,6 +402,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sum(args) -> int:
     config = _build_config(args)
+    try:
+        nm.Precision(config.precision or 64)  # 0 keeps the default
+    except ValueError as e:
+        raise _StageError("policy validation", e)
     if args.checkpoints and max(args.checkpoints) > args.upto:
         raise _StageError("input parsing", ParseError(
             f"checkpoint {max(args.checkpoints)} is past UPTO={args.upto}"
@@ -659,10 +663,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
     except _StageError as e:
+        # argparse reads an expression that starts with '-' as an option
+        dashed = [a for a in argv[1:] if a[:1] == "-" and a[1:2] not in "-h"]
+        if "required: expression" in str(e) and dashed:
+            e = f"{e}; pass it after '--': {argv[0]} -- {dashed[0]}"
         print(str(e), file=sys.stderr)
         return 1
     except (ParseError, UnboundParameterError) as e:

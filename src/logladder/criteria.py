@@ -17,8 +17,9 @@ quotient at a scale and escalation level, and ln g for slow
 divergence. Each is one _Statistic (its exact limit when the log split
 gives one, its grid, its sampler), and one runner, _measure, turns any
 of them into a limit estimate: exactly when it can, else by sampling
-the grid with n+1 companions, vetoing on pair spread, and calling the
-limit estimator. The tests differ only in how they read that estimate.
+the grid with n+1 companions, vetoing on pair spread, and fitting the
+limit with the drift terms the sampler reports. The tests differ only
+in how they read that estimate.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ __all__ = [
 ]
 
 DECIDE_MARGIN = Fraction(1, 1000)
+_BELOW = nm.from_value(Fraction(-1) - DECIDE_MARGIN)
+_ABOVE = nm.from_value(Fraction(-1) + DECIDE_MARGIN)
+_MARGIN = nm.from_value(DECIDE_MARGIN)
 
 # Grids never sample below this index, so finitely many leading terms
 # (indices 1..100) can be modified without touching any statistic.
@@ -363,18 +367,62 @@ class AnalysisReport:
 # -- combo evaluation -----------------------------------------------------------
 
 
-def _eval_combo(combo: LogCombo, n: ExtScalar) -> ExtScalar:
+# A sum is rounding noise unless its rounding bound lies at least this
+# many bits below the statistic's denominator or the sum itself.
+_NOISE_BITS = 20
+
+
+def _eval_combo(combo: LogCombo, n: ExtScalar,
+                den: ExtScalar | None = None) -> ExtScalar:
     """Value of the combo at n under the active precision, entered once
-    for the whole combo."""
+    for the whole combo.
+
+    With den, the denominator the value is divided by, a sum that
+    cancels down to its rounding noise raises CancellationError: the
+    rounding bound 2^(log2 of the largest addend - bits) must lie far
+    below den or below the sum itself.
+    """
     with nm._Working():
-        total = combo.const_value()
-        for depth in sorted(combo.coeffs):
-            c = combo.coeffs[depth]
-            v = n if depth == 0 else nm.iter_ln(depth, n)
-            total = nm.ext_add(total, nm.ext_mul(nm.from_value(c), v))
-        for r in combo.residuals:
-            total = nm.ext_add(total, ex.eval_expr(r, n))
+        terms = [combo.const_value()] + [
+            nm.ext_mul(nm.from_value(c), n if d == 0 else nm.iter_ln(d, n))
+            for d, c in sorted(combo.coeffs.items())
+        ] + [ex.eval_expr(r, n) for r in combo.residuals]
+        total = terms[0]
+        for t in terms[1:]:
+            total = nm.ext_add(total, t)
+        if den is not None:
+            bits = nm.get_precision().significand_bits
+            noise = nm.ext_mul(max(nm.ext_abs(t) for t in terms),
+                               nm.from_value(mp.ldexp(1, _NOISE_BITS - bits)))
+            if not (noise < nm.ext_abs(den) or noise < nm.ext_abs(total)):
+                raise CancellationError("sum cancels to rounding noise")
         return total
+
+
+def _ln_float(x: ExtScalar) -> float:
+    """ln x for x > 0 as a float, inf past the float range."""
+    try:
+        return float(mp.log(x.mag) if x.level == 0
+                     else nm.ext_ln(x).as_mpf())
+    except RangeError:
+        return math.inf
+
+
+def _index_drift(n: ExtScalar):
+    """1/ln n and 1/(ln n lnln n): the error terms of the Raabe
+    statistic, with ln n floored at e."""
+    ln_n = max(_ln_float(n), math.e)
+    return 1 / ln_n, 1 / (ln_n * math.log(ln_n))
+
+
+def _quotient_drift(d: ExtScalar):
+    """ln d/d and lnln d/d: the next hierarchy terms of a quotient with
+    denominator d > 0, with ln d floored at 1."""
+    ln_d = _ln_float(d)
+    if math.isinf(ln_d):
+        return 0.0, 0.0
+    ln_d, inv = max(ln_d, 1.0), math.exp(-ln_d)
+    return ln_d * inv, math.log(ln_d) * inv
 
 
 def _index_bits(n: ExtScalar) -> int:
@@ -511,17 +559,20 @@ _SKIP = (DomainError, DivisionByZero, RangeError, CancellationError)
 
 @dataclass(frozen=True)
 class _Statistic:
-    """One ladder statistic: its exact limit, its grid and its sampler.
+    """One ladder statistic: its exact limit, grid, sampler and drift.
 
     exact is the limit read off an exact log split: a Fraction, a
     constant LogCombo (whose value is the limit), +/-inf, or None when
     there is no exact split. grid(policy) gives the sampling points or
-    None; sampler(n) evaluates the statistic at one point.
+    None; sampler(n) returns the statistic at one point and the argument
+    (the point, or the denominator) at which drift gives its two error
+    terms.
     """
 
     exact: object
     grid: Callable
     sampler: Callable
+    drift: Callable = _index_drift
 
 
 def _raabe_statistic(term: TermSource) -> _Statistic:
@@ -550,7 +601,7 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
     def sample(n):
         with nm.local_precision(bits + _index_bits(n) + 64) as p:
             r = nm.ext_div(value(nm.ext_add(n, nm.ONE), p), value(n, p))
-            return nm.ext_mul(n, nm.ext_sub(r, nm.ONE))
+            return nm.ext_mul(n, nm.ext_sub(r, nm.ONE)), n
 
     return _Statistic(exact, partial(_choose_grid, term, None), sample)
 
@@ -599,9 +650,10 @@ def _quotient_statistic(term: TermSource, w: sc.ScaleFn, level: int,
                 dv = ex.eval_expr(den_expr, n)
                 if not dv.sign > 0:
                     raise DomainError("comparison log not yet positive")
-                return nm.ext_div(nv, dv)
+                return nm.ext_div(nv, dv), dv
 
-        return _Statistic(None, partial(_choose_grid, term, None), sample)
+        return _Statistic(None, partial(_choose_grid, term, None), sample,
+                          _quotient_drift)
     num, den = pieces
     corr = w.delta_correction if include_delta else None
 
@@ -610,17 +662,17 @@ def _quotient_statistic(term: TermSource, w: sc.ScaleFn, level: int,
             dv = _eval_combo(den, n)
             if not dv.sign > 0:
                 raise DomainError("comparison log not yet positive")
-            nv = _eval_combo(num, n)
+            nv = _eval_combo(num, n, dv)
             if corr is not None:
                 nv = nm.ext_sub(nv, corr(n))
-            return nm.ext_div(nv, dv)
+            return nm.ext_div(nv, dv), dv
 
     dl = den.leading()
     den_depth = dl[0] if dl is not None else level + 1
     return _Statistic(
         _symbolic_ratio(num, den),
         partial(_choose_grid, term, (den_depth, num)),
-        sample,
+        sample, _quotient_drift,
     )
 
 
@@ -635,15 +687,15 @@ def _slow_divergence_statistic(term: TermSource,
                 g = nm.ext_div(
                     nm.ext_mul(w.value(n), term.term(n)), w.delta(n)
                 )
-                return nm.ext_ln(g)
+                return nm.ext_ln(g), n
 
         return _Statistic(None, partial(_choose_grid, term, None), sample)
     lng = pieces[0]
 
     def sample(n):
         with nm.local_precision(bits + 64):
-            v = _eval_combo(lng, n)
-            return nm.ext_sub(v, w.delta_correction(n))
+            v = _eval_combo(lng, n, nm.ONE)
+            return nm.ext_sub(v, w.delta_correction(n)), n
 
     lead = lng.leading()
     exact = None
@@ -665,26 +717,28 @@ def _pair_spread(a: ExtScalar, b: ExtScalar):
 def _sample_grid(sampler, grid):
     """Primary samples plus n+1 companions at plain points.
 
-    Returns (values, interleaved, spreads): values follows the grid,
+    Returns (values, drift_at, interleaved, spreads): values follows the
+    grid and drift_at holds the sampler's drift argument for each,
     interleaved also holds the companion samples in order, and spreads
     holds the relative gap of each pair.
     """
-    values, inter, spreads = [], [], []
+    values, drift_at, inter, spreads = [], [], [], []
     for n in grid:
         try:
-            v = sampler(n)
+            v, at = sampler(n)
         except _SKIP:
             continue
         values.append(v)
+        drift_at.append(at)
         inter.append(v)
         if n.level == 0:
             try:
-                v2 = sampler(nm.ext_add(n, nm.ONE))
+                v2, _ = sampler(nm.ext_add(n, nm.ONE))
             except _SKIP:
                 continue
             inter.append(v2)
             spreads.append(_pair_spread(v, v2))
-    return values, inter, spreads
+    return values, drift_at, inter, spreads
 
 
 class _Measure(NamedTuple):
@@ -728,13 +782,13 @@ def _measure(stat: _Statistic, policy: AnalysisPolicy,
     grid = stat.grid(policy)
     if grid is None:
         return _Measure(None, samples=[])
-    values, inter, spreads = _sample_grid(stat.sampler, grid)
+    values, drift_at, inter, spreads = _sample_grid(stat.sampler, grid)
     if len(values) < 8:
         return _Measure(None, samples=inter)
     if spreads and max(spreads[-3:]) > float(DECIDE_MARGIN):
         est = lm.LimitEstimate("not_converged", samples_used=len(values))
     else:
-        est = lm.estimate_limit(values)
+        est = lm._fit_limit(values, [stat.drift(d) for d in drift_at])
     return _Measure(est, samples=inter)
 
 
@@ -751,9 +805,15 @@ def _decide(est: lm.LimitEstimate, exact: Fraction | None):
         if exact == -1:
             return None
         return "converges" if exact < -1 else "diverges"
-    if est.value < nm.from_value(Fraction(-1) - DECIDE_MARGIN):
+    return _side(est.value, est.uncertainty)
+
+
+def _side(value: ExtScalar, uncertainty: ExtScalar):
+    """Side of -1 on which value +/- uncertainty lies beyond the
+    margin, or None."""
+    if nm.ext_add(value, uncertainty) < _BELOW:
         return "converges"
-    if est.value > nm.from_value(Fraction(-1) + DECIDE_MARGIN):
+    if nm.ext_sub(value, uncertainty) > _ABOVE:
         return "diverges"
     return None
 
@@ -886,8 +946,11 @@ def slow_divergence_test(seq, w: sc.ScaleFn,
     est = m.est
     if est is None:
         return _inconclusive(test_id, w, 0, None, "insufficient-signal")
-    # Interpret the limit of ln g, g = w * a_n / dw.
-    if est.status == "converged" and mode in ("full", "convergent"):
+    # Interpret the limit of ln g, g = w * a_n / dw. A sampled limit
+    # counts only when its drift is within the margin: ln g drifting
+    # like an iterated log fits a limit with a large uncertainty.
+    if (est.status == "converged" and mode in ("full", "convergent")
+            and est.uncertainty <= _MARGIN):
         exact_c = _exact_const_exp(m.exact) if m.exact is not None else None
         c = (nm.from_value(exact_c) if exact_c is not None
              else nm.ext_exp(est.value))
@@ -898,34 +961,26 @@ def slow_divergence_test(seq, w: sc.ScaleFn,
         return Verdict(
             "diverges", test_id, w, 0, est, rate=rate, exact_value=exact_c,
         )
-    if est.status == "diverged":
-        if est.direction > 0 and mode in ("full", "bound"):
-            rate = RatePrediction(
-                template="slow-log-bound", scale=w, one_sided=True
-            )
-            return Verdict(
-                "diverges", test_id, w, 0, est, rate=rate,
-                one_sided=True, notes=(_BOUND_NOTE,),
-            )
-        if est.direction < 0:
-            return _inconclusive(
-                test_id, w, 0, est, "term-to-increment-ratio-vanishes"
-            )
-    if (est.status == "not_converged" and m.samples is not None
-            and mode in ("full", "bound")):
-        _, inf_est = lm.estimate_limsup_liminf(m.samples)
-        bounded_below = (
-            inf_est.status == "converged"
-            or (inf_est.status == "diverged" and inf_est.direction > 0)
+    if est.status == "diverged" and est.direction < 0:
+        return _inconclusive(
+            test_id, w, 0, est, "term-to-increment-ratio-vanishes"
         )
-        if bounded_below:
-            rate = RatePrediction(
-                template="slow-log-bound", scale=w, one_sided=True
-            )
-            return Verdict(
-                "diverges", test_id, w, 0, inf_est, rate=rate,
-                one_sided=True, notes=(_BOUND_NOTE,),
-            )
+    # Bounded below: ln g diverges to +inf, or its lower envelope has a
+    # limit or diverges to +inf.
+    floor = est if est.status == "diverged" else None
+    if (est.status == "not_converged" and mode in ("full", "bound")
+            and _oscillates(m.samples)):
+        _, inf_est = lm.estimate_limsup_liminf(m.samples)
+        if inf_est.status != "not_converged" and inf_est.direction >= 0:
+            floor = inf_est
+    if floor is not None and mode in ("full", "bound"):
+        rate = RatePrediction(
+            template="slow-log-bound", scale=w, one_sided=True
+        )
+        return Verdict(
+            "diverges", test_id, w, 0, floor, rate=rate,
+            one_sided=True, notes=(_BOUND_NOTE,),
+        )
     reason = (
         "deferred" if est.status == "converged"
         else "statistic-not-convergent"
@@ -976,7 +1031,7 @@ def _is_zero_statistic(v: Verdict) -> bool:
     est = v.statistic
     if est.status != "converged":
         return False
-    return abs(est.value) < nm.from_value(DECIDE_MARGIN)
+    return abs(est.value) < _MARGIN
 
 
 def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
@@ -993,48 +1048,49 @@ def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     return _envelope_verdict(_measure(stat, policy, "one-sided"), w)
 
 
+def _oscillates(values) -> bool:
+    """True when the sample differences change sign."""
+    signs = {nm.ext_cmp(b, a) for a, b in zip(values, values[1:])}
+    return {-1, 1} <= signs
+
+
 def _envelope_verdict(m: _Measure, w: sc.ScaleFn) -> Verdict:
-    """The one-sided reading of a scaled-log measure at w."""
-    if m.samples is None:
-        # Exact statistics have a plain limit; both envelopes agree
-        # with it, so the two-sided verdict carries over.
+    """The one-sided reading of a scaled-log measure at w.
+
+    A fit that found a limit or a divergence gives the reading. Suffix
+    envelopes stand in only when the sample differences change sign:
+    the suffix maximum of a monotone sequence is just its last sample.
+    """
+    if m.est is None or m.est.status != "not_converged":
+        # A limit (exact or fitted) bounds both envelopes, so the
+        # two-sided verdict carries over.
         v = _limit_verdict(m, "one-sided", w, 0, "log-ratio-")
         return replace(v, one_sided=True)
-    values = m.samples
-    if len(values) < 8:
-        return _inconclusive("one-sided", w, 0, None, "insufficient-signal")
-    sup_est, inf_est = lm.estimate_limsup_liminf(values)
-    lo = nm.from_value(Fraction(-1) - DECIDE_MARGIN)
-    hi = nm.from_value(Fraction(-1) + DECIDE_MARGIN)
-    if sup_est.status == "diverged" and sup_est.direction < 0:
-        return Verdict("converges", "one-sided", w, 0, sup_est,
-                       one_sided=True, notes=("upper envelope",))
-    if sup_est.status == "converged" and sup_est.value < lo:
-        return Verdict("converges", "one-sided", w, 0, sup_est,
-                       one_sided=True, notes=("upper envelope",))
-    if inf_est.status == "diverged" and inf_est.direction > 0:
-        return Verdict("diverges", "one-sided", w, 0, inf_est,
-                       one_sided=True, notes=("lower envelope",))
-    if inf_est.status == "converged" and inf_est.value > hi:
-        return Verdict("diverges", "one-sided", w, 0, inf_est,
-                       one_sided=True, notes=("lower envelope",))
+    if not _oscillates(m.samples):
+        return _inconclusive(
+            "one-sided", w, 0, m.est, "statistic-not-convergent"
+        )
+    sup_est, inf_est = lm.estimate_limsup_liminf(m.samples)
+    for decision, est, note in (("converges", sup_est, "upper envelope"),
+                                ("diverges", inf_est, "lower envelope")):
+        if _decide(est, None) == decision:
+            return Verdict(decision, "one-sided", w, 0, est,
+                           one_sided=True, notes=(note,))
     # Drifting envelopes: a statistic that stays on one side of the
     # boundary over the whole trailing window still bounds the terms
     # from that side, even when no envelope limit can be certified.
+    values = m.samples
     tail = values[-max(4, len(values) // 2):]
     finite = [v for v in tail if not math.isinf(nm.to_float(v))]
-    if finite and all(v < lo for v in tail):
-        est = lm.LimitEstimate(
-            "not_converged", max(finite), None, "window-bound", len(values)
-        )
-        return Verdict("converges", "one-sided", w, 0, est, one_sided=True,
-                       notes=("empirical ceiling of the trailing window",))
-    if finite and all(v > hi for v in tail):
-        est = lm.LimitEstimate(
-            "not_converged", min(finite), None, "window-bound", len(values)
-        )
-        return Verdict("diverges", "one-sided", w, 0, est, one_sided=True,
-                       notes=("empirical floor of the trailing window",))
+    for decision, bound, note in (("converges", max, "ceiling"),
+                                  ("diverges", min, "floor")):
+        if finite and all(_side(v, nm.ZERO) == decision for v in tail):
+            est = lm.LimitEstimate("not_converged", bound(finite), None,
+                                   "window-bound", len(values))
+            return Verdict(
+                decision, "one-sided", w, 0, est, one_sided=True,
+                notes=(f"empirical {note} of the trailing window",),
+            )
     return _inconclusive(
         "one-sided", w, 0, sup_est, "envelopes-straddle-boundary"
     )

@@ -1,23 +1,29 @@
 """Sampling grids and the sequence-limit estimator.
 
-Statistics are sampled along deterministic grids and handed to
-estimate_limit, which decides between a finite limit, divergence to an
-infinity, and "no stable limit visible". The estimator runs three stages:
+Statistics are sampled along deterministic grids and handed to the
+estimator, which decides between a finite limit, divergence to an
+infinity, and "no stable limit visible".
 
-1. plateau: the last window has stopped moving, with a geometric
-   projection of the remaining change below tolerance;
-2. Aitken delta-squared acceleration of the whole sample sequence,
-   re-checked with the plateau rule;
-3. polynomial extrapolation in 1/index through the accelerated tail
-   (Richardson-style), accepted when two nested extrapolants agree.
+A statistic on the boundary of a scale converges logarithmically, like
+the next term of the log hierarchy, and no accelerator works on every
+logarithmically converging sequence (Delahaye & Germain-Bonne, Numer.
+Math. 35, 1980). So the estimator does not accelerate; it fits and can
+refuse. It fits a + b1*e1 + b2*e2 by least squares over the trailing
+samples, where e1 and e2 are the statistic's own drift terms, and
+reports a with the uncertainty |b1*e1 + b2*e2| at the last point plus
+the largest residual. A residual above tolerance means the samples do
+not follow the model: no limit. Samples that grow geometrically, or
+leave the plain range at the end, diverge. Callers decide a side only
+when the limit clears the margin by more than the uncertainty.
 
-Acceleration is only trusted when the recent first differences keep one
-sign. Oscillating sequences (for one-sided statistics) go through the
-suffix-envelope helper estimate_limsup_liminf instead.
+estimate_limit models the error in the sample position j, as 1/j and
+1/j^2. estimate_limsup_liminf applies it to the suffix envelopes of
+oscillating samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -129,80 +135,22 @@ class LimitEstimate:
         return cls("diverged", None, None, "exact", 0, direction)
 
 
-# Relative tolerance of every plateau and extrapolation check: the
-# double nearest 0.001.
+# Relative tolerance of the fit residual: the double nearest 0.001.
 _REL_TOL = mp.mpf(0.001)
+# The fit skips the leading 1/_LEAD_SHARE of the samples, where terms
+# beyond the drift model still weigh.
+_LEAD_SHARE = 4
 
 
 def _to_working_floats(values):
     """Map samples to mpf, using None for tower-range magnitudes."""
     xs = []
     for v in values:
-        if isinstance(v, ExtScalar):
-            try:
-                xs.append(v.as_mpf())
-            except RangeError:
-                xs.append(None)
-        elif v is None:
+        try:
+            xs.append(None if v is None else nm.from_value(v).as_mpf())
+        except RangeError:
             xs.append(None)
-        else:
-            xs.append(mp.mpf(v))
     return xs
-
-
-def _plateau(xs, method, count):
-    scale = max(abs(xs[-1]), mp.mpf(1))
-    window = xs[-min(len(xs), 6):]
-    diffs = [abs(b - a) for a, b in zip(window, window[1:])]
-    tiny = scale * mp.mpf(2) ** (-nm.get_precision().significand_bits // 2)
-    if all(d <= tiny for d in diffs):
-        return LimitEstimate(
-            "converged",
-            nm.from_value(xs[-1]),
-            nm.from_value(sum(diffs)),
-            method,
-            count,
-        )
-    dmax = max(diffs)
-    if dmax > _REL_TOL * scale:
-        return None
-    moving = [d for d in diffs if d > tiny]
-    signed = [
-        d for d in (b - a for a, b in zip(window, window[1:]))
-        if abs(d) > tiny
-    ]
-    monotone = all(d > 0 for d in signed) or all(d < 0 for d in signed)
-    if len(moving) >= 2 and monotone:
-        # Project the remaining change as a geometric tail; refuse when
-        # the decay is too slow to extrapolate from a flat-looking window.
-        rho = max(b / a for a, b in zip(moving, moving[1:]))
-        if rho >= mp.mpf("0.9"):
-            return None
-        projected = dmax * rho / (1 - rho)
-        if projected > _REL_TOL * scale:
-            return None
-    elif len(moving) >= 2:
-        # Sign changes inside a narrow window: the samples are rattling
-        # at a noise floor around the limit, not drifting toward it.
-        span = max(window) - min(window)
-        if span > 2 * _REL_TOL * scale:
-            return None
-        return LimitEstimate(
-            "converged",
-            nm.from_value((max(window) + min(window)) / 2),
-            nm.from_value(span),
-            method,
-            count,
-        )
-    else:
-        projected = dmax
-    return LimitEstimate(
-        "converged",
-        nm.from_value(xs[-1]),
-        nm.from_value(projected + dmax),
-        method,
-        count,
-    )
 
 
 def _diverging(xs):
@@ -218,36 +166,74 @@ def _diverging(xs):
     if abs(tail[-1]) < 100 * (anchor + 1):
         return None
     return LimitEstimate(
-        "diverged", None, None, "plateau", len(xs), direction=signs.pop()
+        "diverged", None, None, "fit", len(xs), direction=signs.pop()
     )
 
 
-def _aitken(xs):
-    ys = []
-    scale = max(max(abs(x) for x in xs), mp.mpf(1))
-    floor = scale * mp.mpf(2) ** (-nm.get_precision().significand_bits - 5)
-    for j in range(len(xs) - 2):
-        d1 = xs[j + 1] - xs[j]
-        d2 = xs[j + 2] - 2 * xs[j + 1] + xs[j]
-        if abs(d2) <= floor:
-            ys.append(xs[j + 2])
-        else:
-            ys.append(xs[j] - d1 * d1 / d2)
-    return ys
+def _least_squares(xs, eps):
+    """Fit xs ~ a + b1*e1 + b2*e2 in closed form, the centred samples
+    in floats. Returns (a, the drift b1*e1 + b2*e2 at the last point,
+    the largest residual); e2 is dropped if the window cannot tell it
+    from e1."""
+    k = len(xs)
+    mx = sum(xs) / k
+    ys = [float(x - mx) for x in xs]
+    m1 = sum(e[0] for e in eps) / k
+    m2 = sum(e[1] for e in eps) / k
+    u = [e[0] - m1 for e in eps]
+    v = [e[1] - m2 for e in eps]
+    s11, s12, s22, s1y, s2y = (
+        math.fsum(p * q for p, q in zip(a, b))
+        for a, b in ((u, u), (u, v), (v, v), (u, ys), (v, ys))
+    )
+    det = s11 * s22 - s12 * s12
+    b1 = b2 = 0.0
+    if det > 1e-12 * s11 * s22:
+        b1 = (s22 * s1y - s12 * s2y) / det
+        b2 = (s11 * s2y - s12 * s1y) / det
+    elif s11 > 0:
+        b1 = s1y / s11
+    resid = max(abs(y - b1 * p - b2 * q) for y, p, q in zip(ys, u, v))
+    return mx - (b1 * m1 + b2 * m2), b1 * eps[-1][0] + b2 * eps[-1][1], resid
 
 
-def _neville_at_zero(points):
-    """Polynomial extrapolation to h = 0 for [(h_i, y_i)]."""
-    hs = [p[0] for p in points]
-    table = [p[1] for p in points]
-    m = len(points)
-    for stage in range(1, m):
-        nxt = []
-        for i in range(m - stage):
-            num = hs[i] * table[i + 1] - hs[i + stage] * table[i]
-            nxt.append(num / (hs[i] - hs[i + stage]))
-        table = nxt
-    return table[0]
+def _fit_limit(values, eps) -> LimitEstimate:
+    """Estimate the limit of samples whose error follows the drift terms.
+
+    values: at least 8 samples, in grid order (ExtScalar, mpf or float;
+    tower-range entries read as off-scale large). eps: one pair
+    (e1, e2) of drift terms per sample, each tending to 0 along the
+    grid. The limit a of the least-squares fit a + b1*e1 + b2*e2 over
+    the trailing samples is reported with the uncertainty |fitted drift
+    at the last point| + largest residual; a residual above tolerance
+    means the samples do not follow the model.
+    """
+    if len(values) < 8:
+        raise ValueError("estimate_limit needs at least 8 samples")
+    with nm._Working():
+        pairs = list(zip(_to_working_floats(values), eps))
+        # Off-scale samples: diverged if they dominate the tail.
+        if all(x is None for x, _ in pairs[-3:]):
+            return LimitEstimate(
+                "diverged", None, None, "fit", len(pairs), direction=1
+            )
+        pairs = [(x, e) for x, e in pairs if x is not None]
+        if len(pairs) < 8:
+            return LimitEstimate("not_converged", samples_used=len(values))
+        xs = [x for x, _ in pairs]
+        if est := _diverging(xs):
+            return est
+        tail = pairs[len(pairs) // _LEAD_SHARE:]
+        a, drift, resid = _least_squares(*zip(*tail))
+        if not resid <= _REL_TOL * max(abs(a), 1):
+            return LimitEstimate("not_converged", samples_used=len(values))
+        unc = abs(drift) + resid
+        if drift * (tail[-1][0] - tail[-2][0]) > 0:
+            # The fit puts the limit behind the last sample, against
+            # the samples' last step: mirror the interval past it.
+            unc += abs(drift)
+        return LimitEstimate("converged", nm.from_value(a),
+                             nm.from_value(unc), "fit", len(xs))
 
 
 def estimate_limit(values) -> LimitEstimate:
@@ -255,61 +241,13 @@ def estimate_limit(values) -> LimitEstimate:
 
     values: at least 8 samples, in grid order. Accepts ExtScalar, mpf, or
     float entries; tower-range entries are treated as off-scale large.
+    Without a grid to take drift terms from, the error is modelled in
+    the sample position j, as 1/j and 1/j^2.
     """
     values = list(values)
-    if len(values) < 8:
-        raise ValueError("estimate_limit needs at least 8 samples")
-    with nm._Working():
-        xs = _to_working_floats(values)
-        n_off = sum(1 for x in xs if x is None)
-        if n_off:
-            # Off-scale samples: diverged if they dominate the tail.
-            if all(x is None for x in xs[-3:]):
-                return LimitEstimate(
-                    "diverged", None, None, "plateau", len(xs), direction=1
-                )
-            xs = [x for x in xs if x is not None]
-            if len(xs) < 8:
-                return LimitEstimate("not_converged", samples_used=len(values))
-
-        est = _plateau(xs, "plateau", len(xs))
-        if est:
-            return est
-        est = _diverging(xs)
-        if est:
-            return est
-
-        window = xs[-min(len(xs), 9):]
-        diffs = [b - a for a, b in zip(window, window[1:])]
-        nonzero = [d for d in diffs if d != 0]
-        if len(nonzero) < 3 or not (
-            all(d > 0 for d in nonzero) or all(d < 0 for d in nonzero)
-        ):
-            return LimitEstimate("not_converged", samples_used=len(values))
-
-        ys = _aitken(xs)
-        if len(ys) >= 3:
-            est = _plateau(ys, "aitken", len(xs))
-            if est:
-                return est
-        if len(ys) >= 4:
-            m = min(7, len(ys))
-            pts = [
-                (mp.mpf(1) / (len(ys) - m + i + 1), ys[len(ys) - m + i])
-                for i in range(m)
-            ]
-            e1 = _neville_at_zero(pts)
-            e2 = _neville_at_zero(pts[1:])
-            scale = max(abs(e1), mp.mpf(1))
-            if abs(e1 - e2) <= _REL_TOL * scale:
-                return LimitEstimate(
-                    "converged",
-                    nm.from_value(e1),
-                    nm.from_value(abs(e1 - e2) * 2),
-                    "richardson",
-                    len(xs),
-                )
-        return LimitEstimate("not_converged", samples_used=len(values))
+    return _fit_limit(
+        values, [(1 / j, 1 / j**2) for j in range(1, len(values) + 1)]
+    )
 
 
 def estimate_limsup_liminf(values):
@@ -317,52 +255,37 @@ def estimate_limsup_liminf(values):
 
     Returns (limsup_estimate, liminf_estimate). Useful for statistics
     that oscillate: the suffix envelopes are monotone, so the ordinary
-    estimator applies to them.
+    estimator applies to them. Off-scale samples make the upper
+    envelope diverge.
     """
     values = list(values)
     if len(values) < 8:
         raise ValueError("estimate_limsup_liminf needs at least 8 samples")
     with nm._Working():
         xs = _to_working_floats(values)
-        if any(x is None for x in xs):
-            sup = LimitEstimate(
-                "diverged", None, None, "plateau", len(xs), direction=1
-            )
-            finite = [x for x in xs if x is not None]
-            if len(finite) >= 8:
-                _, inf = estimate_limsup_liminf(
-                    [nm.from_value(x) for x in finite]
-                )
-            else:
-                inf = LimitEstimate("not_converged", samples_used=len(xs))
-            return sup, inf
-        sup_seq = []
-        inf_seq = []
-        cur_max = None
-        cur_min = None
-        for x in reversed(xs):
-            cur_max = x if cur_max is None else max(cur_max, x)
-            cur_min = x if cur_min is None else min(cur_min, x)
-            sup_seq.append(cur_max)
-            inf_seq.append(cur_min)
-        sup_seq.reverse()
-        inf_seq.reverse()
+        finite = [x for x in xs if x is not None]
+        sups, infs = [], []
+        for x in reversed(finite):
+            sups.append(max(x, sups[-1]) if sups else x)
+            infs.append(min(x, infs[-1]) if infs else x)
         # Envelope entries near the end come from suffixes too short to
         # see a full oscillation; drop them.
-        trim = max(2, len(xs) // 8)
-        trim = min(trim, len(xs) - 8)
-        if trim > 0:
-            sup_seq = sup_seq[:-trim]
-            inf_seq = inf_seq[:-trim]
+        trim = min(max(2, len(finite) // 8), len(finite) - 8)
 
         def run(seq):
+            seq = seq[max(trim, 0):][::-1]
+            if len(seq) < 8:
+                return LimitEstimate("not_converged", samples_used=len(xs))
             # The envelope moves in stairs; collapse the flats so the
-            # accelerator sees the underlying monotone decay.
-            compressed = [seq[0]]
-            for x in seq[1:]:
-                if x != compressed[-1]:
-                    compressed.append(x)
-            use = compressed if len(compressed) >= 8 else seq
+            # fit sees the underlying monotone decay.
+            flat = [x for i, x in enumerate(seq) if i == 0 or x != seq[i - 1]]
+            use = flat if len(flat) >= 8 else seq
             return estimate_limit([nm.from_value(x) for x in use])
 
-        return run(sup_seq), run(inf_seq)
+        if len(finite) < len(xs):
+            sup = LimitEstimate(
+                "diverged", None, None, "fit", len(xs), direction=1
+            )
+        else:
+            sup = run(sups)
+        return sup, run(infs)

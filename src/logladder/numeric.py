@@ -427,6 +427,18 @@ def _log_gap_exceeds(big: ExtScalar, small: ExtScalar, bits: int) -> bool:
         return gap.mag > mp.mpf(bits) * mp.ln(2)
 
 
+# Absorption messages print a magnitude past this as exp(<ln value>):
+# the decimal digits of a number that large take about a second each.
+_FMT_LIMIT = mp.mpf(2) ** 4096
+
+
+def _fmt_addend(v) -> str:
+    if abs(v) <= _FMT_LIMIT:
+        return fmt(_plain(v))
+    text = f"exp({fmt(_plain(mp.ln(abs(v))))})"
+    return text if v > 0 else "-" + text
+
+
 def _add_plain(sx: int, xv, sy: int, yv):
     """Signed plain add with absorption detection. Returns an ExtScalar."""
     a = xv if sx > 0 else -xv
@@ -434,11 +446,11 @@ def _add_plain(sx: int, xv, sy: int, yv):
     s = a + b
     if s == a and sy != 0:
         _note_absorption(
-            f"term {fmt(_plain(b))} absorbed into {fmt(_plain(a))}"
+            f"term {_fmt_addend(b)} absorbed into {_fmt_addend(a)}"
         )
     elif s == b and sx != 0:
         _note_absorption(
-            f"term {fmt(_plain(a))} absorbed into {fmt(_plain(b))}"
+            f"term {_fmt_addend(a)} absorbed into {_fmt_addend(b)}"
         )
     return _plain(s)
 

@@ -1,0 +1,92 @@
+"""Calibration of the sampled route against the exact one.
+
+Every Bertrand tuple n^p0 (ln n)^p1 (lnln n)^p2 has an exact statistic on
+every rung, so the numeric backend, which samples the same rungs, can be
+checked against ground truth: a decisive verdict must be on the right
+side, and a fitted limit must lie within its reported uncertainty of
+the exact value. Shifted tuples (n+c) keep the classical verdict.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from logladder import criteria as cr
+from logladder import numeric as nm
+
+EXPONENTS = [Fraction(v) for v in ("-2", "-3/2", "-1", "-1/2", "0", "1")]
+NUMERIC = cr.AnalysisPolicy(backend="numeric")
+
+
+def _tuples():
+    return [ps for m in (1, 2, 3)
+            for ps in itertools.product(EXPONENTS, repeat=m)]
+
+
+def _expression(ps, shift):
+    var = f"(n+{shift})" if shift else "n"
+    return "*".join(
+        f"{'(' + 'ln(' * k + var + ')' * k + ')' if k else var}^({p})"
+        for k, p in enumerate(ps)
+    )
+
+
+def _classical(ps):
+    for p in ps:
+        if p != -1:
+            return "converges" if p < -1 else "diverges"
+    return "diverges"
+
+
+def _numeric_reports(shift):
+    return {ps: cr.analyze(_expression(ps, shift), NUMERIC)
+            for ps in _tuples()}
+
+
+@pytest.fixture(scope="module")
+def unshifted():
+    return _numeric_reports(0)
+
+
+def test_numeric_backend_never_decides_the_wrong_side(unshifted):
+    wrong, inconclusive, runs = [], 0, 0
+    for shift in (0, 1, 2, 3):
+        reports = unshifted if shift == 0 else _numeric_reports(shift)
+        for ps, report in reports.items():
+            runs += 1
+            decision = report.final.decision
+            if decision == "inconclusive":
+                inconclusive += 1
+            elif decision != _classical(ps):
+                wrong.append((_expression(ps, shift), decision,
+                              report.final.test_id))
+    print(f"numeric backend: {runs} runs, {len(wrong)} wrong, "
+          f"{inconclusive} inconclusive")
+    assert runs == 1032
+    assert wrong == []
+
+
+def _key(v):
+    return v.test_id, v.scale.name if v.scale is not None else None, v.level
+
+
+def test_fitted_limits_cover_the_exact_statistic(unshifted):
+    covered, missed = 0, []
+    for ps, report in unshifted.items():
+        exact = {_key(v): v.exact_value
+                 for v in cr.analyze(_expression(ps, 0)).trace
+                 if v.exact_value is not None}
+        for v in report.trace:
+            est = v.statistic
+            if (v.test_id not in ("raabe", "scaled-log", "hierarchy")
+                    or est.status != "converged" or _key(v) not in exact):
+                continue
+            err = abs(nm.to_float(est.value) - float(exact[_key(v)]))
+            if err <= nm.to_float(est.uncertainty):
+                covered += 1
+            else:
+                missed.append((_expression(ps, 0), _key(v), err))
+    print(f"coverage: {covered} of {covered + len(missed)} converged rows")
+    assert covered > 0
+    assert missed == []

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import time
 import warnings
 
 import pytest
@@ -220,6 +221,32 @@ def test_bad_policy_is_validation_error(capsys, command, option, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bits", ["-5", "10", "60"])
+def test_sum_bad_precision_is_validation_error(capsys, bits):
+    code, out, err = run(capsys, ["sum", "1/n^2", "1000",
+                                  "--precision", bits, "--json"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in policy validation: ")
+    assert "significand_bits must be at least 64" in err
+
+
+@pytest.mark.parametrize("bits, reported", [("0", 53), ("64", 64)])
+def test_sum_accepts_default_or_64_bits(capsys, bits, reported):
+    code, out, _ = run(capsys, ["sum", "1/n^2", "1000",
+                                "--precision", bits, "--json"])
+    assert code == 0
+    assert json.loads(out)["precision_bits"] == reported
+
+
+def test_leading_minus_expression_names_double_dash(capsys):
+    code, out, err = run(capsys, ["analyze", "-1/n^2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: ")
+    assert "analyze -- -1/n^2" in err
+
+
 def test_sum_float_overflow_exit_one(capsys):
     # Every term is finite, but their float64 total is not.
     with warnings.catch_warnings():
@@ -266,6 +293,20 @@ def test_nesting_at_the_limit_analyzes(capsys):
 
 
 # -- verify ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, refused", [
+    # Shifted terms pinned to lnln sample at tower points whose
+    # absorption warnings name values past 2^4096.
+    ("(n+2)^(-3/2)", ("diverges", "inconclusive")),
+    # Samples there are rounding noise, so inconclusive is honest.
+    ("(n+2)^(-1)*(ln(n+2))^(-2)", ("diverges",)),
+])
+def test_shifted_term_at_lnln_is_quick(capsys, text, refused):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["analyze", text, "--w", "lnln", "--json"])
+    assert time.perf_counter() - start < 2
+    assert json.loads(out)["final"]["decision"] not in refused
 
 
 def test_verify_slow_log_pass(capsys):

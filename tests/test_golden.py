@@ -64,11 +64,7 @@ def _argv_cases():
             cases.append((f"shift:{c}:{' '.join(ps)}",
                           ["analyze", _bertrand(ps, c), "--json"]))
     for w in ("n", "ln", "lnln", "pow:1/2"):
-        # a shifted term pinned to lnln samples for about 10 s, so that
-        # scale only sees the exact form
-        texts = ("1/(n*ln(n))",) if w == "lnln" else (
-            "1/(n*ln(n))", "(n+2)^(-3/2)")
-        for text in texts:
+        for text in ("1/(n*ln(n))", "(n+2)^(-3/2)"):
             cases.append((f"w:{w}:{text}",
                           ["analyze", text, "--w", w, "--json"]))
     cases.append(("grid", ["analyze", "(n+1)^(-3/2)", "--grid",

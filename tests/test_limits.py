@@ -54,18 +54,6 @@ def test_noise_floor_accepted():
     assert nm.to_float(est.value) == pytest.approx(-2, abs=1e-6)
 
 
-def test_geometric_tail_is_accelerated():
-    # a geometric approach is exactly what Aitken should nail
-    vals, x, step = [], 0.0, 0.01
-    for _ in range(60):
-        vals.append(x)
-        x += step
-        step *= 0.97
-    est = lm.estimate_limit(_vals(vals))
-    assert est.status == "converged"
-    assert nm.to_float(est.value) == pytest.approx(1 / 3, rel=1e-6)
-
-
 def test_slow_monotone_drift_refused():
     # unbounded log drift must not be mistaken for a plateau
     vals = [math.log(k) for k in range(3, 70)]
