@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import corpus as corpus_mod
 from . import criteria as cr
 from . import numeric as nm
 from . import sums
@@ -482,6 +481,10 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    # the corpus is imported here, not at start-up: only this command
+    # reads it
+    from . import corpus as corpus_mod
+
     as_json = getattr(args, "json", False)
     try:
         rows = corpus_mod.run_corpus(entry_ids=args.only or None)

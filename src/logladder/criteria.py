@@ -386,7 +386,7 @@ def _eval_combo(combo: LogCombo, n: ExtScalar,
         terms = [combo.const_value()] + [
             nm.ext_mul(nm.from_value(c), n if d == 0 else nm.iter_ln(d, n))
             for d, c in sorted(combo.coeffs.items())
-        ] + [ex.eval_expr(r, n) for r in combo.residuals]
+        ] + [ex.eval_expr(r, n) for r in combo.residuals + combo.vanishing]
         total = terms[0]
         for t in terms[1:]:
             total = nm.ext_add(total, t)
@@ -425,9 +425,17 @@ def _quotient_drift(d: ExtScalar):
     return ln_d * inv, math.log(ln_d) * inv
 
 
+# Forming n + 1 exactly takes log2(n) bits. Past this many a Raabe point
+# costs minutes and hundreds of megabytes per operation, so it is skipped.
+_MAX_INDEX_BITS = 1 << 20
+
+
 def _index_bits(n: ExtScalar) -> int:
     v = abs(n.as_mpf())
-    return max(1, int(mp.log(v + 2, 2)) + 1)
+    bits = max(1, int(mp.log(v + 2, 2)) + 1)
+    if bits > _MAX_INDEX_BITS:
+        raise RangeError("grid point too large for the Raabe increment")
+    return bits
 
 
 def _chain_combo(w: sc.ScaleFn, depth: int) -> LogCombo:
@@ -600,7 +608,10 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
 
     def sample(n):
         with nm.local_precision(bits + _index_bits(n) + 64) as p:
-            r = nm.ext_div(value(nm.ext_add(n, nm.ONE), p), value(n, p))
+            # a(n) first: a point whose term is out of range is skipped
+            # before n + 1 is formed at the raised precision
+            a = value(n, p)
+            r = nm.ext_div(value(nm.ext_add(n, nm.ONE), p), a)
             return nm.ext_mul(n, nm.ext_sub(r, nm.ONE)), n
 
     return _Statistic(exact, partial(_choose_grid, term, None), sample)

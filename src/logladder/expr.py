@@ -16,16 +16,20 @@ while n^n does not).
 
 Two rewrites feed the analysis layer. log_transform maps an expression to
 one denoting its logarithm, pushing ln through products, quotients, powers
-and exp exactly, and wrapping anything else (sums) in an opaque ln node.
+and exp exactly, and wrapping anything else (sums) in an ln node.
 linearize then splits a log-side expression into exact rational multiples
-of n and its iterated logarithms, exact constant parts, and leftover
-residual subtrees. Statistics are computed from that split so that the
-huge leading terms cancel in exact arithmetic instead of floating point.
+of n and its iterated logarithms, exact constant parts, vanishing
+subtrees and leftover residual subtrees. ln of a sum or a shifted
+argument is read by a dominant-term pass: ln(n + 1) is ln n plus the
+vanishing ln((n + 1)/n), and ln(n^2 + ln n) is 2 ln n plus a vanishing
+part. Statistics are computed from that split so that the huge leading
+terms cancel in exact arithmetic instead of floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, UnboundParameterError
@@ -585,18 +589,51 @@ def _eval_or_none(arg: Expr, n: ExtScalar) -> ExtScalar | None:
         return None
 
 
+def _affine(e: Expr) -> tuple[Fraction, Fraction] | None:
+    """(a, b) with e = a*n + b exactly, when e is affine in n."""
+    q = _const_fold(e)
+    if q is not None:
+        return Fraction(0), q
+    if isinstance(e, Var):
+        return Fraction(1), Fraction(0)
+    if isinstance(e, (Add, Sub)):
+        left, right = _affine(e.left), _affine(e.right)
+        if left is None or right is None:
+            return None
+        s = 1 if isinstance(e, Add) else -1
+        return left[0] + s * right[0], left[1] + s * right[1]
+    if isinstance(e, Mul):
+        q, rest = _const_fold(e.left), e.right
+        if q is None:
+            q, rest = _const_fold(e.right), e.left
+    elif isinstance(e, Div):
+        q, rest = _const_fold(e.right), e.left
+        q = 1 / q if q else None
+    else:
+        return None
+    inner = None if q is None else _affine(rest)
+    return None if inner is None else (q * inner[0], q * inner[1])
+
+
 def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> ExtScalar:
     """Minimal integer n >= 1 with arg(n) > threshold, assuming arg is
     eventually increasing (true for the supported expression class)."""
-    if isinstance(arg, Var):
-        # floor(threshold) + 1; the threshold carries a safety factor so
-        # it is never an exact integer of interest.
-        t = threshold.as_mpf()
+    affine = _affine(arg)
+    # n > (threshold - b)/a for arg = a*n + b; the threshold carries a
+    # safety factor so it is never an exact integer of interest. A tower
+    # threshold is out of plain range (an error for arg = n).
+    if affine is not None and affine[0] > 0 and (
+            threshold.level == 0 or isinstance(arg, Var)):
+        a, b = affine
         from mpmath import mp
 
+        with nm._Working():
+            t = (threshold.as_mpf() - mp.mpf(b.numerator) / b.denominator) \
+                * a.denominator / a.numerator
         if t < 1e15:
-            return nm.from_value(int(mp.floor(t)) + 1)
-        return threshold
+            return nm.from_value(max(1, int(mp.floor(t)) + 1))
+        if isinstance(arg, Var):
+            return threshold
 
     def above(n: ExtScalar) -> bool:
         v = _eval_or_none(arg, n)
@@ -684,6 +721,158 @@ def check_positive(e: Expr, n0: ExtScalar) -> None:
 
 
 # -- log-power recognition ------------------------------------------------
+#
+# The dominant-term pass reads the leading monomial q * n^p0 * (ln n)^p1
+# * ... (rational q and p_i) of a subtree, in the style of Gruntz's
+# most-rapidly-varying comparison (ETH thesis, 1996) restricted to log
+# powers: products multiply leaders, a sum keeps the leader with the
+# lexicographically larger exponent tuple (or the sum of equal leaders
+# when it does not cancel), and ln of a leader q * n^p0 * ... is
+# p_i * (i+1)-fold log of n for the first nonzero p_i. Every expression
+# of the grammar is a Hardy L-function, so the subtree equals its leader
+# times 1 + o(1) and ln of it is ln(leader) plus a part that tends to 0.
+
+
+@dataclass(frozen=True)
+class _Lead:
+    """Leading monomial coef * n^p0 * (ln n)^p1 * ... of a subtree,
+    which equals it exactly (exact) or up to a factor 1 + o(1).
+    Trailing zero exponents are stripped."""
+
+    coef: Fraction
+    exps: tuple[Fraction, ...]
+    exact: bool
+
+
+def _monomial(coef: Fraction, exps, exact: bool) -> _Lead:
+    exps = list(exps)
+    while exps and not exps[-1]:
+        exps.pop()
+    return _Lead(coef, tuple(exps), exact)
+
+
+def _order(exps) -> int:
+    """1 when the monomial grows, -1 when it tends to 0, 0 if constant."""
+    for p in exps:
+        if p:
+            return 1 if p > 0 else -1
+    return 0
+
+
+def _padded(a, b):
+    width = max(len(a), len(b))
+    zero = (Fraction(0),)
+    return a + zero * (width - len(a)), b + zero * (width - len(b))
+
+
+# A leader coefficient q^r is computed only when its numerator and
+# denominator stay within this many bits; larger ones are refused, so
+# that an input such as exp((2*n)^(10^12)) costs nothing to read.
+_COEF_BITS = 4096
+
+
+def _int_root(x: int, k: int) -> int | None:
+    """The k-th root of x >= 0 when it is an integer."""
+    if x < 2:
+        return x
+    if k >= x.bit_length():
+        return None  # 2^k > x
+    y = round(math.exp(math.log(x) / k))
+    return next((c for c in (y - 1, y, y + 1) if c > 0 and c**k == x), None)
+
+
+def _rational_power(q: Fraction, r: Fraction) -> Fraction | None:
+    """q^r when it is a rational number of at most _COEF_BITS bits."""
+    if q == 1:
+        return q
+    size = max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+    if size * abs(r.numerator) > r.denominator * _COEF_BITS:
+        return None
+    if r.denominator == 1:
+        return q**r.numerator
+    if q <= 0:
+        return None
+    num = _int_root(q.numerator, r.denominator)
+    den = _int_root(q.denominator, r.denominator)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den) ** r.numerator
+
+
+def _ln_lead(a: _Lead | None) -> _Lead | None:
+    """Leader of ln x for x led by a: ln x = ln q + p0 ln n + p1 lnln n
+    + ... + o(1), led by its first nonzero p_i. None when x does not
+    tend to +infinity or 0 (ln x then tends to a constant)."""
+    if a is None or a.coef <= 0:
+        return None
+    for i, p in enumerate(a.exps):
+        if p:
+            exact = a.exact and a.coef == 1 and not any(a.exps[i + 1:])
+            return _Lead(p, (Fraction(0),) * (i + 1) + (Fraction(1),), exact)
+    return None
+
+
+def _lead(e: Expr) -> _Lead | None:
+    """Leading log-power monomial of e, or None when e is outside the
+    class: leaders that cancel, an irrational coefficient, exp of an
+    argument that does not tend to 0, an unbound parameter."""
+    if isinstance(e, Const):
+        return _Lead(e.value, (), True) if e.value else None
+    if isinstance(e, Var):
+        return _Lead(Fraction(1), (Fraction(1),), True)
+    if isinstance(e, (Add, Sub)):
+        a, b = _lead(e.left), _lead(e.right)
+        if a is None or b is None:
+            return None
+        sign = 1 if isinstance(e, Add) else -1
+        pa, pb = _padded(a.exps, b.exps)
+        if pa != pb:
+            if pa > pb:
+                return _Lead(a.coef, a.exps, False)
+            return _Lead(sign * b.coef, b.exps, False)
+        coef = a.coef + sign * b.coef
+        return _Lead(coef, a.exps, a.exact and b.exact) if coef else None
+    if isinstance(e, (Mul, Div)):
+        a, b = _lead(e.left), _lead(e.right)
+        if a is None or b is None:
+            return None
+        pa, pb = _padded(a.exps, b.exps)
+        if isinstance(e, Mul):
+            coef, exps = a.coef * b.coef, (x + y for x, y in zip(pa, pb))
+        else:
+            coef, exps = a.coef / b.coef, (x - y for x, y in zip(pa, pb))
+        return _monomial(coef, exps, a.exact and b.exact)
+    if isinstance(e, Pow):
+        r, a = _const_fold(e.exponent), _lead(e.base)
+        coef = None if r is None or a is None else _rational_power(a.coef, r)
+        if coef is None:
+            return None
+        return _monomial(coef, (r * p for p in a.exps), a.exact)
+    if isinstance(e, Exp):
+        # exp of a vanishing argument is 1 + o(1)
+        a = _lead(e.arg)
+        if a is not None and _order(a.exps) < 0:
+            return _Lead(Fraction(1), (), False)
+        return None
+    if isinstance(e, IterLn):
+        a = _lead(e.arg)
+        for _ in range(e.count):
+            a = _ln_lead(a)
+        return a
+    return None
+
+
+def _monomial_expr(a: _Lead) -> Expr:
+    """The leader a as an expression tree."""
+    factors = [] if a.coef == 1 else [Const(a.coef)]
+    for i, p in enumerate(a.exps):
+        if p:
+            base = iterln(i, Var())
+            factors.append(base if p == 1 else Pow(base, Const(p)))
+    out = factors[0] if factors else Const(Fraction(1))
+    for f in factors[1:]:
+        out = Mul(out, f)
+    return out
 
 
 @dataclass(frozen=True)
@@ -700,60 +889,20 @@ class LogPowerForm:
 
 
 def to_log_power(e: Expr) -> LogPowerForm | None:
-    """Recognize a positive product of powers of n and its iterated logs.
+    """Recognize a positive rational multiple of a product of rational
+    powers of n and its iterated logs.
 
-    Returns None when e is outside the class (sums, exp factors, shifted
-    log arguments, unbound parameters, non-positive constants).
+    Returns None when e is outside the class (sums, exp factors,
+    irrational or non-positive coefficients, unbound parameters).
     """
-    exps: dict[int, Fraction] = {}
-    consts: list[tuple[Fraction, Fraction]] = []  # (base, power)
-    ok = True
-
-    def walk(x: Expr, power: Fraction):
-        nonlocal ok
-        if not ok:
-            return
-        if isinstance(x, Const):
-            if x.value <= 0:
-                ok = False
-                return
-            consts.append((x.value, power))
-            return
-        if isinstance(x, Var):
-            exps[0] = exps.get(0, Fraction(0)) + power
-            return
-        if isinstance(x, IterLn) and isinstance(x.arg, Var):
-            exps[x.count] = exps.get(x.count, Fraction(0)) + power
-            return
-        if isinstance(x, Mul):
-            walk(x.left, power)
-            walk(x.right, power)
-            return
-        if isinstance(x, Div):
-            walk(x.left, power)
-            walk(x.right, -power)
-            return
-        if isinstance(x, Pow):
-            q = _const_fold(x.exponent)
-            if q is not None:
-                walk(x.base, power * q)
-                return
-        ok = False
-
-    walk(e, Fraction(1))
-    if not ok:
+    a = _lead(e)
+    if a is None or not a.exact or a.coef <= 0:
         return None
     from mpmath import mp
 
     with nm._Working():
-        c = mp.mpf(1)
-        for base, power in consts:
-            b = mp.mpf(base.numerator) / mp.mpf(base.denominator)
-            p = mp.mpf(power.numerator) / mp.mpf(power.denominator)
-            c *= b**p
-    top = max((k for k, v in exps.items() if v != 0), default=0)
-    tup = tuple(exps.get(i, Fraction(0)) for i in range(top + 1))
-    return LogPowerForm(c, tup)
+        c = mp.mpf(a.coef.numerator) / mp.mpf(a.coef.denominator)
+    return LogPowerForm(c, a.exps or (Fraction(0),))
 
 
 # -- log transform ----------------------------------------------------------
@@ -792,43 +941,43 @@ def log_transform(e: Expr) -> tuple[Expr, list[Expr]]:
 
 @dataclass
 class LogCombo:
-    """A log-side expression split into exact and residual parts.
+    """A log-side expression split into exact, residual and vanishing parts.
 
     value = sum over coeffs of c_k * ln_k(n)   (k = 0 means n itself)
           + const
           + sum over const_logs of q * ln_j(c)
-          + sum of residual subexpressions.
+          + sum of residual subexpressions
+          + sum of vanishing subexpressions.
 
-    coeffs, const, and const_logs are exact rationals; residuals are
-    arbitrary expression trees that the numeric sampler evaluates
-    pointwise.
+    coeffs, const, and const_logs are exact rationals; residuals and
+    vanishing parts are expression trees that the numeric sampler
+    evaluates pointwise. Vanishing parts tend to 0, so no limit the
+    ladder reads depends on them: is_exact and the exact readings
+    ignore them.
     """
 
     coeffs: dict[int, Fraction]
     const: Fraction
     const_logs: list[tuple[Fraction, int, Fraction]]  # (mult, depth, base)
     residuals: list[Expr]
+    vanishing: list[Expr] = field(default_factory=list)
 
     @property
     def is_exact(self) -> bool:
         return not self.residuals
 
     def merged(self, other: "LogCombo", sign: int = 1) -> "LogCombo":
-        s = Fraction(sign)
+        if sign != 1:
+            other = other.scaled(Fraction(sign))
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + s * v
+            coeffs[k] = coeffs.get(k, Fraction(0)) + v
         return LogCombo(
             {k: v for k, v in coeffs.items() if v != 0},
-            self.const + s * other.const,
-            self.const_logs
-            + [(s * m, d, b) for (m, d, b) in other.const_logs],
-            self.residuals
-            + (
-                other.residuals
-                if sign == 1
-                else [Mul(Const(Fraction(-1)), r) for r in other.residuals]
-            ),
+            self.const + other.const,
+            self.const_logs + other.const_logs,
+            self.residuals + other.residuals,
+            self.vanishing + other.vanishing,
         )
 
     def scaled(self, q: Fraction) -> "LogCombo":
@@ -839,6 +988,7 @@ class LogCombo:
             self.const * q,
             [(m * q, d, b) for (m, d, b) in self.const_logs],
             [Mul(Const(q), r) for r in self.residuals],
+            [Mul(Const(q), r) for r in self.vanishing],
         )
 
     def leading(self) -> tuple[int, Fraction] | None:
@@ -886,9 +1036,40 @@ def _const_fold(e: Expr) -> Fraction | None:
     return None
 
 
+def _ln_split(x: Expr) -> LogCombo | None:
+    """ln x as the exact LogCombo of the leader of x plus the vanishing
+    part ln(x / leader), or None when x has no positive leader."""
+    a = _lead(x)
+    if a is None or a.coef <= 0:
+        return None
+    return LogCombo(
+        {i + 1: p for i, p in enumerate(a.exps) if p},
+        Fraction(0),
+        [] if a.coef == 1 else [(Fraction(1), 1, a.coef)],
+        [],
+        [] if a.exact else [IterLn(1, Div(x, _monomial_expr(a)))],
+    )
+
+
+def _vanishes(e: Expr) -> bool:
+    """True when e tends to 0: a log-power subtree led by a decaying
+    monomial, or exp of an argument led to -infinity."""
+    if isinstance(e, Exp):
+        a = _lead(e.arg)
+        return a is not None and a.coef < 0 and _order(a.exps) > 0
+    a = _lead(e)
+    return a is not None and _order(a.exps) < 0
+
+
+def _opaque(e: Expr) -> LogCombo:
+    """A subtree linearize cannot split: vanishing or residual."""
+    if _vanishes(e):
+        return LogCombo({}, Fraction(0), [], [], [e])
+    return LogCombo({}, Fraction(0), [], [e])
+
+
 def linearize(e: Expr) -> LogCombo:
     """Split a log-side expression into a LogCombo."""
-    zero = LogCombo({}, Fraction(0), [], [])
     if isinstance(e, Const):
         return LogCombo({}, e.value, [], [])
     if isinstance(e, Var):
@@ -902,7 +1083,8 @@ def linearize(e: Expr) -> LogCombo:
             return LogCombo(
                 {}, Fraction(0), [(Fraction(1), e.count, e.arg.value)], []
             )
-        return LogCombo({}, Fraction(0), [], [e])
+        split = _ln_split(iterln(e.count - 1, e.arg))
+        return split if split is not None else LogCombo({}, Fraction(0), [], [e])
     if isinstance(e, Add):
         return linearize(e.left).merged(linearize(e.right), 1)
     if isinstance(e, Sub):
@@ -914,12 +1096,14 @@ def linearize(e: Expr) -> LogCombo:
         q = _const_fold(e.right)
         if q is not None:
             return linearize(e.left).scaled(q)
-        return zero.merged(LogCombo({}, Fraction(0), [], [e]), 1)
+        return _opaque(e)
     if isinstance(e, Div):
         q = _const_fold(e.right)
         if q is not None and q != 0:
             return linearize(e.left).scaled(Fraction(1) / q)
-        return zero.merged(LogCombo({}, Fraction(0), [], [e]), 1)
-    if isinstance(e, (Pow, Exp, Param)):
+        return _opaque(e)
+    if isinstance(e, (Pow, Exp)):
+        return _opaque(e)
+    if isinstance(e, Param):
         return LogCombo({}, Fraction(0), [], [e])
     raise TypeError(f"not an expression node: {e!r}")

@@ -270,11 +270,14 @@ def estimate_limsup_liminf(values):
             infs.append(min(x, infs[-1]) if infs else x)
         # Envelope entries near the end come from suffixes too short to
         # see a full oscillation; drop them.
-        trim = min(max(2, len(finite) // 8), len(finite) - 8)
+        trim = max(min(max(2, len(finite) // 8), len(finite) - 8), 0)
+        head, tail = finite[:len(finite) - trim], finite[len(finite) - trim:]
 
-        def run(seq):
-            seq = seq[max(trim, 0):][::-1]
-            if len(seq) < 8:
+        def run(seq, beyond):
+            seq = seq[trim:][::-1]
+            if len(seq) < 8 or beyond:
+                # an extreme reached only in the trimmed tail makes the
+                # envelope flat at it: the statistic is still moving
                 return LimitEstimate("not_converged", samples_used=len(xs))
             # The envelope moves in stairs; collapse the flats so the
             # fit sees the underlying monotone decay.
@@ -287,5 +290,5 @@ def estimate_limsup_liminf(values):
                 "diverged", None, None, "fit", len(xs), direction=1
             )
         else:
-            sup = run(sups)
-        return sup, run(infs)
+            sup = run(sups, bool(tail) and max(tail) > max(head))
+        return sup, run(infs, bool(tail) and min(tail) < min(head))

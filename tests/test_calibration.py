@@ -4,7 +4,9 @@ Every Bertrand tuple n^p0 (ln n)^p1 (lnln n)^p2 has an exact statistic on
 every rung, so the numeric backend, which samples the same rungs, can be
 checked against ground truth: a decisive verdict must be on the right
 side, and a fitted limit must lie within its reported uncertainty of
-the exact value. Shifted tuples (n+c) keep the classical verdict.
+the exact value. Shifted tuples (n+c) keep the classical verdict, and
+by default they take the exact route: ln(n+c) is ln n plus a part that
+tends to 0.
 """
 
 import itertools
@@ -90,3 +92,16 @@ def test_fitted_limits_cover_the_exact_statistic(unshifted):
     print(f"coverage: {covered} of {covered + len(missed)} converged rows")
     assert covered > 0
     assert missed == []
+
+
+def test_shifted_tuples_take_the_exact_route():
+    wrong = []
+    for ps in _tuples():
+        for shift in (1, 2, 3):
+            report = cr.analyze(_expression(ps, shift))
+            if (report.backend != "symbolic"
+                    or report.final.decision != _classical(ps)):
+                wrong.append((_expression(ps, shift), report.backend,
+                              report.final.decision))
+    assert len(_tuples()) * 3 == 774
+    assert wrong == []

@@ -309,6 +309,22 @@ def test_shifted_term_at_lnln_is_quick(capsys, text, refused):
     assert json.loads(out)["final"]["decision"] not in refused
 
 
+@pytest.mark.parametrize("text, grid, decision", [
+    # sampled: the Raabe sampler skips tower points whose term is out of
+    # range before it forms n + 1 at the raised precision
+    ("2^(-n)", "tower:2:3:1:10", "inconclusive"),
+    # and points whose n + 1 would need more than 2^20 bits
+    ("2^(-n)", "tower:3:1:1:10", "inconclusive"),
+    # exact: the leader n^2 gives the split, so the grid is never sampled
+    ("1/(n^2+ln(n))", "tower:2:3:1:10", "converges"),
+])
+def test_tower_grid_override_is_quick(capsys, text, grid, decision):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["analyze", text, "--grid", grid, "--json"])
+    assert time.perf_counter() - start < 2
+    assert json.loads(out)["final"]["decision"] == decision
+
+
 def test_verify_slow_log_pass(capsys):
     code, out, _ = run(capsys, ["verify", "1/(n*ln(n))"])
     assert code == 0

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
+from logladder import criteria as cr
 from logladder import expr as ex
 from logladder import numeric as nm
 from logladder.errors import ParseError, PositivityViolation
@@ -146,3 +148,90 @@ def test_eval_matches_combo_eval():
     assert nm.to_float(direct) == pytest.approx(
         nm.to_float(linear), rel=1e-12
     )
+
+
+# -- the dominant-term pass ---------------------------------------------------
+
+
+def _term_combo(text):
+    return ex.linearize(ex.log_transform(ex.parse(text))[0])
+
+
+@pytest.mark.parametrize("text", [
+    "ln((n+1)-n)",  # the leaders cancel
+    "ln(n-2*n^2)",  # negative leader
+    "ln(2^(1/2)*n+1)",  # irrational leader coefficient
+    "ln(ln(2)*n+1)",  # irrational leader coefficient
+    "exp(n)",  # exp of a growing argument
+    "ln(n^2+exp(n))",  # a sum holding exp of a growing argument
+    "(2*n)^1000000000000",  # a coefficient 2^(10^12) is not computed
+])
+def test_pass_leaves_residuals(text):
+    combo = ex.linearize(ex.parse(text))
+    assert not combo.is_exact
+    assert not combo.vanishing
+
+
+def test_pass_reads_vanishing_exp():
+    combo = _term_combo("exp(1/n)")
+    assert combo.is_exact
+    assert combo.coeffs == {}
+    assert [ex.format_expr(v) for v in combo.vanishing] == ["1/n"]
+
+
+def test_pass_reads_shifted_log():
+    combo = ex.linearize(ex.parse("ln(2*n+1)"))
+    assert combo.is_exact
+    assert combo.coeffs == {1: Fraction(1)}
+    assert combo.const_logs == [(Fraction(1), 1, Fraction(2))]
+    assert len(combo.vanishing) == 1
+
+
+def test_pass_reads_summed_leader():
+    combo = _term_combo("1/(n^2+ln(n))")
+    assert combo.is_exact
+    assert combo.coeffs == {1: Fraction(-2)}
+    assert len(combo.vanishing) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "(n+3)^(-1)*(ln(n+3))^(-1)*(lnln(n+3))^(1/2)",
+    "1/(n^2+ln(n))", "exp(1/n)/n^2", "1/((2*n+1)*ln(2*n+1)^2)",
+])
+def test_combo_value_adds_the_vanishing_part_back(text):
+    combo = _term_combo(text)
+    n = nm.from_value(10**6)
+    direct = nm.to_float(nm.ext_ln(ex.eval_expr(ex.parse(text), n)))
+    split = nm.to_float(cr._eval_combo(combo, n))
+    assert split == pytest.approx(direct, rel=1e-12)
+
+
+_MONOMIALS = st.tuples(
+    st.sampled_from([Fraction(v) for v in ("1", "2", "1/3", "5", "3/2")]),
+    st.sampled_from([-1, 1]),
+    st.sampled_from([Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1")]),
+    st.sampled_from([Fraction(v) for v in ("-1", "-1/2", "0", "1/2", "2")]),
+)
+
+
+_TOWER_POINT = nm.ExtScalar.tower(2, 40).lowered()
+
+
+@given(st.lists(_MONOMIALS, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_sum_over_its_leader_tends_to_one(monomials):
+    # at the tower point n = exp(exp(40)), in plain form so that
+    # negative monomials evaluate, every lower monomial is at most
+    # 15 * (ln n)^(-1/2) < 3e-8 of the leader
+    expr = None
+    for q, sign, p0, p1 in monomials:
+        m = ex.parse(f"{q}*n^({p0})*(ln(n))^({p1})")
+        if expr is None:
+            expr = m if sign > 0 else ex.Mul(ex.Const(-1), m)
+        else:
+            expr = (ex.Add if sign > 0 else ex.Sub)(expr, m)
+    lead = ex._lead(expr)
+    assume(lead is not None)
+    ratio = ex.Div(expr, ex._monomial_expr(lead))
+    value = nm.to_float(ex.eval_expr(ratio, _TOWER_POINT))
+    assert value == pytest.approx(1, abs=1e-6)

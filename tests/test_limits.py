@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from logladder import criteria as cr
 from logladder import limits as lm
 from logladder import numeric as nm
+from logladder import scale as sc
 
 
 def _vals(xs):
@@ -95,3 +97,25 @@ def test_grid_validation():
         lm.Geometric(10, 1, 5)  # ratio must exceed 1
     with pytest.raises(ValueError):
         lm.TowerGeometric(0, 3, 1, 5)  # level must be >= 1
+
+
+def test_envelope_with_extreme_in_trimmed_tail_is_not_converged():
+    # the scaled-log statistic of (2+(-1)^n)/sqrt(n) at w = ln oscillates
+    # while it grows: every suffix maximum is the last peak, and a flat
+    # upper envelope must not read as a converged limsup
+    term = cr.CallableTerm(lambda n: (2 + (-1) ** n) / n ** 0.5, n_start=2)
+    stat = cr._quotient_statistic(term, sc.IterLog(1), 0, True)
+    samples = cr._measure(stat, cr.AnalysisPolicy(), "one-sided").samples
+    xs = [nm.to_float(v) for v in samples]
+    assert max(xs) == max(xs[-2:]) > max(xs[:-2])
+    sup, inf = lm.estimate_limsup_liminf(samples)
+    assert sup.status == "not_converged"
+    assert inf.status == "not_converged"
+
+
+def test_envelope_with_extreme_in_head_still_converges():
+    xs = [(-1) ** j * 0.5 / j - 1 for j in range(1, 41)]
+    sup, inf = lm.estimate_limsup_liminf(_vals(xs))
+    assert sup.status == "converged" and inf.status == "converged"
+    assert nm.to_float(sup.value) == pytest.approx(-1, abs=0.02)
+    assert nm.to_float(inf.value) == pytest.approx(-1, abs=0.02)

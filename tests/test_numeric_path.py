@@ -190,20 +190,23 @@ def test_raabe_evaluates_each_term_once():
 
 
 def test_one_sided_rung_reuses_scaled_log_samples(monkeypatch):
+    # the numeric backend samples every rung; with one escalation level
+    # the ladder ends in the envelope reading at w = ln
     text = "(n+3)^(-1)*(ln(n+3))^(-1)*(lnln(n+3))^(-1)"
+    policy = cr.AnalysisPolicy(backend="numeric", k_max=1)
     sampled = []
     real = cr._sample_grid
     monkeypatch.setattr(
         cr, "_sample_grid", lambda s, g: sampled.append(1) or real(s, g)
     )
-    report = cr.analyze(text)
+    report = cr.analyze(text, policy)
     rows = [v.test_id for v in report.trace]
     assert rows[-1] == "one-sided"
     # every rung samples once, except one-sided, which reads the
     # scaled-log samples at the same scale
     assert len(sampled) == len(rows) - 1
     # and the envelope verdict is the one the public test gives
-    alone = cr.one_sided_test(text, sc.IterLog(1))
+    alone = cr.one_sided_test(text, sc.IterLog(1), policy)
     assert alone == report.trace[-1]
 
 
