@@ -42,7 +42,6 @@ from .errors import (
     DivisionByZero,
     DomainError,
     ExhaustedHierarchy,
-    LogLadderError,
     PositivityViolation,
     RangeError,
     UnboundParameterError,
@@ -338,7 +337,7 @@ class AnalysisPolicy:
     grid: object | None = None
 
     def __post_init__(self):
-        if self.backend not in ("auto", "symbolic", "numeric"):
+        if self.backend not in ("auto", "numeric"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
@@ -766,8 +765,7 @@ class _Measure(NamedTuple):
     samples: list | None = None
 
 
-def _measure(stat: _Statistic, policy: AnalysisPolicy,
-             test_id: str) -> _Measure:
+def _measure(stat: _Statistic, policy: AnalysisPolicy) -> _Measure:
     """Estimate a statistic's limit: exactly when its split allows and
     the backend is not numeric, else by sampling its grid.
 
@@ -786,10 +784,6 @@ def _measure(stat: _Statistic, policy: AnalysisPolicy,
             ))
         value = exact.const_value() if isinstance(exact, LogCombo) else exact
         return _Measure(lm.LimitEstimate.exact(value), exact)
-    if policy.backend == "symbolic":
-        raise LogLadderError(
-            f"{test_id}: no exact log split for the symbolic backend"
-        )
     grid = stat.grid(policy)
     if grid is None:
         return _Measure(None, samples=[])
@@ -869,17 +863,6 @@ def _limit_verdict(m: _Measure, test_id: str, w: sc.ScaleFn | None,
     )
 
 
-def _ratio_verdict(term: TermSource, w: sc.ScaleFn, level: int,
-                   policy: AnalysisPolicy, test_id: str,
-                   include_delta: bool) -> tuple[Verdict, _Measure]:
-    """The quotient log test at one escalation level, and the measure it
-    read (the envelope reading at the same scale reuses it)."""
-    stat = _quotient_statistic(term, w, level, include_delta)
-    template = "log-ratio-" if level == 0 else "log-log-"
-    m = _measure(stat, policy, test_id)
-    return _limit_verdict(m, test_id, w, level, template), m
-
-
 # -- public tests ----------------------------------------------------------------
 
 
@@ -893,7 +876,7 @@ def raabe_test(seq, policy: AnalysisPolicy | None = None,
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
-    m = _measure(_raabe_statistic(term), policy, "raabe")
+    m = _measure(_raabe_statistic(term), policy)
     return _limit_verdict(m, "raabe", None, 0, "precise-")
 
 
@@ -906,9 +889,8 @@ def log_ratio_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
-    return _ratio_verdict(
-        term, w, 0, policy, "log-ratio", include_delta=False
-    )[0]
+    m = _measure(_quotient_statistic(term, w, 0, include_delta=False), policy)
+    return _limit_verdict(m, "log-ratio", w, 0, "log-ratio-")
 
 
 def scaled_log_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
@@ -921,14 +903,9 @@ def scaled_log_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     limit lands on -1.
     """
     policy = policy or AnalysisPolicy()
-    return _scaled_log(_as_term(seq, params), w, policy)[0]
-
-
-def _scaled_log(term: TermSource, w: sc.ScaleFn, policy: AnalysisPolicy):
-    """The scaled-log verdict at w and its measure."""
-    return _ratio_verdict(
-        term, w, 0, policy, "scaled-log", include_delta=True
-    )
+    term = _as_term(seq, params)
+    m = _measure(_quotient_statistic(term, w, 0, include_delta=True), policy)
+    return _limit_verdict(m, "scaled-log", w, 0, "log-ratio-")
 
 
 _BOUND_NOTE = (
@@ -939,64 +916,74 @@ _BOUND_NOTE = (
 
 def slow_divergence_test(seq, w: sc.ScaleFn,
                          policy: AnalysisPolicy | None = None,
-                         params=None, mode: str = "full") -> Verdict:
+                         params=None) -> Verdict:
     """Growth of g(n) = w(n) a_n / dw(n) when the scaled-log limit is -1.
 
     If g tends to a finite limit C > 0 the series diverges with partial
     sums ~ C ln w(n). If g only stays bounded away from zero, the series
     still diverges but only the one-sided floor ln w(n) is claimed.
-    mode restricts which outcome may fire: 'convergent', 'bound', or
-    'full'.
     """
-    if mode not in ("full", "convergent", "bound"):
-        raise ValueError(f"unknown mode {mode!r}")
     policy = policy or AnalysisPolicy()
-    term = _as_term(seq, params)
-    test_id = "slow-divergence"
-    m = _measure(_slow_divergence_statistic(term, w), policy, test_id)
+    m = _measure(_slow_divergence_statistic(_as_term(seq, params), w), policy)
+    v = _constant_reading(m, w)
+    return v if v.decisive else _bound_reading(m, w)
+
+
+_SLOW = "slow-divergence"
+
+
+def _constant_reading(m: _Measure, w: sc.ScaleFn) -> Verdict:
+    """The constant reading of an ln g measure: ln g settling to ln C.
+
+    A sampled limit counts only when its drift is within the margin:
+    ln g drifting like an iterated log fits a limit with a large
+    uncertainty.
+    """
+    est = m.est
+    if (est is None or est.status != "converged"
+            or est.uncertainty > _MARGIN):
+        return _slow_undecided(m, w)
+    exact_c = _exact_const_exp(m.exact) if m.exact is not None else None
+    c = nm.from_value(exact_c) if exact_c is not None else nm.ext_exp(est.value)
+    rate = RatePrediction(
+        template="slow-log", scale=w, constant=c, exact_constant=exact_c,
+    )
+    return Verdict("diverges", _SLOW, w, 0, est, rate=rate,
+                   exact_value=exact_c)
+
+
+def _bound_reading(m: _Measure, w: sc.ScaleFn) -> Verdict:
+    """The bound reading of an ln g measure: g bounded away from zero.
+
+    ln g diverging to +inf, or a lower envelope that has a limit or
+    diverges to +inf, gives the one-sided floor.
+    """
     est = m.est
     if est is None:
-        return _inconclusive(test_id, w, 0, None, "insufficient-signal")
-    # Interpret the limit of ln g, g = w * a_n / dw. A sampled limit
-    # counts only when its drift is within the margin: ln g drifting
-    # like an iterated log fits a limit with a large uncertainty.
-    if (est.status == "converged" and mode in ("full", "convergent")
-            and est.uncertainty <= _MARGIN):
-        exact_c = _exact_const_exp(m.exact) if m.exact is not None else None
-        c = (nm.from_value(exact_c) if exact_c is not None
-             else nm.ext_exp(est.value))
-        rate = RatePrediction(
-            template="slow-log", scale=w,
-            constant=c, exact_constant=exact_c,
-        )
-        return Verdict(
-            "diverges", test_id, w, 0, est, rate=rate, exact_value=exact_c,
-        )
-    if est.status == "diverged" and est.direction < 0:
-        return _inconclusive(
-            test_id, w, 0, est, "term-to-increment-ratio-vanishes"
-        )
-    # Bounded below: ln g diverges to +inf, or its lower envelope has a
-    # limit or diverges to +inf.
-    floor = est if est.status == "diverged" else None
-    if (est.status == "not_converged" and mode in ("full", "bound")
-            and _oscillates(m.samples)):
+        return _slow_undecided(m, w)
+    floor = est if est.status == "diverged" and est.direction > 0 else None
+    if est.status == "not_converged" and _oscillates(m.samples):
         _, inf_est = lm.estimate_limsup_liminf(m.samples)
         if inf_est.status != "not_converged" and inf_est.direction >= 0:
             floor = inf_est
-    if floor is not None and mode in ("full", "bound"):
-        rate = RatePrediction(
-            template="slow-log-bound", scale=w, one_sided=True
-        )
-        return Verdict(
-            "diverges", test_id, w, 0, floor, rate=rate,
-            one_sided=True, notes=(_BOUND_NOTE,),
-        )
-    reason = (
-        "deferred" if est.status == "converged"
-        else "statistic-not-convergent"
-    )
-    return _inconclusive(test_id, w, 0, est, reason)
+    if floor is None:
+        return _slow_undecided(m, w)
+    rate = RatePrediction(template="slow-log-bound", scale=w, one_sided=True)
+    return Verdict("diverges", _SLOW, w, 0, floor, rate=rate,
+                   one_sided=True, notes=(_BOUND_NOTE,))
+
+
+def _slow_undecided(m: _Measure, w: sc.ScaleFn) -> Verdict:
+    est = m.est
+    if est is None:
+        reason = "insufficient-signal"
+    elif est.status == "diverged" and est.direction < 0:
+        reason = "term-to-increment-ratio-vanishes"
+    elif est.status == "converged":
+        reason = "deferred"
+    else:
+        reason = "statistic-not-convergent"
+    return _inconclusive(_SLOW, w, 0, est, reason)
 
 
 def _zero_statistic_note(level: int) -> str:
@@ -1023,9 +1010,9 @@ def hierarchy_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     term = _as_term(seq, params)
     levels = []
     for j in range(1, policy.k_max + 1):
-        v, _ = _ratio_verdict(
-            term, w, j, policy, "hierarchy", include_delta=True
-        )
+        m = _measure(_quotient_statistic(term, w, j, include_delta=True),
+                     policy)
+        v = _limit_verdict(m, "hierarchy", w, j, "log-log-")
         if v.decision == "diverges" and _is_zero_statistic(v):
             v = replace(v, notes=v.notes + (_zero_statistic_note(j),))
         levels.append(v)
@@ -1056,7 +1043,7 @@ def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
     stat = _quotient_statistic(term, w, 0, include_delta=True)
-    return _envelope_verdict(_measure(stat, policy, "one-sided"), w)
+    return _envelope_verdict(_measure(stat, policy), w)
 
 
 def _oscillates(values) -> bool:
@@ -1112,41 +1099,38 @@ def _envelope_verdict(m: _Measure, w: sc.ScaleFn) -> Verdict:
 
 def _scale_rungs(term, w, policy, trace):
     """Scaled-log at w, then escalation on a boundary limit or the
-    envelopes otherwise; both read the one scaled-log measure."""
-    v, m = _scaled_log(term, w, policy)
+    envelopes otherwise.
+
+    Each row reads a measure taken once: the envelope row reads the
+    scaled-log measure, and the two slow-divergence rows, the constant
+    reading before the hierarchy and the bound reading after it, read
+    one ln g measure.
+    """
+    m = _measure(_quotient_statistic(term, w, 0, include_delta=True), policy)
+    v = _limit_verdict(m, "scaled-log", w, 0, "log-ratio-")
     trace.append(v)
     if v.decisive:
         return v
     if v.reason == "statistic-at-boundary":
-        return _undecided_chain(term, w, policy, trace, m)
-    v = _envelope_verdict(m, w)
-    trace.append(v)
-    return v if v.decisive else None
-
-
-def _undecided_chain(term, w, policy, trace, m):
-    """Escalation once the scaled-log limit (measure m) lands on -1 at
-    scale w."""
-    v = slow_divergence_test(term, w, policy, mode="convergent")
-    trace.append(v)
-    if v.decisive:
-        return v
-    try:
-        levels = hierarchy_test(term, w, policy)
+        g = _measure(_slow_divergence_statistic(term, w), policy)
+        v = _constant_reading(g, w)
+        trace.append(v)
+        if v.decisive:
+            return v
+        try:
+            levels = hierarchy_test(term, w, policy)
+        except ExhaustedHierarchy as e:
+            levels = e.levels
         trace.extend(levels)
         if levels and levels[-1].decisive:
             return levels[-1]
-    except ExhaustedHierarchy as e:
-        trace.extend(e.levels)
-    v = slow_divergence_test(term, w, policy, mode="bound")
-    trace.append(v)
-    if v.decisive:
-        return v
+        v = _bound_reading(g, w)
+        trace.append(v)
+        if v.decisive:
+            return v
     v = _envelope_verdict(m, w)
     trace.append(v)
-    if v.decisive:
-        return v
-    return None
+    return v if v.decisive else None
 
 
 def analyze(seq, policy: AnalysisPolicy | None = None,
@@ -1162,14 +1146,9 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
     combo = term.log_combo()
-    symbolic_ok = combo is not None and combo.is_exact
-    if policy.backend == "symbolic" and not symbolic_ok:
-        raise LogLadderError(
-            "no exact log split; symbolic backend unavailable"
-        )
     backend = (
-        "symbolic" if symbolic_ok and policy.backend != "numeric"
-        else "numeric"
+        "symbolic" if combo is not None and combo.is_exact
+        and policy.backend != "numeric" else "numeric"
     )
     if isinstance(policy.scale, sc.Custom):
         w_report = policy.scale.check_assumptions()
@@ -1187,7 +1166,7 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
             if v.decisive:
                 final = v
             if final is None:
-                v, _ = _scaled_log(term, sc.Identity(), policy)
+                v = scaled_log_test(term, sc.Identity(), policy)
                 trace.append(v)
                 if v.decisive:
                     final = v

@@ -15,7 +15,6 @@ from logladder.errors import (
 )
 
 NUM = cr.AnalysisPolicy(backend="numeric")
-SYM = cr.AnalysisPolicy(backend="symbolic")
 
 
 # -- term sources ----------------------------------------------------------------
@@ -263,7 +262,7 @@ def test_analyze_discrepancy_warning():
 
 
 def test_analyze_symbolic_backend_deep():
-    rep = cr.analyze("1/(n*ln(n)*lnln(n)*lnlnln(n))", policy=SYM)
+    rep = cr.analyze("1/(n*ln(n)*lnln(n)*lnlnln(n))")
     assert rep.backend == "symbolic"
     assert rep.final.decision == "diverges"
     assert rep.final.level == 3
@@ -310,8 +309,9 @@ def test_analyze_mutated_prefix_invariance():
 def test_policy_validation():
     with pytest.raises(ValueError):
         cr.AnalysisPolicy(k_max=0)
-    with pytest.raises(ValueError):
-        cr.AnalysisPolicy(backend="psychic")
+    for backend in ("psychic", "symbolic"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            cr.AnalysisPolicy(backend=backend)
     # k_max past the tower budget is rejected at construction
     with pytest.raises(ValueError, match="exceeds the tower budget"):
         cr.AnalysisPolicy(k_max=99)
