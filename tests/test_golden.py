@@ -10,6 +10,10 @@ byte fails here. When such a change is intended, regenerate the file
 and say why in the change log:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Regeneration prints each case whose exit code or digest changed, and
+for a callable its old and new final decision, so that the changed
+cases can be reviewed before the file is committed.
 """
 
 import contextlib
@@ -106,7 +110,8 @@ def run_argv(argv):
 def run_callable(key):
     report = cr.analyze(cr.CallableTerm(_callable(key), n_start=2, text=key))
     rows = [cli._verdict_json(v) for v in report.trace + [report.final]]
-    return _sha(json.dumps(rows, sort_keys=True))
+    return {"final": report.final.decision,
+            "sha256": _sha(json.dumps(rows, sort_keys=True))}
 
 
 def _load():
@@ -129,13 +134,20 @@ def test_golden_callables():
 
 
 if __name__ == "__main__":
+    old = _load() if GOLDEN.exists() else {"argv": {}, "callables": {}}
     golden = {"argv": {}, "callables": {}}
     for case_id, argv in _argv_cases():
         code, digest = run_argv(argv)
-        golden["argv"][case_id] = {"argv": argv, "exit": code,
-                                   "sha256": digest}
+        new = golden["argv"][case_id] = {"argv": argv, "exit": code,
+                                         "sha256": digest}
+        was = old["argv"].get(case_id, {})
+        if was != new:
+            print(f"argv {case_id}: exit {was.get('exit')} -> {code}")
     for key in _callable_keys():
-        golden["callables"][key] = run_callable(key)
+        new = golden["callables"][key] = run_callable(key)
+        was = old["callables"].get(key, {})
+        if was != new:
+            print(f"callable {key}: {was.get('final')} -> {new['final']}")
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(golden['argv'])} argv and "
           f"{len(golden['callables'])} callable cases to {GOLDEN}")
