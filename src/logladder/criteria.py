@@ -416,12 +416,17 @@ def _index_drift(n: ExtScalar):
 
 def _quotient_drift(d: ExtScalar):
     """ln d/d and lnln d/d: the next hierarchy terms of a quotient with
-    denominator d > 0, with ln d floored at 1."""
+    denominator d > 0, the second read as 0 where ln d <= 0.
+
+    Neither term is floored: on a plain grid at w = ln every point below
+    n = 3.8e6 has d = lnln n < e, and a floored ln d would fit the drift
+    1/d there instead of ln d/d.
+    """
     ln_d = _ln_float(d)
     if math.isinf(ln_d):
         return 0.0, 0.0
-    ln_d, inv = max(ln_d, 1.0), math.exp(-ln_d)
-    return ln_d * inv, math.log(ln_d) * inv
+    inv = math.exp(-ln_d)
+    return ln_d * inv, math.log(ln_d) * inv if ln_d > 0 else 0.0
 
 
 # Forming n + 1 exactly takes log2(n) bits. Past this many a Raabe point

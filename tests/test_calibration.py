@@ -10,6 +10,7 @@ tends to 0.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,29 @@ def test_numeric_backend_never_decides_the_wrong_side(unshifted):
     print(f"numeric backend: {runs} runs, {len(wrong)} wrong, "
           f"{inconclusive} inconclusive")
     assert runs == 1032
+    assert wrong == []
+
+
+def _float_callable(ps):
+    def f(n):
+        v, x = 1.0, float(n)
+        for p in ps:
+            v *= x ** float(p)
+            x = math.log(x)
+        return v
+    return cr.CallableTerm(f, n_start=16)
+
+
+def test_float_callables_never_decide_the_wrong_side():
+    # Callables sample at w = ln on plain grids, where every point below
+    # n = 3.8e6 has a quotient denominator lnln n < e. With the drift
+    # terms floored there, (-1,-1,-1), (-1,-1,-1/2), (-1,-1/2,-2) and
+    # (-1,-1/2,-3/2) read "converges".
+    wrong = []
+    for ps in _tuples():
+        decision = cr.analyze(_float_callable(ps)).final.decision
+        if decision not in ("inconclusive", _classical(ps)):
+            wrong.append((ps, decision))
     assert wrong == []
 
 
