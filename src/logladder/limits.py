@@ -172,9 +172,8 @@ def _diverging(xs):
 
 def _least_squares(xs, eps):
     """Fit xs ~ a + b1*e1 + b2*e2 in closed form, the centred samples
-    in floats. Returns (a, the drift b1*e1 + b2*e2 at the last point,
-    the largest residual); e2 is dropped if the window cannot tell it
-    from e1."""
+    in floats. Returns (a, b1, b2, the largest residual); e2 is dropped
+    (b2 = 0) if the window cannot tell it from e1."""
     k = len(xs)
     mx = sum(xs) / k
     ys = [float(x - mx) for x in xs]
@@ -194,7 +193,7 @@ def _least_squares(xs, eps):
     elif s11 > 0:
         b1 = s1y / s11
     resid = max(abs(y - b1 * p - b2 * q) for y, p, q in zip(ys, u, v))
-    return mx - (b1 * m1 + b2 * m2), b1 * eps[-1][0] + b2 * eps[-1][1], resid
+    return mx - (b1 * m1 + b2 * m2), b1, b2, resid
 
 
 def _fit_limit(values, eps) -> LimitEstimate:
@@ -224,7 +223,9 @@ def _fit_limit(values, eps) -> LimitEstimate:
         if est := _diverging(xs):
             return est
         tail = pairs[len(pairs) // _LEAD_SHARE:]
-        a, drift, resid = _least_squares(*zip(*tail))
+        a, b1, b2, resid = _least_squares(*zip(*tail))
+        e1, e2 = tail[-1][1]
+        drift = b1 * e1 + b2 * e2
         if not resid <= _REL_TOL * max(abs(a), 1):
             return LimitEstimate("not_converged", samples_used=len(values))
         unc = abs(drift) + resid

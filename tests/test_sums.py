@@ -1,5 +1,6 @@
 """Summation oracle: direct sums, tail corrections, and rate fits."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,19 @@ def test_slope_check_slow_log():
     assert chk.passed
     assert chk.target == 1.0
     assert chk.observed[-1] == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("text", [
+    "1/(n*ln(n))", "1/((2*n+1)*ln(2*n+1))", "3/((n+1)*ln(2*n))",
+])
+def test_slope_check_slow_log_fits_the_constant(text):
+    rate = cr.analyze(text).final.rate
+    target = nm.to_float(rate.constant)
+    chk = sums.slope_check(text, rate, _CPS)
+    assert chk.passed
+    assert chk.fitted_constant == pytest.approx(target, rel=0.005)
+    off = replace(rate, constant=nm.from_value(1.1 * target))
+    assert sums.slope_check(text, off, _CPS).status == "fail"
 
 
 def test_slope_check_precise_tail():
