@@ -132,8 +132,7 @@ class ExprTerm(TermSource):
 
     def log_combo(self) -> LogCombo:
         if self._combo is None:
-            log_expr, _ = ex.log_transform(self.expression)
-            self._combo = ex.linearize(log_expr)
+            self._combo = ex.linearize(ex.log_transform(self.expression))
         return self._combo
 
 

@@ -908,15 +908,13 @@ def to_log_power(e: Expr) -> LogPowerForm | None:
 # -- log transform ----------------------------------------------------------
 
 
-def log_transform(e: Expr) -> tuple[Expr, list[Expr]]:
-    """Expression for ln(e), plus the subtrees that stayed opaque.
+def log_transform(e: Expr) -> Expr:
+    """Expression for ln(e).
 
     Precondition: e is positive on its domain. Products, quotients,
     powers, exp, and iterated logs transform exactly; anything else is
-    wrapped as ln(subtree) and reported in the opaque list.
+    wrapped as ln(subtree), which linearize splits further.
     """
-    opaque: list[Expr] = []
-
     def lt(x: Expr) -> Expr:
         if isinstance(x, Mul):
             return Add(lt(x.left), lt(x.right))
@@ -930,10 +928,9 @@ def log_transform(e: Expr) -> tuple[Expr, list[Expr]]:
             if isinstance(x, Const) and x.value <= 0:
                 raise DomainError("log transform of a non-positive constant")
             return iterln(1, x)
-        opaque.append(x)
         return IterLn(1, x)
 
-    return lt(e), opaque
+    return lt(e)
 
 
 # -- linearization ------------------------------------------------------------

@@ -89,7 +89,7 @@ class ScaleFn:
             raise ValueError("depth must be nonnegative")
         e = self.w_expr()
         for _ in range(depth):
-            e, _ = ex.log_transform(e)
+            e = ex.log_transform(e)
         return e
 
     def check_assumptions(self) -> AssumptionReport:

@@ -98,17 +98,14 @@ def test_to_log_power_reads_exponents():
 
 def test_linearize_log_transform_exact_combo():
     # ln of n^a (ln n)^b is a*ln(n) + b*lnln(n) exactly
-    log_expr, opaque = ex.log_transform(ex.parse("(ln(n))^3/n^2"))
-    assert not opaque
-    combo = ex.linearize(log_expr)
+    combo = ex.linearize(ex.log_transform(ex.parse("(ln(n))^3/n^2")))
     assert combo.is_exact
     assert combo.coeffs == {1: Fraction(-2), 2: Fraction(3)}
     assert combo.const == 0
 
 
 def test_combo_leading_and_scaled():
-    log_expr, _ = ex.log_transform(ex.parse("(ln(n))^3/n^2"))
-    combo = ex.linearize(log_expr)
+    combo = ex.linearize(ex.log_transform(ex.parse("(ln(n))^3/n^2")))
     depth, coeff = combo.leading()
     assert (depth, coeff) == (1, Fraction(-2))
     doubled = combo.scaled(Fraction(2))
@@ -116,16 +113,15 @@ def test_combo_leading_and_scaled():
 
 
 def test_combo_merged_cancels():
-    a = ex.linearize(ex.log_transform(ex.parse("1/n"))[0])
-    b = ex.linearize(ex.log_transform(ex.parse("n"))[0])
+    a = ex.linearize(ex.log_transform(ex.parse("1/n")))
+    b = ex.linearize(ex.log_transform(ex.parse("n")))
     merged = a.merged(b, 1)
     assert merged.leading() is None  # full cancellation
     assert merged.const == 0
 
 
 def test_constant_factor_lands_in_const_logs():
-    log_expr, _ = ex.log_transform(ex.parse("2/(n*ln(n))"))
-    combo = ex.linearize(log_expr)
+    combo = ex.linearize(ex.log_transform(ex.parse("2/(n*ln(n))")))
     assert combo.is_exact
     got = nm.to_float(combo.const_value())
     assert got == pytest.approx(float(mp.log(2)), rel=1e-12)
@@ -134,8 +130,7 @@ def test_constant_factor_lands_in_const_logs():
 def test_eval_matches_combo_eval():
     # the linear form evaluates to ln(a_n)
     e = ex.parse("(ln(n))^2/n^3")
-    log_expr, _ = ex.log_transform(e)
-    combo = ex.linearize(log_expr)
+    combo = ex.linearize(ex.log_transform(e))
     n = nm.from_value(10**5)
     direct = nm.ext_ln(ex.eval_expr(e, n))
     linear = nm.from_value(combo.const)
@@ -154,7 +149,7 @@ def test_eval_matches_combo_eval():
 
 
 def _term_combo(text):
-    return ex.linearize(ex.log_transform(ex.parse(text))[0])
+    return ex.linearize(ex.log_transform(ex.parse(text)))
 
 
 @pytest.mark.parametrize("text", [
