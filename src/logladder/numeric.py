@@ -25,7 +25,6 @@ since no digits of the true difference are known.
 
 from __future__ import annotations
 
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -335,18 +334,11 @@ ZERO = ExtScalar(0, 0, mp.mpf(0))
 ONE = ExtScalar(1, 0, mp.mpf(1))
 
 
-_TOWER_RE = re.compile(r"^exp\^(\d+)\((.+)\)$")
-
-
 def parse_scalar(text: str) -> ExtScalar:
-    """Parse 'exp^h(r)' tower syntax or a plain decimal."""
-    s = text.strip()
-    m = _TOWER_RE.match(s)
+    """Parse a plain decimal."""
     try:
         with _Working():
-            if m:
-                return ExtScalar.tower(int(m.group(1)), mp.mpf(m.group(2)))
-            return _plain(mp.mpf(s))
+            return _plain(mp.mpf(text.strip()))
     except (ValueError, TypeError):
         raise ParseError(f"not a scalar: {text!r}") from None
 

@@ -8,13 +8,19 @@ import pytest
 from mpmath import mp
 
 from logladder import numeric as nm
-from logladder.errors import DivisionByZero, RangeError
+from logladder.errors import DivisionByZero, ParseError, RangeError
 
 
 def test_from_value_roundtrip():
     for v in (0, 1, -3, Fraction(2, 7), 1.25, "3.5"):
         x = nm.from_value(v)
         assert nm.to_float(x) == pytest.approx(float(Fraction(v)), rel=1e-15)
+
+
+@pytest.mark.parametrize("text", ["", "abc", "exp^2(3)"])
+def test_from_value_rejects_non_decimal_strings(text):
+    with pytest.raises(ParseError, match="not a scalar"):
+        nm.from_value(text)
 
 
 def test_zero_one_constants():
