@@ -77,6 +77,23 @@ def _argv_cases():
     cases.append(("sum:partial", ["sum", "1/(n*ln(n+1))", "20000", "--json"]))
     cases.append(("sum:tail", ["sum", "n^(-3/2)", "20000", "--tail-from",
                                "100"]))
+    # The oracle: one verify per rate-template family, a failing claim,
+    # a text report, the per-term precise path and running totals.
+    for text in ("1/n^2", "n^(-1/2)", "(ln(n))^2/n", "(ln(n))^(-2)/n",
+                 "1/(n*ln(n))", "1/((2*n+1)*ln(2*n+1))",
+                 "(lnln(n))^2/(n*ln(n))"):
+        cases.append((f"verify:{text}", ["verify", text, "--json"]))
+    cases.append(("verify:fail", ["verify", "1/(n*ln(n))", "--tolerance",
+                                  "0.00001"]))
+    cases.append(("verify:text", ["verify", "n^(-3/2)"]))
+    cases.append(("sum:precise", ["sum", "1/n^2", "2000", "--precision",
+                                  "128", "--json"]))
+    cases.append(("sum:precise-tail", ["sum", "n^(-3/2)", "2000",
+                                       "--tail-from", "100", "--precision",
+                                       "96", "--json"]))
+    cases.append(("sum:checkpoints", ["sum", "1/(n*ln(n))", "10000",
+                                      "--checkpoints", "10", "100", "1000",
+                                      "10000"]))
     return cases
 
 
