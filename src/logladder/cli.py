@@ -38,13 +38,6 @@ __all__ = ["RunConfig", "main"]
 SCHEMA_VERSION = "1"
 
 _VERIFY_CHECKPOINTS = (10**4, 10**5, 10**6, 10**7)
-_VERIFY_TOLERANCE = {
-    "precise-tail": 0.001,
-    "precise-partial": 0.001,
-    "slow-log": 0.02,
-    "slow-log-bound": 0.02,
-}
-_DEFAULT_RATIO_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -353,15 +346,10 @@ def _cmd_verify(args) -> int:
         return 2
     checkpoints = args.checkpoints or list(_VERIFY_CHECKPOINTS)
     checkpoints = [c for c in checkpoints if c <= config.budget]
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = _VERIFY_TOLERANCE.get(
-            final.rate.template, _DEFAULT_RATIO_TOLERANCE
-        )
     try:
         check = sums.slope_check(
             config.expression, final.rate, checkpoints,
-            tolerance=tolerance, budget=config.budget,
+            tolerance=args.tolerance, budget=config.budget,
             params=config.params or None,
         )
         if args.csv:

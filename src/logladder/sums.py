@@ -30,7 +30,7 @@ import csv
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from mpmath import mp
@@ -70,6 +70,17 @@ _MAX_WORKERS = 4
 # below it the template is unverifiable at desk scale (the deep-log
 # comparison functions are essentially constant below any budget).
 SIGNAL_EFOLDS = 0.5
+
+# Pass tolerance of each rate template: relative for the precise ratio
+# and the slow-log constant, scaled by max(1, |target|) for the fitted
+# exponents of the log-ratio and log-log templates.
+_TOLERANCE = {
+    "precise-tail": 0.001,
+    "precise-partial": 0.001,
+    "slow-log": 0.02,
+    "slow-log-bound": 0.02,
+}
+_RATIO_TOLERANCE = 0.05
 
 _TERM_BITS = 53
 _ACC_BITS = 160
@@ -365,11 +376,13 @@ def _start_index(term) -> int:
     return int(mp.ceil(v))
 
 
-def _run(term, n0: int, N: int, budget: int, cuts=()):
+def _run(term, n0: int, N: int, budget: int, cuts=(),
+         bits: int = _TERM_BITS):
     """Sum a_n for n in [n0, N], recording totals at the cut indices.
 
     Returns (final total, [(cut, running total)], n_terms), everything
-    in mpf at the accumulator precision.
+    in mpf at the accumulator precision. Above 53 bits the terms are
+    evaluated one by one in _run_precise instead.
     """
     if N < n0:
         raise ValueError(f"empty summation range [{n0}, {N}]")
@@ -378,8 +391,11 @@ def _run(term, n0: int, N: int, budget: int, cuts=()):
         raise BudgetExceededError(
             f"{n_terms} term evaluations exceed the budget of {budget}"
         )
+    cuts = sorted(set(int(c) for c in cuts))
+    if bits > _TERM_BITS:
+        return _run_precise(term, n0, N, bits, cuts)
     evaluate = partial(_chunk_total, _chunk_evaluator(term), term.text)
-    spans = _spans(n0, N, sorted(set(int(c) for c in cuts)))
+    spans = _spans(n0, N, cuts)
     with mp.workprec(_ACC_BITS):
         # Terms are evaluated at the accumulator precision (it matters to
         # callables that use mpmath), but only this thread touches mpf
@@ -395,14 +411,8 @@ def _run(term, n0: int, N: int, budget: int, cuts=()):
         return running, at_cuts, n_terms
 
 
-def _run_precise(term, n0: int, N: int, budget: int, bits: int, cuts=()):
+def _run_precise(term, n0: int, N: int, bits: int, cuts):
     """Per-term high-precision path; meant for modest ranges only."""
-    n_terms = N - n0 + 1
-    if n_terms > budget:
-        raise BudgetExceededError(
-            f"{n_terms} term evaluations exceed the budget of {budget}"
-        )
-    cuts = sorted(set(int(c) for c in cuts))
     at_cuts = []
     ci = 0
     with nm.local_precision(bits), nm._Working():
@@ -417,13 +427,21 @@ def _run_precise(term, n0: int, N: int, budget: int, bits: int, cuts=()):
             if ci < len(cuts) and n == cuts[ci]:
                 at_cuts.append((n, running))
                 ci += 1
-        return running, at_cuts, n_terms
+        return running, at_cuts, N - n0 + 1
 
 
-def _roundoff(n_terms: int, value, bits: int) -> ExtScalar:
+def _window(term, n0: int, N: int, budget: int, precision: int) -> SumResult:
+    """Sum the terms n0..N, each evaluated at max(precision, 53) bits."""
+    bits = max(precision, _TERM_BITS)
+    total, _, n_terms = _run(term, n0, N, budget, bits=bits)
     with mp.workprec(_ACC_BITS):
-        bound = mp.mpf(n_terms) * mp.mpf(2) ** (1 - bits) * abs(value)
-    return nm.from_value(bound)
+        roundoff = mp.mpf(n_terms) * mp.mpf(2) ** (1 - bits) * abs(total)
+    return SumResult(
+        n_terms=n_terms,
+        value=nm.from_value(total),
+        estimated_roundoff=nm.from_value(roundoff),
+        precision_bits=bits,
+    )
 
 
 # -- public operations ----------------------------------------------------------
@@ -433,20 +451,7 @@ def partial_sum(seq, N, budget: int = DEFAULT_BUDGET,
                 precision: int = _TERM_BITS, params=None) -> SumResult:
     """Sum the terms from the sequence's first index through N."""
     term = cr._as_term(seq, params)
-    start = _start_index(term)
-    N = int(N)
-    if precision > _TERM_BITS:
-        total, _, n_terms = _run_precise(term, start, N, budget, precision)
-        bits = precision
-    else:
-        total, _, n_terms = _run(term, start, N, budget)
-        bits = _TERM_BITS
-    return SumResult(
-        n_terms=n_terms,
-        value=nm.from_value(total),
-        estimated_roundoff=_roundoff(n_terms, total, bits),
-        precision_bits=bits,
-    )
+    return _window(term, _start_index(term), int(N), budget, precision)
 
 
 def _fitted_remainder(term, N: int):
@@ -490,22 +495,10 @@ def tail_sum(seq, n, N, budget: int = DEFAULT_BUDGET,
     n, N = int(n), int(N)
     if not n < N:
         raise ValueError("tail window needs n < N")
-    if precision > _TERM_BITS:
-        total, _, n_terms = _run_precise(term, n, N, budget, precision)
-        bits = precision
-    else:
-        total, _, n_terms = _run(term, n, N, budget)
-        bits = _TERM_BITS
+    result = _window(term, n, N, budget, precision)
     rem, note = _fitted_remainder(term, N)
     corr = nm.from_value(rem) if rem is not None else None
-    return SumResult(
-        n_terms=n_terms,
-        value=nm.from_value(total),
-        estimated_roundoff=_roundoff(n_terms, total, bits),
-        precision_bits=bits,
-        truncation_correction=corr,
-        note=note,
-    )
+    return replace(result, truncation_correction=corr, note=note)
 
 
 def checkpoint_sums(seq, checkpoints, budget: int = DEFAULT_BUDGET,
@@ -583,19 +576,7 @@ def _slow_log_constant(w, cps, absc, sums) -> float:
     return lm._least_squares(sums, list(zip(absc, e1)))[1]
 
 
-def _insufficient(prediction, cps, tolerance, note) -> RateCheck:
-    return RateCheck(
-        template=prediction.template,
-        status="insufficient-signal",
-        target=None,
-        observed=(),
-        tolerance=tolerance,
-        checkpoints=tuple(cps),
-        note=note,
-    )
-
-
-def slope_check(seq, prediction, checkpoints, tolerance: float = 0.02,
+def slope_check(seq, prediction, checkpoints, tolerance: float | None = None,
                 budget: int = DEFAULT_BUDGET, params=None) -> RateCheck:
     """Fit the predicted growth template against checkpoint sums.
 
@@ -604,9 +585,12 @@ def slope_check(seq, prediction, checkpoints, tolerance: float = 0.02,
     S(N) = C ln w(N) + c0 + c1 e1(N) (or, when the prediction leaves
     the constant open, demand a stable last slope). The log-ratio and
     log-log templates fit consecutive slopes of ln(sum) against the
-    template's comparison log, targeting order + 1. Precise templates
-    report the ratio of the sum to the predicted value, targeting 1.
-    Tail templates work on S(last) - S(N) plus a fitted remainder.
+    template's comparison log, targeting order + 1; their tail forms
+    fit the exponent from the ratios of adjacent checkpoint windows.
+    Precise templates report the ratio of the sum to the predicted
+    value, targeting 1; precise-tail works on S(last) - S(N) plus a
+    fitted remainder. tolerance defaults to the template's own:
+    0.001 precise, 0.02 slow-log, 0.05 log-ratio and log-log.
     """
     term = cr._as_term(seq, params)
     cps = sorted(set(int(c) for c in checkpoints))
@@ -618,161 +602,102 @@ def slope_check(seq, prediction, checkpoints, tolerance: float = 0.02,
     precise = template in ("precise-tail", "precise-partial")
     if not (ratio_fit or slow or precise):
         raise ValueError(f"no fit procedure for template {template!r}")
+    if tolerance is None:
+        tolerance = _TOLERANCE.get(template, _RATIO_TOLERANCE)
+    tail = prediction.sum_kind == "tail"
 
-    if ratio_fit or slow:
+    def result(status, target=None, observed=(), used=cps, fitted=None,
+               note=""):
+        return RateCheck(
+            template=template,
+            status=status,
+            target=target,
+            observed=tuple(observed),
+            tolerance=tolerance,
+            checkpoints=tuple(used),
+            fitted_constant=fitted,
+            note=note,
+        )
+
+    if not precise:
         absc = [nm.to_float(prediction.normalizer(c)) for c in cps]
         moved = absc[-1] - absc[0]
         if not all(math.isfinite(x) for x in absc) or moved < SIGNAL_EFOLDS:
-            return _insufficient(
-                prediction, cps, tolerance,
-                f"comparison log moves {moved:.3f} e-folds over the "
-                f"checkpoints, below the {SIGNAL_EFOLDS} needed to fit",
+            return result(
+                "insufficient-signal",
+                note=f"comparison log moves {moved:.3f} e-folds over the "
+                     f"checkpoints, below the {SIGNAL_EFOLDS} needed to fit",
             )
+    if ratio_fit:
+        if prediction.exponent is None:
+            return result("insufficient-signal",
+                          note="prediction carries no exponent")
+        target = nm.to_float(prediction.exponent)
 
     rows = checkpoint_sums(term, cps, budget=budget)
     sums = [nm.to_float(s) for _, s in rows]
-    note = ""
-    tail = prediction.sum_kind == "tail"
+
+    if precise:
+        used, vals, note = cps, sums, ""
+        if tail:
+            rem, note = _fitted_remainder(term, cps[-1])
+            rem = float(rem) if rem is not None else 0.0
+            used = cps[:-1]
+            vals = [sums[-1] - s + rem for s in sums[:-1]]
+            if any(v <= 0 for v in vals):
+                return result("insufficient-signal",
+                              note="tail window vanishes at these checkpoints")
+        preds = [nm.to_float(prediction.predicted_sum(term, c)) for c in used]
+        if any(not math.isfinite(p) or p <= 0 for p in preds):
+            return result("insufficient-signal",
+                          note="prediction not evaluable at the checkpoints")
+        observed = [v / p for v, p in zip(vals, preds)]
+        ok = _rel_err(observed[-1], 1.0) <= tolerance
+        return result("pass" if ok else "fail", 1.0, observed, used,
+                      note=note)
 
     if ratio_fit and tail:
         # The total is not summable at budget, so fit the checkpoint
         # windows instead; their ratios pin the tail exponent without
         # an additive remainder estimate.
-        absc = [nm.to_float(prediction.normalizer(c)) for c in cps]
         wins = [b - a for a, b in zip(sums, sums[1:])]
         if any(w <= 0 for w in wins):
-            return _insufficient(
-                prediction, cps, tolerance,
-                "tail windows vanish at these checkpoints",
-            )
-        qs = []
+            return result("insufficient-signal",
+                          note="tail windows vanish at these checkpoints")
+        observed = []
         for k in range(len(wins) - 1):
             q = _triple_exponent(
                 wins[k], wins[k + 1], absc[k], absc[k + 1], absc[k + 2]
             )
             if q is None:
-                return RateCheck(
-                    template=template,
-                    status="fail",
-                    target=nm.to_float(prediction.exponent)
-                    if prediction.exponent is not None else None,
-                    observed=(),
-                    tolerance=tolerance,
-                    checkpoints=tuple(cps),
+                return result(
+                    "fail", target,
                     note="window ratios fall outside the decaying "
                          "template family",
                 )
-            qs.append(q)
-        if prediction.exponent is None:
-            return _insufficient(
-                prediction, cps, tolerance, "prediction carries no exponent"
-            )
-        target = nm.to_float(prediction.exponent)
-        ok = abs(qs[-1] - target) <= tolerance * max(1.0, abs(target))
-        return RateCheck(
-            template=template,
-            status="pass" if ok else "fail",
-            target=target,
-            observed=tuple(qs),
-            tolerance=tolerance,
-            checkpoints=tuple(cps),
-        )
-
-    if tail:
-        rem, note = _fitted_remainder(term, cps[-1])
-        rem = float(rem) if rem is not None else 0.0
-        vals = [sums[-1] - s + rem for s in sums[:-1]]
-        cps_used = cps[:-1]
-        if any(v <= 0 for v in vals):
-            return _insufficient(
-                prediction, cps, tolerance,
-                "tail window vanishes at these checkpoints",
-            )
+            observed.append(q)
     else:
-        vals = sums
-        cps_used = cps
-
-    if precise:
-        preds = [
-            nm.to_float(prediction.predicted_sum(term, c)) for c in cps_used
+        series = sums if slow else [math.log(v) for v in sums]
+        observed = [
+            (b - a) / (y - x)
+            for a, b, x, y in zip(series, series[1:], absc, absc[1:])
         ]
-        if any(not math.isfinite(p) or p <= 0 for p in preds):
-            return _insufficient(
-                prediction, cps, tolerance,
-                "prediction not evaluable at the checkpoints",
-            )
-        observed = tuple(v / p for v, p in zip(vals, preds))
-        ok = _rel_err(observed[-1], 1.0) <= tolerance
-        return RateCheck(
-            template=template,
-            status="pass" if ok else "fail",
-            target=1.0,
-            observed=observed,
-            tolerance=tolerance,
-            checkpoints=tuple(cps_used),
-            note=note,
-        )
 
-    absc_used = [nm.to_float(prediction.normalizer(c)) for c in cps_used]
-    if len(cps_used) < 3:
-        return _insufficient(
-            prediction, cps, tolerance, "too few usable checkpoints"
-        )
+    if slow and prediction.constant is not None:
+        target = nm.to_float(prediction.constant)
+        fitted = _slow_log_constant(prediction.scale, cps, absc, sums)
+        ok = _rel_err(fitted, target) <= tolerance
+        return result("pass" if ok else "fail", target, observed,
+                      fitted=fitted)
     if slow:
-        series = vals
-    else:
-        series = [math.log(v) for v in vals]
-    slopes = tuple(
-        (b - a) / (y - x)
-        for a, b, x, y in zip(series, series[1:], absc_used, absc_used[1:])
-    )
-
-    if slow:
-        if prediction.constant is not None:
-            target = nm.to_float(prediction.constant)
-            fitted = _slow_log_constant(prediction.scale, cps_used,
-                                        absc_used, vals)
-            ok = _rel_err(fitted, target) <= tolerance
-            return RateCheck(
-                template=template,
-                status="pass" if ok else "fail",
-                target=target,
-                observed=slopes,
-                tolerance=tolerance,
-                checkpoints=tuple(cps_used),
-                fitted_constant=fitted,
-                note=note,
-            )
         # Constant left open: fit it, demand a stable positive slope.
         stable = (
-            slopes[-1] > 0
-            and abs(slopes[-1] - slopes[-2])
-            <= tolerance * max(abs(slopes[-1]), 1e-12)
+            observed[-1] > 0
+            and abs(observed[-1] - observed[-2])
+            <= tolerance * max(abs(observed[-1]), 1e-12)
         )
-        return RateCheck(
-            template=template,
-            status="pass" if stable else "fail",
-            target=None,
-            observed=slopes,
-            tolerance=tolerance,
-            checkpoints=tuple(cps_used),
-            fitted_constant=slopes[-1],
-            note=note or "constant fitted from the last slope",
-        )
-
-    exp_est = prediction.exponent
-    if exp_est is None:
-        return _insufficient(
-            prediction, cps, tolerance, "prediction carries no exponent"
-        )
-    target = nm.to_float(exp_est)
-    ok = abs(slopes[-1] - target) <= tolerance * max(1.0, abs(target))
-    return RateCheck(
-        template=template,
-        status="pass" if ok else "fail",
-        target=target,
-        observed=slopes,
-        tolerance=tolerance,
-        checkpoints=tuple(cps_used),
-        note=note,
-    )
+        return result("pass" if stable else "fail", None, observed,
+                      fitted=observed[-1],
+                      note="constant fitted from the last slope")
+    ok = abs(observed[-1] - target) <= tolerance * max(1.0, abs(target))
+    return result("pass" if ok else "fail", target, observed)
