@@ -393,14 +393,24 @@ def _cmd_sum(args) -> int:
         nm.Precision(config.precision or 64)  # 0 keeps the default
     except ValueError as e:
         raise _StageError("policy validation", e)
-    if args.checkpoints and max(args.checkpoints) > args.upto:
-        raise _StageError("input parsing", ParseError(
-            f"checkpoint {max(args.checkpoints)} is past UPTO={args.upto}"
-        ))
+    # Running totals are float64 sums from the first index, so an
+    # option the checkpoint path would ignore is an input error.
+    cps = args.checkpoints
+    problem = None
+    if cps and max(cps) > args.upto:
+        problem = f"checkpoint {max(cps)} is past UPTO={args.upto}"
+    elif cps and args.tail_from is not None:
+        problem = "--tail-from does not apply to --checkpoints"
+    elif cps and config.precision:
+        problem = "--precision does not apply to --checkpoints"
+    elif args.csv and not cps:
+        problem = "--csv writes checkpoint rows and needs --checkpoints"
+    if problem:
+        raise _StageError("input parsing", ParseError(problem))
     try:
-        if args.checkpoints:
+        if cps:
             rows = sums.checkpoint_sums(
-                config.expression, args.checkpoints, budget=config.budget,
+                config.expression, cps, budget=config.budget,
                 params=config.params or None,
             )
             if args.csv:
@@ -618,10 +628,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoints", type=int, nargs="+", default=None,
-        help="report running totals at these indices (none past UPTO) "
-             "instead",
+        help="report float64 running totals from the first index at "
+             "these indices (none past UPTO) instead; takes no --tail-from "
+             "or --precision",
     )
-    p.add_argument("--csv", default=None, help="write checkpoints as CSV")
+    p.add_argument(
+        "--csv", default=None,
+        help="write the checkpoint totals as CSV (needs --checkpoints)",
+    )
     p.set_defaults(fn=_cmd_sum)
 
     p = sub.add_parser(

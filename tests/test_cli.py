@@ -174,6 +174,31 @@ def test_sum_checkpoints_past_upto_rejected(capsys):
     assert "2000" in err
 
 
+@pytest.mark.parametrize("extra, option", [
+    (["--checkpoints", "10", "100", "--tail-from", "50"], "--tail-from"),
+    (["--checkpoints", "10", "100", "--precision", "128"], "--precision"),
+    (["--csv", "unused.csv"], "--csv"),
+])
+def test_sum_rejects_options_it_would_ignore(capsys, tmp_path,
+                                             monkeypatch, extra, option):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["sum", "1/n^2", "1000"] + extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: ")
+    assert option in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_sum_precise_empty_range_is_an_error(capsys):
+    code, out, err = run(capsys, ["sum", "1/n^2", "0", "--precision", "128"])
+    assert code == 1
+    assert out == ""
+    assert err.strip() == (
+        "error in oracle summation: empty summation range [1, 0]"
+    )
+
+
 def test_sum_has_no_method_option(capsys):
     code, out, err = run(capsys, [
         "sum", "1/n^2", "10", "--method", "pairwise",

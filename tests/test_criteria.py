@@ -283,6 +283,31 @@ def test_analyze_pinned_deep_scale():
     assert rep.final.exact_value == Fraction(0)
 
 
+def _pinned(text, w):
+    return cr.analyze(text, cr.AnalysisPolicy(scale=sc.parse_scale(w))).final
+
+
+@pytest.mark.parametrize("custom, catalog, text", [
+    ("expr:ln(n)", "ln", "1/n^2"),
+    ("expr:ln(n)", "ln", "1/(n*ln(n)^2)"),
+    ("expr:ln(n)", "ln", "1/(n*ln(n))"),
+    ("expr:ln(n)", "ln", "2/(n*ln(n))"),
+    ("expr:n", "n", "1/(n*ln(n))"),
+    ("expr:n^(1/2)", "pow:1/2", "1/(n*ln(n))"),
+])
+def test_custom_scale_decides_like_catalog(custom, catalog, text):
+    # A custom scale has no exact increment split, so it takes the
+    # sampled increment (Custom.delta) where the catalog scale is exact.
+    got, want = _pinned(text, custom), _pinned(text, catalog)
+    assert (got.decision, got.test_id, got.level) == (
+        want.decision, want.test_id, want.level)
+    if want.rate is not None and want.rate.constant is not None:
+        assert nm.to_float(got.rate.constant) == pytest.approx(
+            nm.to_float(want.rate.constant), rel=1e-3)
+    if custom != "expr:ln(n)":
+        assert (got.decision, got.level) == ("diverges", 2)
+
+
 def test_analyze_pinned_identity_on_geometric():
     pol = cr.AnalysisPolicy(scale=sc.Identity())
     rep = cr.analyze("exp(-n/2)", pol)
