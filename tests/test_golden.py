@@ -1,7 +1,7 @@
 """Golden lock: reports stay byte-identical across refactors.
 
-Each case stores the exit code and the sha256 of stdout of one
-``logladder`` argv, or the sha256 of the JSON rows (trace plus final
+Each case stores the exit code and the sha256 of stdout and of stderr
+of one ``logladder`` argv, or the sha256 of the JSON rows (trace plus final
 verdict) that ``analyze`` gives for a float callable. Callables reach
 the raw samplers, which expression input never does.
 
@@ -94,6 +94,20 @@ def _argv_cases():
     cases.append(("sum:checkpoints", ["sum", "1/(n*ln(n))", "10000",
                                       "--checkpoints", "10", "100", "1000",
                                       "10000"]))
+    # Bytes decided by the tree walks (parameters, powers, iterated-log
+    # thresholds) and by the custom-scale assumption check.
+    bertrand = "n^t*(ln(n))^s"
+    cases.append(("walk:params", ["analyze", bertrand, "--param", "t=-1",
+                                  "--param", "s=-2"]))
+    cases.append(("walk:unbound", ["analyze", bertrand]))
+    cases.append(("walk:power", ["analyze", "n^n"]))
+    cases.append(("walk:thresholds", ["analyze",
+                                      "1/(n*log_5(n+3)*lnln(2*n+7))"]))
+    for w in ("n^a", "1/n", "2^n"):
+        cases.append((f"scale:expr:{w}", ["analyze", "1/n^2", "--w",
+                                          f"expr:{w}"]))
+    cases.append(("scale:expr:ln(n)", ["analyze", "1/(n*ln(n))", "--w",
+                                       "expr:ln(n)"]))
     return cases
 
 
@@ -117,11 +131,11 @@ def _sha(text):
 
 
 def run_argv(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return code, _sha(out.getvalue())
+    return {"exit": code, "sha256": _sha(out.getvalue()),
+            "stderr_sha256": _sha(err.getvalue())}
 
 
 def run_callable(key):
@@ -139,9 +153,8 @@ def _load():
                          ids=[c[0] for c in _argv_cases()])
 def test_golden_argv(case_id, argv):
     want = _load()["argv"][case_id]
-    assert want["argv"] == argv
-    code, digest = run_argv(argv)
-    assert (code, digest) == (want["exit"], want["sha256"])
+    assert want.pop("argv") == argv
+    assert run_argv(argv) == want
 
 
 def test_golden_callables():
@@ -154,12 +167,10 @@ if __name__ == "__main__":
     old = _load() if GOLDEN.exists() else {"argv": {}, "callables": {}}
     golden = {"argv": {}, "callables": {}}
     for case_id, argv in _argv_cases():
-        code, digest = run_argv(argv)
-        new = golden["argv"][case_id] = {"argv": argv, "exit": code,
-                                         "sha256": digest}
+        new = golden["argv"][case_id] = {"argv": argv, **run_argv(argv)}
         was = old["argv"].get(case_id, {})
         if was != new:
-            print(f"argv {case_id}: exit {was.get('exit')} -> {code}")
+            print(f"argv {case_id}: exit {was.get('exit')} -> {new['exit']}")
     for key in _callable_keys():
         new = golden["callables"][key] = run_callable(key)
         was = old["callables"].get(key, {})
