@@ -44,7 +44,6 @@ from .errors import (
     ExhaustedHierarchy,
     PositivityViolation,
     RangeError,
-    UnboundParameterError,
 )
 from .expr import LogCombo
 from .numeric import ExtScalar
@@ -114,9 +113,6 @@ class ExprTerm(TermSource):
             k: ex._as_fraction(v) for k, v in (params or {}).items()
         }
         bound = ex.bind(expression, self.params)
-        free = ex.free_params(bound)
-        if free:
-            raise UnboundParameterError(free)
         self.expression = bound
         self.text = text if text is not None else ex.format_expr(bound)
         self._n_start = ex.domain_start(bound)

@@ -29,7 +29,7 @@ terms cancel in exact arithmetic instead of floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, UnboundParameterError
@@ -133,6 +133,23 @@ class IterLn(Expr):
     arg: Expr
 
 
+def _subtrees(e: Expr) -> dict[str, Expr]:
+    """The subtrees of e by field name, in field order: the dataclass
+    fields of the node that are expressions. Every generic walk over a
+    tree reads a node's subtrees here and nowhere else."""
+    return {k: v for k, v in vars(e).items() if isinstance(v, Expr)}
+
+
+def _walk(e: Expr):
+    """Every node of e, each before its subtrees, left to right. The
+    walk keeps its own stack, so it needs no frame per tree level."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(reversed(_subtrees(x).values()))
+
+
 def iterln(count: int, arg: Expr) -> Expr:
     """IterLn constructor that flattens nesting and drops count == 0."""
     if count < 0:
@@ -233,9 +250,7 @@ def _depth(e: Expr) -> int:
         if isinstance(x, IterLn):
             d += x.count - 1
         deepest = max(deepest, d)
-        stack.extend(
-            (c, d + 1) for c in vars(x).values() if isinstance(c, Expr)
-        )
+        stack.extend((c, d + 1) for c in _subtrees(x).values())
     return deepest
 
 
@@ -320,34 +335,16 @@ def _parse_atom(lx: _Lexer) -> Expr:
 
 
 def contains_var(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, (Const, Param)):
-        return False
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return contains_var(e.left) or contains_var(e.right)
-    if isinstance(e, Pow):
-        return contains_var(e.base) or contains_var(e.exponent)
-    if isinstance(e, Exp):
-        return contains_var(e.arg)
-    if isinstance(e, IterLn):
-        return contains_var(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    return any(isinstance(x, Var) for x in _walk(e))
 
 
 def _validate_powers(e: Expr) -> None:
-    if isinstance(e, Pow):
-        if contains_var(e.exponent) and contains_var(e.base):
+    for x in _walk(e):
+        if (isinstance(x, Pow) and contains_var(x.exponent)
+                and contains_var(x.base)):
             raise ParseError(
                 "power needs an n-free exponent or an n-free base"
             )
-        _validate_powers(e.base)
-        _validate_powers(e.exponent)
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        _validate_powers(e.left)
-        _validate_powers(e.right)
-    elif isinstance(e, (Exp, IterLn)):
-        _validate_powers(e.arg)
 
 
 # -- formatting --------------------------------------------------------------
@@ -430,17 +427,7 @@ def format_expr(e: Expr) -> str:
 
 
 def free_params(e: Expr) -> set[str]:
-    if isinstance(e, Param):
-        return {e.name}
-    if isinstance(e, (Const, Var)):
-        return set()
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_params(e.left) | free_params(e.right)
-    if isinstance(e, Pow):
-        return free_params(e.base) | free_params(e.exponent)
-    if isinstance(e, (Exp, IterLn)):
-        return free_params(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    return {x.name for x in _walk(e) if isinstance(x, Param)}
 
 
 def _as_fraction(v) -> Fraction:
@@ -461,28 +448,16 @@ def bind(e: Expr, params: dict) -> Expr:
 
     def walk(x: Expr) -> Expr:
         if isinstance(x, Param):
-            if x.name in values:
-                return Const(values[x.name])
-            return x
-        if isinstance(x, (Const, Var)):
-            return x
-        if isinstance(x, Add):
-            return Add(walk(x.left), walk(x.right))
-        if isinstance(x, Sub):
-            return Sub(walk(x.left), walk(x.right))
-        if isinstance(x, Mul):
-            return Mul(walk(x.left), walk(x.right))
-        if isinstance(x, Div):
-            return Div(walk(x.left), walk(x.right))
-        if isinstance(x, Pow):
-            return Pow(walk(x.base), walk(x.exponent))
-        if isinstance(x, Exp):
-            return Exp(walk(x.arg))
-        if isinstance(x, IterLn):
-            return IterLn(x.count, walk(x.arg))
-        raise TypeError(f"not an expression node: {x!r}")
+            return Const(values[x.name]) if x.name in values else x
+        # a subtree without a bound parameter is kept as it is
+        changed = {}
+        for k, c in _subtrees(x).items():
+            new = walk(c)
+            if new is not c:
+                changed[k] = new
+        return replace(x, **changed) if changed else x
 
-    return walk(e)
+    return walk(e) if values else e
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -529,23 +504,7 @@ def eval_expr(e: Expr, n) -> ExtScalar:
 
 def _ln_thresholds(e: Expr) -> list[tuple[int, Expr]]:
     """All (count, argument) pairs of iterated-log nodes in e."""
-    out = []
-
-    def walk(x: Expr):
-        if isinstance(x, IterLn):
-            out.append((x.count, x.arg))
-            walk(x.arg)
-        elif isinstance(x, (Add, Sub, Mul, Div)):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, Pow):
-            walk(x.base)
-            walk(x.exponent)
-        elif isinstance(x, Exp):
-            walk(x.arg)
-
-    walk(e)
-    return out
+    return [(x.count, x.arg) for x in _walk(e) if isinstance(x, IterLn)]
 
 
 def _iter_exp_one(k: int) -> ExtScalar:

@@ -231,11 +231,7 @@ def _as_array(f):
 
 def _n_uses(e: ex.Expr) -> int:
     """How many times the index variable n occurs in the tree."""
-    if isinstance(e, ex.Var):
-        return 1
-    return sum(
-        _n_uses(c) for c in vars(e).values() if isinstance(c, ex.Expr)
-    )
+    return sum(isinstance(x, ex.Var) for x in ex._walk(e))
 
 
 def _chunk_evaluator(term):

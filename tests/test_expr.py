@@ -72,6 +72,23 @@ def test_free_params_and_bind():
     ) == pytest.approx(float(mp.sqrt(mp.log(100)) / 100**2), rel=1e-12)
 
 
+def test_walks_read_trees_deeper_than_the_recursion_limit():
+    # built directly: parse refuses trees this deep
+    deep = ex.Param("t")
+    for _ in range(5000):
+        deep = ex.Add(ex.iterln(1, ex.Var()), deep)
+    assert ex.free_params(deep) == {"t"}
+    assert ex.contains_var(deep)
+    thresholds = ex._ln_thresholds(deep)
+    assert len(thresholds) == 5000 and thresholds[0] == (1, ex.Var())
+    # pre-order, left to right; bind keeps a subtree without the name
+    e = ex.parse("ln(n)^t*exp(s)")
+    order = [type(x).__name__ for x in ex._walk(e)]
+    assert order == ["Mul", "Pow", "IterLn", "Var", "Param", "Exp", "Param"]
+    bound = ex.bind(e, {"s": 1})
+    assert bound.left is e.left and bound.right == ex.Exp(ex.Const(1))
+
+
 def test_domain_start_clears_iterated_logs():
     e = ex.parse("1/(n*ln(n)*lnln(n))")
     n0 = ex.domain_start(e)
