@@ -6,14 +6,18 @@ matching --expect), 1 input error, 2 inconclusive after exhausting the
 ladder, 3 decisive but contradicting --expect. verify reuses 0/1/2 and
 exits 3 when the measured rate contradicts the prediction; a rate
 whose comparison log cannot move at any feasible budget exits 0 with
-an unverifiable-at-scale tag.
+an unverifiable-at-scale tag. Every command exits 1 with "error in
+output" on stderr when stdout is closed before the report is written
+(a reader that quit early, as in "| head -1").
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,22 +149,14 @@ def _analyze(config: RunConfig):
             precision = nm.Precision(config.precision)
     except ValueError as e:
         raise _StageError("policy validation", e)
-    try:
-        if precision is not None:
-            with nm.local_precision(precision):
-                return cr.analyze(
-                    config.expression, policy=policy,
-                    params=config.params or None,
-                )
+    scope = (
+        contextlib.nullcontext() if precision is None
+        else nm.local_precision(precision)
+    )
+    with scope:
         return cr.analyze(
             config.expression, policy=policy, params=config.params or None
         )
-    except (ParseError, UnboundParameterError) as e:
-        raise _StageError("input parsing", e)
-    except PositivityViolation as e:
-        raise _StageError("sequence construction", e)
-    except LogLadderError as e:
-        raise _StageError("ladder analysis", e)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -353,7 +349,8 @@ def _cmd_verify(args) -> int:
             params=config.params or None,
         )
         if args.csv:
-            rows = sums.checkpoint_sums(
+            # the check sums the checkpoints unless it stopped before
+            rows = check.rows or sums.checkpoint_sums(
                 config.expression, checkpoints, budget=config.budget,
                 params=config.params or None,
             )
@@ -671,7 +668,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as e:
+        # The reader closed stdout. Point it at the null device, so
+        # that the flush at interpreter exit does not fail again.
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print(f"error in output: {e}", file=sys.stderr)
+        return 1
     except _StageError as e:
         # argparse reads an expression that starts with '-' as an option
         dashed = [a for a in argv[1:] if a[:1] == "-" and a[1:2] not in "-h"]

@@ -37,7 +37,6 @@ from . import limits as lm
 from . import numeric as nm
 from . import scale as sc
 from .errors import (
-    AssumptionViolation,
     CancellationError,
     DivisionByZero,
     DomainError,
@@ -1151,12 +1150,7 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
         and policy.backend != "numeric" else "numeric"
     )
     if isinstance(policy.scale, sc.Custom):
-        w_report = policy.scale.check_assumptions()
-        if not w_report.ok:
-            which = "a"
-            if w_report.failures and w_report.failures[0][:1] in ("a", "b"):
-                which = w_report.failures[0][:1]
-            raise AssumptionViolation("; ".join(w_report.failures), which)
+        policy.scale.check_assumptions()
     trace = []
     final = None
     with nm.absorption_log() as absorbed:

@@ -23,7 +23,13 @@ from mpmath import mp
 
 from . import expr as ex
 from . import numeric as nm
-from .errors import CancellationError, DomainError, ParseError, RangeError
+from .errors import (
+    AssumptionViolation,
+    CancellationError,
+    DomainError,
+    ParseError,
+    RangeError,
+)
 from .expr import Expr, LogCombo
 from .numeric import ExtScalar
 
@@ -33,17 +39,8 @@ __all__ = [
     "IterLog",
     "PowerOfN",
     "Custom",
-    "AssumptionReport",
     "parse_scale",
 ]
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    ok: bool
-    method: str  # "structural" or "sampled"
-    failures: tuple[str, ...]
-    notes: tuple[str, ...] = ()
 
 
 class ScaleFn:
@@ -92,9 +89,6 @@ class ScaleFn:
             e = ex.log_transform(e)
         return e
 
-    def check_assumptions(self) -> AssumptionReport:
-        raise NotImplementedError
-
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"
 
@@ -115,9 +109,6 @@ class Identity(ScaleFn):
 
     def log_delta_combo(self) -> LogCombo:
         return LogCombo({}, Fraction(0), [], [])
-
-    def check_assumptions(self) -> AssumptionReport:
-        return AssumptionReport(True, "structural", ())
 
 
 @dataclass(frozen=True, repr=False)
@@ -174,9 +165,6 @@ class IterLog(ScaleFn):
                 level = ln_level
         return nm.from_value(total)
 
-    def check_assumptions(self) -> AssumptionReport:
-        return AssumptionReport(True, "structural", ())
-
 
 @dataclass(frozen=True, repr=False)
 class PowerOfN(ScaleFn):
@@ -227,9 +215,6 @@ class PowerOfN(ScaleFn):
             corr = mp.ln(mp.expm1(s * t) / (s * t)) + mp.ln(nv * t)
         return nm.from_value(corr)
 
-    def check_assumptions(self) -> AssumptionReport:
-        return AssumptionReport(True, "structural", ())
-
 
 class Custom(ScaleFn):
     """A scale given by an expression in n. Assumptions are sampled."""
@@ -274,9 +259,12 @@ class Custom(ScaleFn):
                     )
         return d
 
-    def check_assumptions(self) -> AssumptionReport:
+    def check_assumptions(self) -> None:
+        """Sample the scale assumptions on a grid of n; raise
+        AssumptionViolation naming the first one that fails. A pass is
+        no proof: growth to infinity cannot be certified from finitely
+        many points."""
         failures: list[str] = []
-        notes: list[str] = []
         grid = [nm.from_value(10**k) for k in range(3, 13)]
         vals = []
         for p in grid:
@@ -285,8 +273,8 @@ class Custom(ScaleFn):
             except (DomainError, CancellationError, RangeError):
                 continue
         if len(vals) < 4:
-            return AssumptionReport(
-                False, "sampled", ("a: scale not evaluable on the check grid",)
+            raise AssumptionViolation(
+                "a: scale not evaluable on the check grid", "a"
             )
         for (p0, v0), (p1, v1) in zip(vals, vals[1:]):
             if not (v1 > v0):
@@ -321,12 +309,7 @@ class Custom(ScaleFn):
                 )
                 break
         if failures:
-            return AssumptionReport(False, "sampled", tuple(failures))
-        notes.append(
-            "sampled check only: growth to infinity cannot be certified from"
-            " finitely many points"
-        )
-        return AssumptionReport(True, "sampled", (), tuple(notes))
+            raise AssumptionViolation("; ".join(failures), failures[0][0])
 
 
 def parse_scale(text: str) -> ScaleFn:

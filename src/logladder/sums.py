@@ -125,6 +125,8 @@ class RateCheck:
     moves too little over any feasible checkpoint range to measure,
     not that the prediction failed. observed holds the per-step fitted
     values (slopes, exponents, or ratios depending on the template).
+    rows holds the (N, S(N)) checkpoint sums the check took; it is
+    empty when the check returned before summing.
     """
 
     template: str
@@ -135,6 +137,7 @@ class RateCheck:
     checkpoints: tuple
     fitted_constant: float | None = None
     note: str = ""
+    rows: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -601,6 +604,7 @@ def slope_check(seq, prediction, checkpoints, tolerance: float | None = None,
     if tolerance is None:
         tolerance = _TOLERANCE.get(template, _RATIO_TOLERANCE)
     tail = prediction.sum_kind == "tail"
+    rows = ()
 
     def result(status, target=None, observed=(), used=cps, fitted=None,
                note=""):
@@ -613,6 +617,7 @@ def slope_check(seq, prediction, checkpoints, tolerance: float | None = None,
             checkpoints=tuple(used),
             fitted_constant=fitted,
             note=note,
+            rows=tuple(rows),
         )
 
     if not precise:

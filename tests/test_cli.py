@@ -1,18 +1,48 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
-from logladder import cli
+from logladder import cli, sums
 
 
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# -- output ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--json", "1/n^2"],
+    ["sum", "--json", "1/n^2", "1000"],
+])
+def test_closed_stdout_exits_one_names_stage(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "logladder.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error in output: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 # -- analyze -----------------------------------------------------------------------
@@ -395,6 +425,36 @@ def test_verify_json_tag(capsys):
     doc = json.loads(out)
     assert doc["verification"]["tag"] == "unverifiable-at-scale"
     assert doc["verification"]["status"] == "insufficient-signal"
+
+
+@pytest.mark.parametrize("text, checkpoints, n_terms, csv", [
+    ("1/(n*ln(n))", ("10", "100", "1000", "10000"), 9998,
+     "10,0.928560016718239400468348776485\n"
+     "100,1.60159428454689012344402954113\n"
+     "1000,2.00604822752799516472066443384\n"
+     "10000,2.29366335995698644723006509594\n"),
+    # the check returns before summing, so the file takes the one pass
+    ("1/(n*ln(n)*lnln(n))", ("100", "200", "300"), 285,
+     "100,0.415793292409949277743663742513\n"
+     "200,0.5032030926783622182263400191\n"
+     "300,0.546363081283001331134308031778\n"),
+])
+def test_verify_csv_sums_once(capsys, tmp_path, monkeypatch, text,
+                              checkpoints, n_terms, csv):
+    passes = []
+    kernel = sums._run
+
+    def counted(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        passes.append(out[2])
+        return out
+
+    monkeypatch.setattr(sums, "_run", counted)
+    path = tmp_path / "cp.csv"
+    run(capsys, ["verify", text, "--checkpoints", *checkpoints,
+                 "--csv", str(path)])
+    assert passes == [n_terms]
+    assert path.read_text() == "N,partial_sum\n" + csv
 
 
 # -- examples ----------------------------------------------------------------------

@@ -98,17 +98,17 @@ def test_custom_scale_and_assumptions():
     w = sc.parse_scale("expr:n^2")
     n = nm.from_value(10)
     assert nm.to_float(w.value(n)) == pytest.approx(100.0)
-    report = w.check_assumptions()
-    assert report.ok
+    w.check_assumptions()  # raises when an assumption fails
 
 
 def test_custom_decreasing_rejected():
     from logladder import criteria as cr
 
     w = sc.parse_scale("expr:1/n")
-    report = w.check_assumptions()
-    assert not report.ok
-    assert any(f.startswith("a:") for f in report.failures)
+    with pytest.raises(AssumptionViolation) as failed:
+        w.check_assumptions()
+    assert failed.value.which == "a"
+    assert str(failed.value).startswith("a:")
     # a pinned scale that fails its assumptions must stop the run
     with pytest.raises(AssumptionViolation):
         cr.analyze("1/n^2", cr.AnalysisPolicy(scale=w))
