@@ -260,10 +260,10 @@ class Custom(ScaleFn):
         return d
 
     def check_assumptions(self) -> None:
-        """Sample the scale assumptions on a grid of n; raise
-        AssumptionViolation naming the first one that fails. A pass is
-        no proof: growth to infinity cannot be certified from finitely
-        many points."""
+        """Sample the scale assumptions on a grid of n and raise
+        AssumptionViolation with every failure, its which set to the
+        first. A pass is no proof: growth to infinity cannot be
+        certified from finitely many points."""
         failures: list[str] = []
         grid = [nm.from_value(10**k) for k in range(3, 13)]
         vals = []
