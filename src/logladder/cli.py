@@ -144,15 +144,11 @@ def _analyze(config: RunConfig):
         policy = cr.AnalysisPolicy(
             scale=config.scale, k_max=config.k_max, grid=config.grid
         )
-        precision = None
+        scope = contextlib.nullcontext()
         if config.precision:
-            precision = nm.Precision(config.precision)
+            scope = nm.local_precision(nm.Precision(config.precision))
     except ValueError as e:
         raise _StageError("policy validation", e)
-    scope = (
-        contextlib.nullcontext() if precision is None
-        else nm.local_precision(precision)
-    )
     with scope:
         return cr.analyze(
             config.expression, policy=policy, params=config.params or None
