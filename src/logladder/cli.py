@@ -8,13 +8,15 @@ exits 3 when the measured rate contradicts the prediction; a rate
 whose comparison log cannot move at any feasible budget exits 0 with
 an unverifiable-at-scale tag. Every command exits 1 with "error in
 output" on stderr when stdout is closed before the report is written
-(a reader that quit early, as in "| head -1").
+(a reader that quit early, as in "| head -1") or when a --csv file
+cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -226,6 +228,15 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, allow_nan=False))
 
 
+def _write_csv(path, rows) -> None:
+    """Write checkpoint rows; a path that cannot be written is an output
+    error."""
+    try:
+        sums.write_checkpoints_csv(path, rows)
+    except OSError as e:
+        raise _StageError("output", e)
+
+
 def _fmt_stat(v) -> str:
     if v.exact_value is not None:
         return str(v.exact_value)
@@ -350,7 +361,7 @@ def _cmd_verify(args) -> int:
                 config.expression, checkpoints, budget=config.budget,
                 params=config.params or None,
             )
-            sums.write_checkpoints_csv(args.csv, rows)
+            _write_csv(args.csv, rows)
     except (BudgetExceededError, RangeError, ValueError) as e:
         raise _StageError("oracle summation", e)
     tag = (
@@ -407,7 +418,7 @@ def _cmd_sum(args) -> int:
                 params=config.params or None,
             )
             if args.csv:
-                sums.write_checkpoints_csv(args.csv, rows)
+                _write_csv(args.csv, rows)
             if config.fmt == "json":
                 _emit({
                     "schema_version": SCHEMA_VERSION,
@@ -589,7 +600,10 @@ def _add_budget(p):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of the process and
+    reused after it: parse_args keeps no state between calls."""
     ap = _Parser(
         prog="logladder",
         description="Convergence analysis for positive series by "

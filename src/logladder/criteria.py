@@ -101,7 +101,17 @@ class TermSource:
 
 
 class ExprTerm(TermSource):
-    """Terms defined by a parsed expression with all parameters bound."""
+    """Terms defined by a parsed expression with all parameters bound.
+
+    The term must be positive from n_start on. When the dominant-term
+    pass reads it as an exact monomial q * n^p0 * (ln n)^p1 * ... with
+    rational q > 0, that is proved: from n_start = domain_start on, every
+    iterated log in the tree is past its threshold exp^k(1) * (1 + 1e-6),
+    so every factor is positive. Any other term (sums, shifts, exp, a
+    negative coefficient) is sampled by expr.check_positive, which may
+    reject it. The proof holds only from n_start on (lnln(n) is exact but
+    negative at n = 2), so it lives here and not in check_positive.
+    """
 
     def __init__(self, expression, params=None, text=None):
         if isinstance(expression, str):
@@ -115,7 +125,8 @@ class ExprTerm(TermSource):
         self.expression = bound
         self.text = text if text is not None else ex.format_expr(bound)
         self._n_start = ex.domain_start(bound)
-        ex.check_positive(bound, self._n_start)
+        if ex._exact_monomial(bound) is None:
+            ex.check_positive(bound, self._n_start)
         self._combo: LogCombo | None = None
 
     @property

@@ -29,7 +29,7 @@ terms cancel in exact arithmetic instead of floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, UnboundParameterError
@@ -133,11 +133,18 @@ class IterLn(Expr):
     arg: Expr
 
 
-def _subtrees(e: Expr) -> dict[str, Expr]:
-    """The subtrees of e by field name, in field order: the dataclass
-    fields of the node that are expressions. Every generic walk over a
-    tree reads a node's subtrees here and nowhere else."""
-    return {k: v for k, v in vars(e).items() if isinstance(v, Expr)}
+# The field names of each node type's subtrees, in field order: its
+# dataclass fields that are expressions. Every generic walk over a tree
+# reads a node's subtrees through _subtrees and nowhere else.
+_SUBTREE_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type == "Expr")
+    for cls in (Const, Param, Var, Add, Sub, Mul, Div, Pow, Exp, IterLn)
+}
+
+
+def _subtrees(e: Expr) -> tuple[str, ...]:
+    """The field names of the subtrees of e, in field order."""
+    return _SUBTREE_FIELDS[type(e)]
 
 
 def _walk(e: Expr):
@@ -147,7 +154,8 @@ def _walk(e: Expr):
     while stack:
         x = stack.pop()
         yield x
-        stack.extend(reversed(_subtrees(x).values()))
+        for k in reversed(_subtrees(x)):
+            stack.append(getattr(x, k))
 
 
 def iterln(count: int, arg: Expr) -> Expr:
@@ -250,7 +258,7 @@ def _depth(e: Expr) -> int:
         if isinstance(x, IterLn):
             d += x.count - 1
         deepest = max(deepest, d)
-        stack.extend((c, d + 1) for c in _subtrees(x).values())
+        stack.extend((getattr(x, k), d + 1) for k in _subtrees(x))
     return deepest
 
 
@@ -451,7 +459,8 @@ def bind(e: Expr, params: dict) -> Expr:
             return Const(values[x.name]) if x.name in values else x
         # a subtree without a bound parameter is kept as it is
         changed = {}
-        for k, c in _subtrees(x).items():
+        for k in _subtrees(x):
+            c = getattr(x, k)
             new = walk(c)
             if new is not c:
                 changed[k] = new
@@ -514,6 +523,31 @@ def _iter_exp_one(k: int) -> ExtScalar:
     return v
 
 
+def _ln_threshold(k: int) -> ExtScalar:
+    """The safety threshold exp^k(1) * (1 + 1e-6) of a k-fold log."""
+    return nm.ext_mul(
+        _iter_exp_one(k), nm.from_value(Fraction(1000001, 1000000))
+    )
+
+
+# The thresholds of the named logs (k = 0 .. 4, ln to lnlnlnln) by working
+# bits. ExtScalar is immutable, so one table serves every later call at
+# the same precision. The first domain_start at a precision fills the
+# whole table, whatever logs its term holds, so that every later call
+# does the same work; deeper logs compute their threshold on each call.
+_NAMED_THRESHOLDS: dict[int, tuple[ExtScalar, ...]] = {}
+
+
+def _named_thresholds() -> tuple[ExtScalar, ...]:
+    bits = nm._bits()
+    table = _NAMED_THRESHOLDS.get(bits)
+    if table is None:
+        table = _NAMED_THRESHOLDS[bits] = tuple(
+            _ln_threshold(k) for k in range(5)
+        )
+    return table
+
+
 def domain_start(e: Expr) -> ExtScalar:
     """Smallest integer n at which every iterated log in e clears its
     safety threshold exp^k(1) * (1 + 1e-6).
@@ -524,15 +558,14 @@ def domain_start(e: Expr) -> ExtScalar:
     missing = free_params(e)
     if missing:
         raise UnboundParameterError(missing)
+    named = _named_thresholds()
     best = nm.ONE
     for k, arg in _ln_thresholds(e):
         if not contains_var(arg):
             # Constant argument: either always fine or always a domain
             # error; evaluation will report the latter.
             continue
-        threshold = nm.ext_mul(
-            _iter_exp_one(k), nm.from_value(Fraction(1000001, 1000000))
-        )
+        threshold = named[k] if k < len(named) else _ln_threshold(k)
         n_k = _first_n_reaching(arg, threshold)
         if nm.ext_cmp(n_k, best) > 0:
             best = n_k
@@ -644,7 +677,14 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> ExtScalar:
 
 
 def check_positive(e: Expr, n0: ExtScalar) -> None:
-    """Sampled positivity check past n0; raises PositivityViolation."""
+    """Sampled positivity check past n0; raises PositivityViolation.
+
+    e is evaluated at up to seven plain integers from n0 on and at three
+    tower points past n0; a point where evaluation fails is skipped. A
+    value that is not positive raises, except an exact 0 at a tower
+    point: there the operands of a difference absorbed each other (n + 1
+    rounds to n), so the 0 carries no sign and counts as no sample.
+    """
     from .errors import (
         CancellationError,
         DivisionByZero,
@@ -672,6 +712,8 @@ def check_positive(e: Expr, n0: ExtScalar) -> None:
         try:
             v = eval_expr(e, p)
         except (RangeError, CancellationError, DivisionByZero, DomainError):
+            continue
+        if v.sign == 0 and p.level > 0:
             continue
         if v.sign <= 0:
             raise PositivityViolation(
@@ -821,6 +863,13 @@ def _lead(e: Expr) -> _Lead | None:
     return None
 
 
+def _exact_monomial(e: Expr) -> _Lead | None:
+    """The leader of e when e equals it exactly and its coefficient is
+    positive: e is then q * n^p0 * (ln n)^p1 * ... with rational q > 0."""
+    a = _lead(e)
+    return a if a is not None and a.exact and a.coef > 0 else None
+
+
 def _monomial_expr(a: _Lead) -> Expr:
     """The leader a as an expression tree."""
     factors = [] if a.coef == 1 else [Const(a.coef)]
@@ -854,8 +903,8 @@ def to_log_power(e: Expr) -> LogPowerForm | None:
     Returns None when e is outside the class (sums, exp factors,
     irrational or non-positive coefficients, unbound parameters).
     """
-    a = _lead(e)
-    if a is None or not a.exact or a.coef <= 0:
+    a = _exact_monomial(e)
+    if a is None:
         return None
     from mpmath import mp
 

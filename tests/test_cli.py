@@ -45,6 +45,51 @@ def test_closed_stdout_exits_one_names_stage(argv):
     assert "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["sum", "1/n^2", "100", "--checkpoints", "10", "100"],
+    ["verify", "1/n^2", "--checkpoints", "100", "1000", "10000"],
+])
+def test_unwritable_csv_is_output_error(capsys, tmp_path, argv):
+    path = tmp_path / "no" / "such" / "x.csv"
+    code, out, err = run(capsys, argv + ["--csv", str(path)])
+    assert code == 1
+    assert err.startswith("error in output: ")
+    assert str(path) in err and "Traceback" not in err
+    assert not path.exists()
+
+
+# -- parser ------------------------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_reused_parser_keeps_no_options(capsys, monkeypatch):
+    seen = []
+    real = cli._build_config
+
+    def spy(args):
+        seen.append(args.expect)
+        return real(args)
+
+    monkeypatch.setattr(cli, "_build_config", spy)
+    assert run(capsys, ["analyze", "--expect", "diverges", "1/n^2"])[0] == 3
+    assert run(capsys, ["analyze", "1/n^2"])[0] == 0
+    assert seen == ["diverges", None]
+
+
+def test_reused_parser_still_rejects_csv_without_checkpoints(capsys, tmp_path):
+    path = tmp_path / "x.csv"
+    code, _, _ = run(capsys, ["sum", "1/n^2", "100", "--checkpoints", "10",
+                              "100"])
+    assert code == 0
+    code, _, err = run(capsys, ["sum", "1/n^2", "100", "--csv", str(path)])
+    assert code == 1
+    assert "--csv writes checkpoint rows and needs --checkpoints" in err
+    assert not path.exists()
+
+
 # -- analyze -----------------------------------------------------------------------
 
 

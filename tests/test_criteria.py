@@ -1,10 +1,12 @@
 """Decision ladder: statistics, verdicts, escalation, and rates."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from logladder import criteria as cr
+from logladder import expr as ex
 from logladder import numeric as nm
 from logladder import scale as sc
 from logladder.errors import (
@@ -28,6 +30,38 @@ def test_expr_term_requires_bound_params():
 def test_expr_term_rejects_negative_terms():
     with pytest.raises(PositivityViolation):
         cr.ExprTerm("ln(n)-10")
+
+
+def test_expr_term_samples_a_negative_exact_term():
+    # the exact leader of (1-3)*n^(-2) has coefficient -2, so the term
+    # is not proved positive and the sampled check rejects it
+    lead = ex._lead(ex.parse("(1-3)*n^(-2)"))
+    assert lead.exact and lead.coef == -2
+    with pytest.raises(PositivityViolation):
+        cr.ExprTerm("(1-3)*n^(-2)")
+
+
+def test_expr_term_proves_bertrand_tuples_positive(monkeypatch):
+    # every Bertrand tuple (m <= 4) is an exact monomial: building its
+    # term evaluates nothing
+    calls = []
+    real = ex.eval_expr
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ex, "eval_expr", counted)
+    exponents = ("-2", "-3/2", "-1", "-1/2", "0", "1")
+    built = 0
+    for m in (1, 2, 3, 4):
+        for ps in itertools.product(exponents, repeat=m):
+            cr.ExprTerm("*".join(
+                f"({'ln(' * k}n{')' * k})^({p})" for k, p in enumerate(ps)
+            ))
+            built += 1
+    assert built == 1554
+    assert calls == []
 
 
 def test_callable_term_plain_only():

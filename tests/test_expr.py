@@ -108,6 +108,53 @@ def test_check_positive_accepts_positive_terms():
     ex.check_positive(e, nm.from_value(1))
 
 
+def test_check_positive_sign_needs_a_plain_point():
+    # an exact 0 at a tower point is a difference absorbed to nothing,
+    # not a sign; at a plain point a 0 is still a violation
+    ex.check_positive(ex.parse("ln(n+1)-ln(n)"), nm.from_value(1))
+    with pytest.raises(PositivityViolation):
+        ex.check_positive(ex.parse("n-n"), nm.from_value(1))
+
+
+def test_check_positive_is_not_a_proof_before_the_domain_start():
+    # lnln(n) is an exact monomial, but negative at n = 2
+    assert ex._exact_monomial(ex.parse("lnln(n)")) is not None
+    with pytest.raises(PositivityViolation):
+        ex.check_positive(ex.parse("lnln(n)"), nm.from_value(2))
+
+
+_PROOF_EXPONENTS = [Fraction(v) for v in ("-2", "-3/2", "-1", "-1/2", "0", "1")]
+
+
+def _log_factor(k, inner_power, form):
+    """The k-fold log of n spelled as ln_k(n) (form 0) or as ln of
+    ln_{k-1}(n)^a (form 1, ln(n^a) when k = 1), which is a * ln_k(n)."""
+    if form == 0 or k == 0:
+        return "(" + "ln(" * k + "n" + ")" * k + ")"
+    inner = "(" + "ln(" * (k - 1) + "n" + ")" * (k - 1) + f")^({inner_power})"
+    return f"(ln({inner}))"
+
+
+@given(
+    st.sampled_from([Fraction(v) for v in ("1", "1/3", "2", "7/2")]),
+    st.lists(st.tuples(st.sampled_from(_PROOF_EXPONENTS),
+                       st.sampled_from([Fraction(1), Fraction(4), Fraction(9)]),
+                       st.sampled_from([0, 1])),
+             min_size=1, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_monomials_pass_the_sampled_check(coef, factors):
+    # the exact monomials ExprTerm does not sample (depth <= 3) are
+    # positive at every point check_positive would have sampled
+    text = "*".join([f"({coef})"] + [
+        f"{_log_factor(k, a, form)}^({p})"
+        for k, (p, a, form) in enumerate(factors)
+    ])
+    e = ex.parse(text)
+    assert ex._exact_monomial(e) is not None
+    ex.check_positive(e, ex.domain_start(e))
+
+
 def test_to_log_power_reads_exponents():
     form = ex.to_log_power(ex.parse("(ln(n))^(1/2)/n"))
     assert form is not None

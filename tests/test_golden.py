@@ -108,6 +108,20 @@ def _argv_cases():
                                           f"expr:{w}"]))
     cases.append(("scale:expr:ln(n)", ["analyze", "1/(n*ln(n))", "--w",
                                        "expr:ln(n)"]))
+    # Terms whose parts cancel. An exact 0 at a tower point carries no
+    # sign, so the first four analyze; the last two round to a large
+    # negative value there and stay input errors.
+    for text in ("ln(n+1)-ln(n)", "(ln(n+1)-ln(n))^2",
+                 "(ln(n+1)-ln(n))/ln(n)", "(ln(n+1)-ln(n))/ln(n)^2"):
+        cases.append((f"cancel:{text}", ["analyze", text]))
+        cases.append((f"cancel:{text}:json", ["analyze", text, "--json"]))
+    for text in ("(n+1)^2-n^2", "1/((n+1)^2-n^2)"):
+        cases.append((f"cancel:{text}", ["analyze", text]))
+    # A CSV path that cannot be written is an output error.
+    cases.append(("csv:sum", ["sum", "1/n^2", "100", "--checkpoints", "10",
+                              "100", "--csv", "/no/such/dir/x.csv"]))
+    cases.append(("csv:verify", ["verify", "1/n^2", "--csv",
+                                 "/no/such/dir/x.csv"]))
     return cases
 
 
