@@ -20,28 +20,21 @@ __all__ = ["CorpusEntry", "CorpusRow", "ENTRIES", "run_corpus"]
 
 
 @dataclass(frozen=True)
-class TraceExpect:
-    """A trace row that must appear before the deciding one."""
-
-    test: str
-    scale_name: str | None
-    level: int
-    statistic: Fraction
-
-
-@dataclass(frozen=True)
 class CorpusEntry:
+    """One reference sequence.
+
+    expect maps keys of the verdict reading (decision, test, w, level,
+    statistic, template, constant) to the values the deciding verdict
+    must show; a key left out is not checked. expect_trace lists
+    (test, w, level, statistic) readings that must appear among the
+    trace rows, and expect_warning a text some warning must contain.
+    """
+
     entry_id: str
     expression: str
     params: dict = field(default_factory=dict)
     scale: str | None = None  # scale text to pin, None for the auto ladder
-    expect_decision: str = ""
-    expect_test: str = ""
-    expect_scale_name: str | None = None
-    expect_level: int = 0
-    expect_statistic: Fraction | None = None
-    expect_template: str | None = None
-    expect_constant: Fraction | None = None
+    expect: dict = field(default_factory=dict)
     expect_trace: tuple = ()
     expect_warning: str | None = None
     note: str = ""
@@ -66,35 +59,27 @@ ENTRIES = (
     CorpusEntry(
         entry_id="inverse-square",
         expression="1/n^2",
-        expect_decision="converges",
-        expect_test="raabe",
-        expect_scale_name=None,
-        expect_statistic=Fraction(-2),
-        expect_template="precise-tail",
+        expect=dict(decision="converges", test="raabe", w=None, level=0,
+                    statistic=Fraction(-2), template="precise-tail"),
         note="decided at the first rung",
     ),
     CorpusEntry(
         entry_id="inverse-sqrt",
         expression="n^(-1/2)",
-        expect_decision="diverges",
-        expect_test="raabe",
-        expect_scale_name=None,
-        expect_statistic=Fraction(-1, 2),
-        expect_template="precise-partial",
+        expect=dict(decision="diverges", test="raabe", w=None, level=0,
+                    statistic=Fraction(-1, 2), template="precise-partial"),
         note="divergent power term, still first rung",
     ),
     CorpusEntry(
         entry_id="log-power-diverging",
         expression="(ln(n))^t/n",
         params={"t": Fraction(1, 2)},
-        expect_decision="diverges",
-        expect_test="scaled-log",
-        expect_scale_name="ln",
-        expect_statistic=Fraction(1, 2),
-        expect_template="log-ratio-partial",
+        expect=dict(decision="diverges", test="scaled-log", w="ln",
+                    level=0, statistic=Fraction(1, 2),
+                    template="log-ratio-partial"),
         expect_trace=(
-            TraceExpect("raabe", None, 0, MINUS_ONE),
-            TraceExpect("scaled-log", "n", 0, MINUS_ONE),
+            ("raabe", None, 0, MINUS_ONE),
+            ("scaled-log", "n", 0, MINUS_ONE),
         ),
         note="boundary at w=n, decided by the exponent at w=ln",
     ),
@@ -102,28 +87,23 @@ ENTRIES = (
         entry_id="log-power-converging",
         expression="(ln(n))^t/n",
         params={"t": Fraction(-2)},
-        expect_decision="converges",
-        expect_test="scaled-log",
-        expect_scale_name="ln",
-        expect_statistic=Fraction(-2),
-        expect_template="log-ratio-tail",
+        expect=dict(decision="converges", test="scaled-log", w="ln",
+                    level=0, statistic=Fraction(-2),
+                    template="log-ratio-tail"),
         expect_trace=(
-            TraceExpect("raabe", None, 0, MINUS_ONE),
-            TraceExpect("scaled-log", "n", 0, MINUS_ONE),
+            ("raabe", None, 0, MINUS_ONE),
+            ("scaled-log", "n", 0, MINUS_ONE),
         ),
         note="same family, convergent side",
     ),
     CorpusEntry(
         entry_id="harmonic-log",
         expression="1/(n*ln(n))",
-        expect_decision="diverges",
-        expect_test="slow-divergence",
-        expect_scale_name="ln",
-        expect_statistic=Fraction(1),
-        expect_template="slow-log",
-        expect_constant=Fraction(1),
+        expect=dict(decision="diverges", test="slow-divergence", w="ln",
+                    level=0, statistic=Fraction(1), template="slow-log",
+                    constant=Fraction(1)),
         expect_trace=(
-            TraceExpect("scaled-log", "ln", 0, MINUS_ONE),
+            ("scaled-log", "ln", 0, MINUS_ONE),
         ),
         note="every scaled-log rung sits at the boundary; the "
              "term-to-increment ratio settles the constant, and the "
@@ -134,14 +114,11 @@ ENTRIES = (
         expression="(lnln(n))^p/(n*ln(n))",
         params={"p": Fraction(-2)},
         scale="ln",
-        expect_decision="converges",
-        expect_test="hierarchy",
-        expect_scale_name="ln",
-        expect_level=1,
-        expect_statistic=Fraction(-2),
-        expect_template="log-log-tail",
+        expect=dict(decision="converges", test="hierarchy", w="ln",
+                    level=1, statistic=Fraction(-2),
+                    template="log-log-tail"),
         expect_trace=(
-            TraceExpect("scaled-log", "ln", 0, MINUS_ONE),
+            ("scaled-log", "ln", 0, MINUS_ONE),
         ),
         note="scale pinned; first escalation level decides",
     ),
@@ -150,26 +127,20 @@ ENTRIES = (
         expression="(lnln(n))^p/(n*ln(n))",
         params={"p": Fraction(-2)},
         scale="lnln",
-        expect_decision="converges",
-        expect_test="scaled-log",
-        expect_scale_name="lnln",
-        expect_statistic=Fraction(-2),
-        expect_template="log-ratio-tail",
+        expect=dict(decision="converges", test="scaled-log", w="lnln",
+                    level=0, statistic=Fraction(-2),
+                    template="log-ratio-tail"),
         note="same sequence with the deeper scale pinned: the level-0 "
              "statistic ln((n ln n) a_n)/lnlnln(n) is decisive here",
     ),
     CorpusEntry(
         entry_id="triple-log-harmonic",
         expression="1/(n*ln(n)*lnln(n))",
-        expect_decision="diverges",
-        expect_test="hierarchy",
-        expect_scale_name="ln",
-        expect_level=2,
-        expect_statistic=Fraction(0),
-        expect_template=None,
+        expect=dict(decision="diverges", test="hierarchy", w="ln",
+                    level=2, statistic=Fraction(0)),
         expect_trace=(
-            TraceExpect("scaled-log", "ln", 0, MINUS_ONE),
-            TraceExpect("hierarchy", "ln", 1, MINUS_ONE),
+            ("scaled-log", "ln", 0, MINUS_ONE),
+            ("hierarchy", "ln", 1, MINUS_ONE),
         ),
         expect_warning="the value 0 is sometimes quoted",
         note="all escalation statistics at -1 until the truncation "
@@ -190,78 +161,46 @@ def _exact_statistic(verdict) -> Fraction | None:
     return None
 
 
-def _check_entry(entry: CorpusEntry, report) -> list:
-    devs = []
-    final = report.final
-    if final.decision != entry.expect_decision:
-        devs.append(
-            f"decision {final.decision!r}, expected "
-            f"{entry.expect_decision!r}"
-        )
-    if final.test_id != entry.expect_test:
-        devs.append(
-            f"deciding test {final.test_id!r}, expected "
-            f"{entry.expect_test!r}"
-        )
-    got_scale = final.scale.name if final.scale is not None else None
-    if got_scale != entry.expect_scale_name:
-        devs.append(
-            f"scale {got_scale!r}, expected {entry.expect_scale_name!r}"
-        )
-    if final.level != entry.expect_level:
-        devs.append(
-            f"level {final.level}, expected {entry.expect_level}"
-        )
-    if entry.expect_statistic is not None:
-        got = _exact_statistic(final)
-        if got != entry.expect_statistic:
-            devs.append(
-                f"statistic {got}, expected {entry.expect_statistic}"
-            )
-    if entry.expect_template is not None:
-        tmpl = final.rate.template if final.rate is not None else None
-        if tmpl != entry.expect_template:
-            devs.append(
-                f"rate template {tmpl!r}, expected "
-                f"{entry.expect_template!r}"
-            )
-    if entry.expect_constant is not None:
-        c = (
-            final.rate.exact_constant
-            if final.rate is not None else None
-        )
-        if c != entry.expect_constant:
-            devs.append(
-                f"rate constant {c}, expected {entry.expect_constant}"
-            )
-    for want in entry.expect_trace:
-        hit = False
-        for v in report.trace:
-            scale_name = v.scale.name if v.scale is not None else None
-            if (
-                v.test_id == want.test
-                and scale_name == want.scale_name
-                and v.level == want.level
-                and _exact_statistic(v) == want.statistic
-            ):
-                hit = True
-                break
-        if not hit:
-            devs.append(
-                f"missing trace row {want.test} at scale "
-                f"{want.scale_name} level {want.level} with statistic "
-                f"{want.statistic}"
-            )
-    if entry.expect_warning is not None:
-        if not any(entry.expect_warning in w for w in report.warnings):
-            devs.append(
-                f"missing warning containing {entry.expect_warning!r}"
-            )
+def _reading(verdict) -> dict:
+    """What an entry may expect of a verdict, by key."""
+    rate = verdict.rate
+    return dict(
+        decision=verdict.decision,
+        test=verdict.test_id,
+        w=verdict.scale.name if verdict.scale is not None else None,
+        level=verdict.level,
+        statistic=_exact_statistic(verdict),
+        template=rate.template if rate is not None else None,
+        constant=rate.exact_constant if rate is not None else None,
+    )
+
+
+def _shown(value) -> str:
+    return str(value) if isinstance(value, Fraction) else repr(value)
+
+
+def _check_entry(entry: CorpusEntry, report, got: dict) -> list:
+    """The deviations of a report whose final verdict reads got."""
+    devs = [
+        f"{key} {_shown(got[key])}, expected {_shown(want)}"
+        for key, want in entry.expect.items() if got[key] != want
+    ]
+    rows = set()
+    for v in report.trace:
+        r = _reading(v)
+        rows.add((r["test"], r["w"], r["level"], r["statistic"]))
+    devs += [
+        "missing trace row (test, w, level, statistic) = ("
+        + ", ".join(map(_shown, row)) + ")"
+        for row in entry.expect_trace if row not in rows
+    ]
+    if entry.expect_warning is not None and not any(
+            entry.expect_warning in w for w in report.warnings):
+        devs.append(f"missing warning containing {entry.expect_warning!r}")
     return devs
 
 
-def _fmt_statistic(verdict) -> str:
-    exact = _exact_statistic(verdict)
+def _fmt_statistic(verdict, exact: Fraction | None) -> str:
     if exact is not None:
         return str(exact)
     est = verdict.statistic
@@ -288,23 +227,16 @@ def run_corpus(entry_ids=None):
         report = cr.analyze(
             entry.expression, policy=policy, params=entry.params or None
         )
-        devs = _check_entry(entry, report)
-        final = report.final
-        rows.append(
-            CorpusRow(
-                entry_id=entry.entry_id,
-                expression=entry.expression,
-                decision=final.decision,
-                test=final.test_id,
-                scale_name=(
-                    final.scale.name if final.scale is not None else "-"
-                ),
-                level=final.level,
-                statistic=_fmt_statistic(final),
-                rate=(
-                    final.rate.template if final.rate is not None else "-"
-                ),
-                deviations=tuple(devs),
-            )
-        )
+        got = _reading(report.final)
+        rows.append(CorpusRow(
+            entry_id=entry.entry_id,
+            expression=entry.expression,
+            decision=got["decision"],
+            test=got["test"],
+            scale_name=got["w"] or "-",
+            level=got["level"],
+            statistic=_fmt_statistic(report.final, got["statistic"]),
+            rate=got["template"] or "-",
+            deviations=tuple(_check_entry(entry, report, got)),
+        ))
     return rows

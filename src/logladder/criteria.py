@@ -103,8 +103,8 @@ class TermSource:
 class ExprTerm(TermSource):
     """Terms defined by a parsed expression with all parameters bound.
 
-    The term must be positive from n_start on. When the dominant-term
-    pass reads it as an exact monomial q * n^p0 * (ln n)^p1 * ... with
+    The term must be positive from n_start on. When expr.to_log_power
+    reads it as an exact monomial q * n^p0 * (ln n)^p1 * ... with
     rational q > 0, that is proved: from n_start = domain_start on, every
     iterated log in the tree is past its threshold exp^k(1) * (1 + 1e-6),
     so every factor is positive. Any other term (sums, shifts, exp, a
@@ -125,7 +125,7 @@ class ExprTerm(TermSource):
         self.expression = bound
         self.text = text if text is not None else ex.format_expr(bound)
         self._n_start = ex.domain_start(bound)
-        if ex._exact_monomial(bound) is None:
+        if ex.to_log_power(bound) is None:
             ex.check_positive(bound, self._n_start)
         self._combo: LogCombo | None = None
 
@@ -366,41 +366,6 @@ class AnalysisReport:
     trace: list
     final: Verdict
     warnings: list
-
-
-# -- combo evaluation -----------------------------------------------------------
-
-
-# A sum is rounding noise unless its rounding bound lies at least this
-# many bits below the statistic's denominator or the sum itself.
-_NOISE_BITS = 20
-
-
-def _eval_combo(combo: LogCombo, n: ExtScalar,
-                den: ExtScalar | None = None) -> ExtScalar:
-    """Value of the combo at n under the active precision, entered once
-    for the whole combo.
-
-    With den, the denominator the value is divided by, a sum that
-    cancels down to its rounding noise raises CancellationError: the
-    rounding bound 2^(log2 of the largest addend - bits) must lie far
-    below den or below the sum itself.
-    """
-    with nm._Working():
-        terms = [combo.const_value()] + [
-            nm.ext_mul(nm.from_value(c), n if d == 0 else nm.iter_ln(d, n))
-            for d, c in sorted(combo.coeffs.items())
-        ] + [ex.eval_expr(r, n) for r in combo.residuals + combo.vanishing]
-        total = terms[0]
-        for t in terms[1:]:
-            total = nm.ext_add(total, t)
-        if den is not None:
-            bits = nm.get_precision().significand_bits
-            noise = nm.ext_mul(max(nm.ext_abs(t) for t in terms),
-                               nm.from_value(mp.ldexp(1, _NOISE_BITS - bits)))
-            if not (noise < nm.ext_abs(den) or noise < nm.ext_abs(total)):
-                raise CancellationError("sum cancels to rounding noise")
-        return total
 
 
 def _ln_float(x: ExtScalar) -> float:
@@ -679,10 +644,10 @@ def _quotient_statistic(term: TermSource, w: sc.ScaleFn, level: int,
 
     def sample(n):
         with nm.local_precision(bits + 64):
-            dv = _eval_combo(den, n)
+            dv = den.value(n)
             if not dv.sign > 0:
                 raise DomainError("comparison log not yet positive")
-            nv = _eval_combo(num, n, dv)
+            nv = num.value(n, dv)
             if corr is not None:
                 nv = nm.ext_sub(nv, corr(n))
             return nm.ext_div(nv, dv), dv
@@ -714,7 +679,7 @@ def _slow_divergence_statistic(term: TermSource,
 
     def sample(n):
         with nm.local_precision(bits + 64):
-            v = _eval_combo(lng, n, nm.ONE)
+            v = lng.value(n, nm.ONE)
             return nm.ext_sub(v, w.delta_correction(n)), n
 
     lead = lng.leading()

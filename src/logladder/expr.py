@@ -32,7 +32,17 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
-from .errors import DomainError, ParseError, UnboundParameterError
+from mpmath import mp
+
+from .errors import (
+    CancellationError,
+    DivisionByZero,
+    DomainError,
+    ParseError,
+    PositivityViolation,
+    RangeError,
+    UnboundParameterError,
+)
 from . import numeric as nm
 from .numeric import ExtScalar
 
@@ -57,7 +67,6 @@ __all__ = [
     "eval_expr",
     "domain_start",
     "check_positive",
-    "LogPowerForm",
     "to_log_power",
     "log_transform",
     "LogCombo",
@@ -306,9 +315,14 @@ def _parse_factor(lx: _Lexer) -> Expr:
 
 def _parse_atom(lx: _Lexer) -> Expr:
     if lx.tok == "number":
-        v = lx.val
+        v, pos = lx.val, lx.tok_pos
+        try:
+            value = Fraction(v)
+        except ValueError:  # past Python's integer string limit
+            raise ParseError(f"number too long ({len(v)} characters)",
+                             pos) from None
         lx.advance()
-        return Const(Fraction(v))
+        return Const(value)
     if lx.tok == "(":
         lx.advance()
         e = _parse_expr(lx)
@@ -573,8 +587,6 @@ def domain_start(e: Expr) -> ExtScalar:
 
 
 def _eval_or_none(arg: Expr, n: ExtScalar) -> ExtScalar | None:
-    from .errors import DivisionByZero
-
     try:
         return eval_expr(arg, n)
     except (DomainError, DivisionByZero):
@@ -617,8 +629,6 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> ExtScalar:
     if affine is not None and affine[0] > 0 and (
             threshold.level == 0 or isinstance(arg, Var)):
         a, b = affine
-        from mpmath import mp
-
         with nm._Working():
             t = (threshold.as_mpf() - mp.mpf(b.numerator) / b.denominator) \
                 * a.denominator / a.numerator
@@ -643,8 +653,6 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> ExtScalar:
     if hi is None:
         raise DomainError("could not locate the domain start")
     # Bisect between lo and hi on the log scale.
-    from mpmath import mp
-
     for _ in range(80):
         if hi.level == 0 and hi.mag < 1e15 and hi.mag - lo.mag < 1:
             # Integer resolution: the walk below settles n exactly.
@@ -685,13 +693,6 @@ def check_positive(e: Expr, n0: ExtScalar) -> None:
     point: there the operands of a difference absorbed each other (n + 1
     rounds to n), so the 0 carries no sign and counts as no sample.
     """
-    from .errors import (
-        CancellationError,
-        DivisionByZero,
-        PositivityViolation,
-        RangeError,
-    )
-
     points: list[ExtScalar] = []
     try:
         base = n0.as_mpf()
@@ -863,13 +864,6 @@ def _lead(e: Expr) -> _Lead | None:
     return None
 
 
-def _exact_monomial(e: Expr) -> _Lead | None:
-    """The leader of e when e equals it exactly and its coefficient is
-    positive: e is then q * n^p0 * (ln n)^p1 * ... with rational q > 0."""
-    a = _lead(e)
-    return a if a is not None and a.exact and a.coef > 0 else None
-
-
 def _monomial_expr(a: _Lead) -> Expr:
     """The leader a as an expression tree."""
     factors = [] if a.coef == 1 else [Const(a.coef)]
@@ -883,34 +877,15 @@ def _monomial_expr(a: _Lead) -> Expr:
     return out
 
 
-@dataclass(frozen=True)
-class LogPowerForm:
-    """c * n^p0 * (ln n)^p1 * ... with exact rational exponents, c > 0."""
+def to_log_power(e: Expr) -> _Lead | None:
+    """The leader of e when e equals it exactly and its coefficient is
+    positive: e is then q * n^p0 * (ln n)^p1 * ... with rational q > 0.
 
-    coefficient: object  # positive mpf
-    exponents: tuple[Fraction, ...]
-
-    def exponent(self, depth: int) -> Fraction:
-        if 0 <= depth < len(self.exponents):
-            return self.exponents[depth]
-        return Fraction(0)
-
-
-def to_log_power(e: Expr) -> LogPowerForm | None:
-    """Recognize a positive rational multiple of a product of rational
-    powers of n and its iterated logs.
-
-    Returns None when e is outside the class (sums, exp factors,
-    irrational or non-positive coefficients, unbound parameters).
+    None when e is outside that class (sums, exp factors, irrational or
+    non-positive coefficients, unbound parameters).
     """
-    a = _exact_monomial(e)
-    if a is None:
-        return None
-    from mpmath import mp
-
-    with nm._Working():
-        c = mp.mpf(a.coef.numerator) / mp.mpf(a.coef.denominator)
-    return LogPowerForm(c, a.exps or (Fraction(0),))
+    a = _lead(e)
+    return a if a is not None and a.exact and a.coef > 0 else None
 
 
 # -- log transform ----------------------------------------------------------
@@ -942,6 +917,10 @@ def log_transform(e: Expr) -> Expr:
 
 
 # -- linearization ------------------------------------------------------------
+
+# A sum is rounding noise unless its rounding bound lies at least this
+# many bits below the statistic's denominator or the sum itself.
+_NOISE_BITS = 20
 
 
 @dataclass
@@ -1011,6 +990,33 @@ class LogCombo:
             total = nm.ext_add(total, nm.ext_mul(nm.from_value(mult), v))
         return total
 
+    def value(self, n: ExtScalar, den: ExtScalar | None = None) -> ExtScalar:
+        """Value of the combo at n under the active precision, entered
+        once for the whole combo: the constant parts, then c * ln_d(n)
+        by depth, then the residual and vanishing parts.
+
+        With den, the denominator the value is divided by, a sum that
+        cancels down to its rounding noise raises CancellationError: the
+        rounding bound 2^(log2 of the largest addend - bits) must lie far
+        below den or below the sum itself.
+        """
+        with nm._Working():
+            terms = [self.const_value()] + [
+                nm.ext_mul(nm.from_value(c), n if d == 0 else nm.iter_ln(d, n))
+                for d, c in sorted(self.coeffs.items())
+            ] + [eval_expr(r, n) for r in self.residuals + self.vanishing]
+            total = terms[0]
+            for t in terms[1:]:
+                total = nm.ext_add(total, t)
+            if den is not None:
+                noise = nm.ext_mul(
+                    max(nm.ext_abs(t) for t in terms),
+                    nm.from_value(mp.ldexp(1, _NOISE_BITS - nm._bits())),
+                )
+                if not (noise < nm.ext_abs(den) or noise < nm.ext_abs(total)):
+                    raise CancellationError("sum cancels to rounding noise")
+            return total
+
 
 def _const_fold(e: Expr) -> Fraction | None:
     """Exact rational value of an n-free subtree, when one exists."""
@@ -1032,11 +1038,11 @@ def _const_fold(e: Expr) -> Fraction | None:
         return a / b
     if isinstance(e, Pow):
         a, b = _const_fold(e.base), _const_fold(e.exponent)
-        if a is None or b is None or b.denominator != 1:
+        if a is None or b is None:
             return None
         try:
-            return a**b.numerator
-        except ZeroDivisionError:
+            return _rational_power(a, b)
+        except ZeroDivisionError:  # 0 to a negative power
             return None
     return None
 

@@ -25,6 +25,7 @@ since no digits of the true difference are known.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +62,6 @@ __all__ = [
     "iter_ln",
     "fmt",
     "from_value",
-    "parse_scalar",
     "to_float",
     "get_precision",
     "local_precision",
@@ -257,46 +257,32 @@ class ExtScalar:
 
     __hash__ = None
 
-    def _coerced(self, other):
-        if isinstance(other, ExtScalar):
-            return other
-        if isinstance(other, (int, float, Fraction, type(mp.mpf(1)))):
-            return from_value(other)
-        return None
+    def _compared(self, other, op):
+        """op(ext_cmp(self, other), 0), with other coerced from a number;
+        NotImplemented for any other type."""
+        if not isinstance(other, ExtScalar):
+            if not isinstance(other, (int, float, Fraction, type(mp.mpf(1)))):
+                return NotImplemented
+            other = from_value(other)
+        return op(ext_cmp(self, other), 0)
 
     def __eq__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return ext_cmp(self, o) == 0
+        return self._compared(other, operator.eq)
 
     def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
+        return self._compared(other, operator.ne)
 
     def __lt__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return ext_cmp(self, o) < 0
+        return self._compared(other, operator.lt)
 
     def __le__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return ext_cmp(self, o) <= 0
+        return self._compared(other, operator.le)
 
     def __gt__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return ext_cmp(self, o) > 0
+        return self._compared(other, operator.gt)
 
     def __ge__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return ext_cmp(self, o) >= 0
+        return self._compared(other, operator.ge)
 
     def __abs__(self):
         return ext_abs(self)
@@ -324,23 +310,17 @@ def from_value(x) -> ExtScalar:
     """Coerce an int, float, Fraction, mpf, or decimal string."""
     if isinstance(x, ExtScalar):
         return x
-    if isinstance(x, str):
-        return parse_scalar(x)
     with _Working():
-        return _plain(_to_mpf(x))
+        if not isinstance(x, str):
+            return _plain(_to_mpf(x))
+        try:
+            return _plain(mp.mpf(x.strip()))
+        except (ValueError, TypeError):
+            raise ParseError(f"not a scalar: {x!r}") from None
 
 
 ZERO = ExtScalar(0, 0, mp.mpf(0))
 ONE = ExtScalar(1, 0, mp.mpf(1))
-
-
-def parse_scalar(text: str) -> ExtScalar:
-    """Parse a plain decimal."""
-    try:
-        with _Working():
-            return _plain(mp.mpf(text.strip()))
-    except (ValueError, TypeError):
-        raise ParseError(f"not a scalar: {text!r}") from None
 
 
 def fmt(x: ExtScalar, digits: int | None = None) -> str:
@@ -419,13 +399,15 @@ def _log_gap_exceeds(big: ExtScalar, small: ExtScalar, bits: int) -> bool:
         return gap.mag > mp.mpf(bits) * mp.ln(2)
 
 
-# Absorption messages print a magnitude past this as exp(<ln value>):
-# the decimal digits of a number that large take about a second each.
+# Absorption messages print a magnitude past this, or below its
+# reciprocal, as exp(<ln value>): the decimal digits of a number that
+# large or that small take about a second each.
 _FMT_LIMIT = mp.mpf(2) ** 4096
+_FMT_TINY = mp.mpf(2) ** -4096
 
 
 def _fmt_addend(v) -> str:
-    if abs(v) <= _FMT_LIMIT:
+    if not v or _FMT_TINY <= abs(v) <= _FMT_LIMIT:
         return fmt(_plain(v))
     text = f"exp({fmt(_plain(mp.ln(abs(v))))})"
     return text if v > 0 else "-" + text
@@ -542,19 +524,25 @@ def ext_abs(x: ExtScalar) -> ExtScalar:
 # -- multiplication ------------------------------------------------------
 
 
-def ext_mul(x: ExtScalar, y: ExtScalar) -> ExtScalar:
-    if x.sign == 0 or y.sign == 0:
-        return ZERO
+def _product(x: ExtScalar, y: ExtScalar, power: int) -> ExtScalar:
+    """x * y^power for nonzero x and y and power = 1 or -1."""
     sign = x.sign * y.sign
     if x.level == 0 and y.level == 0:
         with _Working():
-            return _materialize(sign, _plain(x.mag * y.mag))
+            m = x.mag * y.mag if power > 0 else x.mag / y.mag
+            return _materialize(sign, _plain(m))
     # Tower involved: multiply on the log side. Exponent arithmetic there
     # is an add, which carries its own absorption reporting.
     lx = ext_ln(ext_abs(x))
     ly = ext_ln(ext_abs(y))
-    s, m = _add_pairs(lx.sign, ext_abs(lx), ly.sign, ext_abs(ly))
+    s, m = _add_pairs(lx.sign, ext_abs(lx), power * ly.sign, ext_abs(ly))
     return _materialize(sign, ext_exp(_materialize(s, m)))
+
+
+def ext_mul(x: ExtScalar, y: ExtScalar) -> ExtScalar:
+    if x.sign == 0 or y.sign == 0:
+        return ZERO
+    return _product(x, y, 1)
 
 
 def ext_div(x: ExtScalar, y: ExtScalar) -> ExtScalar:
@@ -562,14 +550,7 @@ def ext_div(x: ExtScalar, y: ExtScalar) -> ExtScalar:
         raise DivisionByZero("division by zero")
     if x.sign == 0:
         return ZERO
-    sign = x.sign * y.sign
-    if x.level == 0 and y.level == 0:
-        with _Working():
-            return _materialize(sign, _plain(x.mag / y.mag))
-    lx = ext_ln(ext_abs(x))
-    ly = ext_ln(ext_abs(y))
-    s, m = _add_pairs(lx.sign, ext_abs(lx), -ly.sign, ext_abs(ly))
-    return _materialize(sign, ext_exp(_materialize(s, m)))
+    return _product(x, y, -1)
 
 
 def ext_pow(x: ExtScalar, y: ExtScalar) -> ExtScalar:

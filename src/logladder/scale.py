@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     ParseError,
     RangeError,
+    UnboundParameterError,
 )
 from .expr import Expr, LogCombo
 from .numeric import ExtScalar
@@ -72,13 +73,7 @@ class ScaleFn:
         combo = self.log_delta_combo()
         if combo is None:
             return nm.ext_ln(self.delta(n))
-        total = combo.const_value()
-        for depth, coeff in sorted(combo.coeffs.items()):
-            term = nm.ext_mul(
-                nm.from_value(coeff), nm.iter_ln(depth, n) if depth else n
-            )
-            total = nm.ext_add(total, term)
-        return nm.ext_add(total, self.delta_correction(n))
+        return nm.ext_add(combo.value(n), self.delta_correction(n))
 
     def ln_chain(self, depth: int) -> Expr:
         """Expression for the depth-fold iterated log of w(n)."""
@@ -219,16 +214,14 @@ class PowerOfN(ScaleFn):
 class Custom(ScaleFn):
     """A scale given by an expression in n. Assumptions are sampled."""
 
-    def __init__(self, expression: Expr, label: str | None = None):
+    def __init__(self, expression: Expr):
         if isinstance(expression, str):
             expression = ex.parse(expression)
         missing = ex.free_params(expression)
         if missing:
-            from .errors import UnboundParameterError
-
             raise UnboundParameterError(missing)
         self._expr = expression
-        self._label = label or ex.format_expr(expression)
+        self._label = ex.format_expr(expression)
 
     @property
     def name(self) -> str:

@@ -381,7 +381,7 @@ def _run(term, n0: int, N: int, budget: int, cuts=(),
 
     Returns (final total, [(cut, running total)], n_terms), everything
     in mpf at the accumulator precision. Above 53 bits the terms are
-    evaluated one by one in _run_precise instead.
+    evaluated one by one in _run_precise instead, which takes no cuts.
     """
     if N < n0:
         raise ValueError(f"empty summation range [{n0}, {N}]")
@@ -390,9 +390,9 @@ def _run(term, n0: int, N: int, budget: int, cuts=(),
         raise BudgetExceededError(
             f"{n_terms} term evaluations exceed the budget of {budget}"
         )
-    cuts = sorted(set(int(c) for c in cuts))
     if bits > _TERM_BITS:
-        return _run_precise(term, n0, N, bits, cuts)
+        return _run_precise(term, n0, N, bits)
+    cuts = sorted(set(int(c) for c in cuts))
     evaluate = partial(_chunk_total, _chunk_evaluator(term), term.text)
     spans = _spans(n0, N, cuts)
     with mp.workprec(_ACC_BITS):
@@ -410,10 +410,8 @@ def _run(term, n0: int, N: int, budget: int, cuts=(),
         return running, at_cuts, n_terms
 
 
-def _run_precise(term, n0: int, N: int, bits: int, cuts):
+def _run_precise(term, n0: int, N: int, bits: int):
     """Per-term high-precision path; meant for modest ranges only."""
-    at_cuts = []
-    ci = 0
     with nm.local_precision(bits), nm._Working():
         running = mp.mpf(0)
         for n in range(n0, N + 1):
@@ -423,10 +421,7 @@ def _run_precise(term, n0: int, N: int, bits: int, cuts):
                     f"{term.text}: term at n={n} is negative", witness=n
                 )
             running += v.as_mpf()
-            if ci < len(cuts) and n == cuts[ci]:
-                at_cuts.append((n, running))
-                ci += 1
-        return running, at_cuts, N - n0 + 1
+        return running, [], N - n0 + 1
 
 
 def _window(term, n0: int, N: int, budget: int, precision: int) -> SumResult:

@@ -425,6 +425,37 @@ def test_tower_grid_override_is_quick(capsys, text, grid, decision):
     assert json.loads(out)["final"]["decision"] == decision
 
 
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("text, code, decision", [
+    # tiny absorbed terms print through their log, not in decimal
+    ("1/n^2+exp(-n^5)", 0, "converges"),
+    ("1/(n^2+2^(-n^4))", 0, "converges"),
+    # constant powers past the coefficient bound stay unfolded
+    ("1/n^(10^4301)", 0, "converges"),
+    ("1/n^(2^(2^16))", 0, "converges"),
+    ("1/n^(2^(2^24))", 0, "converges"),
+    ("1/n^(2^4096)", 0, "converges"),
+    ("n^(10^(10^9))", 0, "diverges"),
+    ("n^(-(10^(10^7)))", 0, "converges"),
+    # a literal past Python's integer string limit is an input error
+    pytest.param(f"n^(-{_LONG})", 1, None, id="long-integer"),
+    pytest.param(f"n^(-1.{_LONG})", 1, None, id="long-decimal"),
+])
+def test_huge_constants_end_quickly(capsys, text, code, decision):
+    start = time.perf_counter()
+    got, out, err = run(capsys, ["analyze", text, "--json"])
+    assert time.perf_counter() - start < 10
+    assert got == code
+    assert "Traceback" not in err
+    if decision is None:
+        assert err.startswith("error in input parsing: number too long")
+        assert "(at position 4)" in err
+    else:
+        assert json.loads(out)["final"]["decision"] == decision
+
+
 def test_verify_slow_log_pass(capsys):
     code, out, _ = run(capsys, ["verify", "1/(n*ln(n))"])
     assert code == 0

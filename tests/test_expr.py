@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
-from logladder import criteria as cr
 from logladder import expr as ex
 from logladder import numeric as nm
 from logladder.errors import ParseError, PositivityViolation
@@ -40,8 +39,7 @@ def test_rational_constants_stay_exact():
     # the exponent must survive as an exact fraction, not a float
     form = ex.to_log_power(ex.parse("n^(-3/2)"))
     assert form is not None
-    assert form.exponent(0) == Fraction(-3, 2)
-    assert form.exponent(1) == Fraction(0)
+    assert form.exps == (Fraction(-3, 2),)  # trailing zeros stripped
 
 
 def test_parse_errors():
@@ -118,7 +116,7 @@ def test_check_positive_sign_needs_a_plain_point():
 
 def test_check_positive_is_not_a_proof_before_the_domain_start():
     # lnln(n) is an exact monomial, but negative at n = 2
-    assert ex._exact_monomial(ex.parse("lnln(n)")) is not None
+    assert ex.to_log_power(ex.parse("lnln(n)")) is not None
     with pytest.raises(PositivityViolation):
         ex.check_positive(ex.parse("lnln(n)"), nm.from_value(2))
 
@@ -151,13 +149,14 @@ def test_exact_monomials_pass_the_sampled_check(coef, factors):
         for k, (p, a, form) in enumerate(factors)
     ])
     e = ex.parse(text)
-    assert ex._exact_monomial(e) is not None
+    assert ex.to_log_power(e) is not None
     ex.check_positive(e, ex.domain_start(e))
 
 
 def test_to_log_power_reads_exponents():
     form = ex.to_log_power(ex.parse("(ln(n))^(1/2)/n"))
     assert form is not None
+    assert (form.coef, form.exps) == (1, (Fraction(-1), Fraction(1, 2)))
 
 
 def test_linearize_log_transform_exact_combo():
@@ -261,7 +260,7 @@ def test_combo_value_adds_the_vanishing_part_back(text):
     combo = _term_combo(text)
     n = nm.from_value(10**6)
     direct = nm.to_float(nm.ext_ln(ex.eval_expr(ex.parse(text), n)))
-    split = nm.to_float(cr._eval_combo(combo, n))
+    split = nm.to_float(combo.value(n))
     assert split == pytest.approx(direct, rel=1e-12)
 
 

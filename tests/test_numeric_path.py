@@ -115,7 +115,7 @@ def test_errors_raise_and_restore_precision(text, point, error, ambient):
         assert mp.prec == ambient
         combo = ex.LogCombo({}, Fraction(0), [], [ex.parse(text)])
         with pytest.raises(error):
-            cr._eval_combo(combo, _index(point))
+            combo.value(_index(point))
         assert mp.prec == ambient
 
 
