@@ -26,11 +26,9 @@ from .criteria import (
     slow_divergence_test,
 )
 from .errors import (
-    AbsorptionWarning,
     AssumptionViolation,
     BudgetExceededError,
     CancellationError,
-    CorpusMismatch,
     DivisionByZero,
     DomainError,
     ExhaustedHierarchy,
@@ -48,7 +46,7 @@ from .limits import (
     estimate_limsup_liminf,
     make_grid,
 )
-from .scale import Custom, Identity, IterLog, PowerOfN, ScaleFn, parse_scale
+from .scale import Custom, IterLog, PowerOfN, ScaleFn, parse_scale
 from .sums import (
     DEFAULT_BUDGET,
     RateCheck,
@@ -66,21 +64,18 @@ __all__ = [
     "__version__",
     "DECIDE_MARGIN",
     "DEFAULT_BUDGET",
-    "AbsorptionWarning",
     "AnalysisPolicy",
     "AnalysisReport",
     "AssumptionViolation",
     "BudgetExceededError",
     "CallableTerm",
     "CancellationError",
-    "CorpusMismatch",
     "Custom",
     "DivisionByZero",
     "DomainError",
     "ExhaustedHierarchy",
     "ExprTerm",
     "Geometric",
-    "Identity",
     "IterLog",
     "LimitEstimate",
     "LogLadderError",

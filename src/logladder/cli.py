@@ -15,7 +15,6 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -29,14 +28,13 @@ from . import numeric as nm
 from . import sums
 from .errors import (
     BudgetExceededError,
-    CorpusMismatch,
     LogLadderError,
     ParseError,
     PositivityViolation,
     RangeError,
     UnboundParameterError,
 )
-from .limits import Geometric, TowerGeometric
+from .limits import Geometric, TowerGeometric, make_grid
 from .scale import parse_scale
 
 __all__ = ["RunConfig", "main"]
@@ -44,6 +42,8 @@ __all__ = ["RunConfig", "main"]
 SCHEMA_VERSION = "1"
 
 _VERIFY_CHECKPOINTS = (10**4, 10**5, 10**6, 10**7)
+
+_MAX_GRID_POINTS = 10**4  # the default grids have 10 and 12
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,18 @@ def _parse_params(pairs) -> dict:
         try:
             out[name] = Fraction(val)
         except (ValueError, ZeroDivisionError):
-            try:
-                out[name] = Fraction(float(val))
-            except (ValueError, OverflowError):
-                raise ParseError(
-                    f"--param {name}: cannot read {val!r} as a number"
-                )
+            raise ParseError(
+                f"--param {name}: cannot read {val!r} as a number"
+            ) from None
     return out
 
 
-def _parse_grid(text: str):
+def _parse_grid(text: str, precision: int) -> list:
     """Grid override syntax: semicolon-joined segments.
 
-    geometric:START:RATIO:COUNT or tower:LEVEL:START:STEP:COUNT.
+    geometric:START:RATIO:COUNT or tower:LEVEL:START:STEP:COUNT. The
+    points are built once, here, so a grid that cannot be built is an
+    input error even when the ladder never samples it.
     """
     schedule = []
     for seg in text.split(";"):
@@ -113,7 +112,16 @@ def _parse_grid(text: str):
                 raise ValueError(f"unrecognized grid segment {seg!r}")
         except (ValueError, TypeError) as e:
             raise ParseError(f"--grid: {e}")
-    return schedule[0] if len(schedule) == 1 else schedule
+    count = sum(s.count for s in schedule)
+    if count > _MAX_GRID_POINTS:
+        raise ParseError(f"--grid: {count} points exceed {_MAX_GRID_POINTS}")
+    # a nonzero precision below 64 bits fails policy validation later
+    bits = precision if precision >= 64 else nm.get_precision()
+    try:
+        with nm.local_precision(bits):
+            return make_grid(schedule)
+    except RangeError as e:
+        raise ParseError(f"--grid: {e}") from None
 
 
 def _build_config(args) -> RunConfig:
@@ -125,7 +133,7 @@ def _build_config(args) -> RunConfig:
             scale = parse_scale(w)
         grid = None
         if getattr(args, "grid", None):
-            grid = _parse_grid(args.grid)
+            grid = _parse_grid(args.grid, args.precision)
     except (ParseError, LogLadderError) as e:
         raise _StageError("input parsing", e)
     return RunConfig(
@@ -146,9 +154,8 @@ def _analyze(config: RunConfig):
         policy = cr.AnalysisPolicy(
             scale=config.scale, k_max=config.k_max, grid=config.grid
         )
-        scope = contextlib.nullcontext()
-        if config.precision:
-            scope = nm.local_precision(nm.Precision(config.precision))
+        scope = nm.local_precision(nm.Precision(config.precision)
+                                   if config.precision else nm.get_precision())
     except ValueError as e:
         raise _StageError("policy validation", e)
     with scope:
@@ -537,10 +544,7 @@ def _cmd_examples(args) -> int:
         for f in failures:
             print(f"mismatch: {f}")
     if failures:
-        print(
-            CorpusMismatch(f"{len(failures)} corpus deviation(s)"),
-            file=sys.stderr,
-        )
+        print(f"{len(failures)} corpus deviation(s)", file=sys.stderr)
         return 1
     return 0
 

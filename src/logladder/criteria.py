@@ -175,7 +175,7 @@ class CallableTerm(TermSource):
             # exact zeros pass: they read as underflowed terms, and the
             # log machinery skips those grid points on its own
             raise PositivityViolation(
-                f"{self.text} is not positive at n={idx}", witness=idx
+                f"{self.text} is not positive at n={idx}"
             )
         return v
 
@@ -198,9 +198,7 @@ class MutatedTerm(TermSource):
                 raise ValueError("term overrides are limited to indices 1..100")
             val = nm.from_value(v)
             if not val.sign > 0:
-                raise PositivityViolation(
-                    f"override at n={k} is not positive", witness=k
-                )
+                raise PositivityViolation(f"override at n={k} is not positive")
             cleaned[k] = val
         self.overrides = cleaned
         self.text = base.text + " [mutated prefix]"
@@ -591,67 +589,59 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
     return _Statistic(exact, partial(_choose_grid, term, None), sample)
 
 
-def _quotient_pieces(term: TermSource, w: sc.ScaleFn, level: int,
-                     include_delta: bool):
-    """(num, den) combos for the level-th escalation statistic.
+def _numerator(term: TermSource, w: sc.ScaleFn, level: int,
+               include_delta: bool):
+    """(combo, value) of ln a_n [- ln dw(n)] + sum_{i=1..level} i-fold
+    log of w(n), the level-th escalation numerator.
 
-    num = ln a_n [- ln dw(n)] + sum_{i=1..level} i-fold log of w(n)
-    den = (level+1)-fold log of w(n)
-
-    Returns None when the term has no exact log split or, with
-    include_delta, when the scale has no increment split.
+    combo is its exact split, or None when the term or, with
+    include_delta, the scale has none. value(n, den) evaluates it at n
+    from the combo (see LogCombo.value for den) or else from the terms.
     """
     tc = term.log_combo()
-    if tc is None:
-        return None
-    num = tc
-    if include_delta:
-        dc = w.log_delta_combo()
-        if dc is None:
-            return None
-        num = num.merged(dc, -1)
+    dc = w.log_delta_combo() if include_delta else None
+    if tc is None or (include_delta and dc is None):
+        chains = [w.ln_chain(i) for i in range(1, level + 1)]
+
+        def sampled(n, den=None):
+            nv = nm.ext_ln(term.term(n))
+            if include_delta:
+                nv = nm.ext_sub(nv, w.log_delta(n))
+            for c in chains:
+                nv = nm.ext_add(nv, ex.eval_expr(c, n))
+            return nv
+
+        return None, sampled
+    num = tc if dc is None else tc.merged(dc, -1)
     for i in range(1, level + 1):
         num = num.merged(_chain_combo(w, i), 1)
-    return num, _chain_combo(w, level + 1)
+
+    def split(n, den=None):
+        nv = num.value(n, den)
+        return nm.ext_sub(nv, w.delta_correction(n)) if include_delta else nv
+
+    return num, split
 
 
 def _quotient_statistic(term: TermSource, w: sc.ScaleFn, level: int,
                         include_delta: bool) -> _Statistic:
-    """num/den of _quotient_pieces, sampled from the combos when the
-    term has a log split and from the terms otherwise."""
+    """The level-th numerator over the (level+1)-fold log of w(n)."""
     bits = nm.get_precision().significand_bits
-    pieces = _quotient_pieces(term, w, level, include_delta)
-    if pieces is None:
-        chains = [w.ln_chain(i) for i in range(1, level + 1)]
-        den_expr = w.ln_chain(level + 1)
-
-        def sample(n):
-            with nm.local_precision(bits + 64):
-                nv = nm.ext_ln(term.term(n))
-                if include_delta:
-                    nv = nm.ext_sub(nv, w.log_delta(n))
-                for c in chains:
-                    nv = nm.ext_add(nv, ex.eval_expr(c, n))
-                dv = ex.eval_expr(den_expr, n)
-                if not dv.sign > 0:
-                    raise DomainError("comparison log not yet positive")
-                return nm.ext_div(nv, dv), dv
-
-        return _Statistic(None, partial(_choose_grid, term, None), sample,
-                          _quotient_drift)
-    num, den = pieces
-    corr = w.delta_correction if include_delta else None
+    num, value = _numerator(term, w, level, include_delta)
+    den = _chain_combo(w, level + 1)
+    den_value = (den.value if num is not None
+                 else partial(ex.eval_expr, w.ln_chain(level + 1)))
 
     def sample(n):
         with nm.local_precision(bits + 64):
-            dv = den.value(n)
+            dv = den_value(n)
             if not dv.sign > 0:
                 raise DomainError("comparison log not yet positive")
-            nv = num.value(n, dv)
-            if corr is not None:
-                nv = nm.ext_sub(nv, corr(n))
-            return nm.ext_div(nv, dv), dv
+            return nm.ext_div(value(n, dv), dv), dv
 
+    if num is None:
+        return _Statistic(None, partial(_choose_grid, term, None), sample,
+                          _quotient_drift)
     dl = den.leading()
     den_depth = dl[0] if dl is not None else level + 1
     return _Statistic(
@@ -663,25 +653,16 @@ def _quotient_statistic(term: TermSource, w: sc.ScaleFn, level: int,
 
 def _slow_divergence_statistic(term: TermSource,
                                w: sc.ScaleFn) -> _Statistic:
-    """ln g(n) with g = w(n) a_n / dw(n)."""
+    """ln g(n) with g = w(n) a_n / dw(n): the level-1 numerator."""
     bits = nm.get_precision().significand_bits
-    pieces = _quotient_pieces(term, w, 1, include_delta=True)
-    if pieces is None:
-        def sample(n):
-            with nm.local_precision(bits + 64):
-                g = nm.ext_div(
-                    nm.ext_mul(w.value(n), term.term(n)), w.delta(n)
-                )
-                return nm.ext_ln(g), n
-
-        return _Statistic(None, partial(_choose_grid, term, None), sample)
-    lng = pieces[0]
+    lng, value = _numerator(term, w, 1, include_delta=True)
 
     def sample(n):
         with nm.local_precision(bits + 64):
-            v = lng.value(n, nm.ONE)
-            return nm.ext_sub(v, w.delta_correction(n)), n
+            return value(n, nm.ONE), n
 
+    if lng is None:
+        return _Statistic(None, partial(_choose_grid, term, None), sample)
     lead = lng.leading()
     exact = None
     if lng.is_exact:
@@ -830,7 +811,7 @@ def _limit_verdict(m: _Measure, test_id: str, w: sc.ScaleFn | None,
         template=template + (
             "tail" if decision == "converges" else "partial"
         ),
-        scale=w if w is not None else sc.Identity(),
+        scale=w if w is not None else sc.IterLog(0),
         level=level, order=est.value, exact_order=exact,
     )
     return Verdict(
@@ -1136,7 +1117,7 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
             if v.decisive:
                 final = v
             if final is None:
-                v = scaled_log_test(term, sc.Identity(), policy)
+                v = scaled_log_test(term, sc.IterLog(0), policy)
                 trace.append(v)
                 if v.decisive:
                     final = v
@@ -1156,7 +1137,7 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
             if note not in seen:
                 seen.add(note)
                 warnings.append(f"{v.test_id}: {note}")
-    for msg in sorted({str(a.args[0]) for a in absorbed}):
+    for msg in sorted(set(absorbed)):
         warnings.append(f"absorption: {msg}")
     return AnalysisReport(
         sequence=term.text,

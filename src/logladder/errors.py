@@ -1,9 +1,7 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from LogLadderError so callers can
-catch the package's failures with one except clause. AbsorptionWarning is
-a Warning, not an error: absorption is a legitimate outcome of extended
-arithmetic that merely has to be visible.
+catch the package's failures with one except clause.
 """
 
 from __future__ import annotations
@@ -44,26 +42,16 @@ class CancellationError(LogLadderError):
     """
 
 
-class AbsorptionWarning(UserWarning):
-    """A finite nonzero operand had no effect on an add or subtract.
-
-    Emitted through the absorption log (see numeric.absorption_log) when
-    the smaller operand is below the resolution of the larger at working
-    precision. The operation still returns the dominant value.
-    """
-
-
 class ParseError(LogLadderError):
     """Sequence expression text failed to parse.
 
-    Carries the character position of the failure.
+    The message names the character position of the failure when known.
     """
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
-        self.position = position
 
 
 class UnboundParameterError(LogLadderError):
@@ -78,10 +66,6 @@ class UnboundParameterError(LogLadderError):
 
 class PositivityViolation(LogLadderError):
     """A sequence produced a non-positive term where positivity is required."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class AssumptionViolation(LogLadderError):
@@ -112,7 +96,3 @@ class ExhaustedHierarchy(LogLadderError):
 
 class BudgetExceededError(LogLadderError):
     """A summation or search would exceed its term budget."""
-
-
-class CorpusMismatch(LogLadderError):
-    """A bundled example did not reproduce its expected analysis."""

@@ -718,7 +718,7 @@ def check_positive(e: Expr, n0: ExtScalar) -> None:
             continue
         if v.sign <= 0:
             raise PositivityViolation(
-                f"term is not positive at n = {nm.fmt(p, 8)}", witness=p
+                f"term is not positive at n = {nm.fmt(p, 8)}"
             )
 
 

@@ -83,6 +83,9 @@ class TowerGeometric:
 
 
 def make_grid(schedule) -> list[ExtScalar]:
+    """The points of a schedule, a list of schedules, or of points."""
+    if isinstance(schedule, ExtScalar):
+        return [schedule]
     if isinstance(schedule, (list, tuple)):
         pts: list[ExtScalar] = []
         for s in schedule:

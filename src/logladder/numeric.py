@@ -33,7 +33,6 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import (
-    AbsorptionWarning,
     CancellationError,
     DivisionByZero,
     DomainError,
@@ -56,8 +55,6 @@ __all__ = [
     "ext_abs",
     "ext_ln",
     "ext_exp",
-    "ext_ln1p",
-    "ext_expm1",
     "ext_cmp",
     "iter_ln",
     "fmt",
@@ -149,30 +146,28 @@ class _Working:
         return False
 
 
-_absorb_sinks: list[list[AbsorptionWarning]] = []
+_absorb_sinks: list[list[str]] = []
 
 
 @contextmanager
 def absorption_log():
     """Collect absorption events from the enclosed operations.
 
-    Yields a list that receives one AbsorptionWarning per absorbed
-    operand, in evaluation order. Nesting works; every active log sees
-    every event.
+    Yields a list that receives one message per absorbed operand, in
+    evaluation order. Nesting works; every active log sees every event.
     """
-    sink: list[AbsorptionWarning] = []
+    sink: list[str] = []
     _absorb_sinks.append(sink)
     try:
         yield sink
     finally:
-        _absorb_sinks.remove(sink)
+        # by identity: an outer log with equal contents is another sink
+        _absorb_sinks[:] = [s for s in _absorb_sinks if s is not sink]
 
 
 def _note_absorption(message: str) -> None:
-    if _absorb_sinks:
-        event = AbsorptionWarning(message)
-        for sink in _absorb_sinks:
-            sink.append(event)
+    for sink in _absorb_sinks:
+        sink.append(message)
 
 
 class ExtScalar:
@@ -608,32 +603,6 @@ def ext_exp(x: ExtScalar) -> ExtScalar:
         if v > 0:
             return ExtScalar.tower(1, v)
         raise RangeError("exp underflows the plain representable range")
-
-
-def ext_ln1p(x: ExtScalar) -> ExtScalar:
-    """ln(1 + x), accurate for tiny x."""
-    if x.sign == 0:
-        return ZERO
-    if x.level > 0:
-        _note_absorption(f"1 absorbed into {fmt(x)} under ln1p")
-        return ext_ln(x)
-    with _Working():
-        v = x.mag if x.sign > 0 else -x.mag
-        if v <= -1:
-            raise DomainError("ln1p of a value at or below -1")
-        return _plain(mp.log1p(v))
-
-
-def ext_expm1(x: ExtScalar) -> ExtScalar:
-    """exp(x) - 1, accurate for tiny x."""
-    if x.sign == 0:
-        return ZERO
-    if x.level > 0:
-        _note_absorption(f"1 absorbed into exp of {fmt(x)} under expm1")
-        return ext_exp(x)
-    with _Working():
-        v = x.mag if x.sign > 0 else -x.mag
-        return _plain(mp.expm1(v))
 
 
 def iter_ln(k: int, x: ExtScalar) -> ExtScalar:

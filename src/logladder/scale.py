@@ -2,16 +2,17 @@
 
 A scale w must increase to infinity, admit an inverse, and vary slowly in
 the additive sense (w(x + y)/w(x) -> 1 for fixed y). The catalog covers
-the identity, iterated logarithms, and fixed powers of n, all of which
-satisfy the assumptions structurally. Arbitrary expression scales are
-accepted too and get a sampled assumption check instead of a proof.
+the iterated logarithms ln_k n (n itself is ln_0 n) and fixed powers of
+n, all of which satisfy the assumptions structurally. Arbitrary
+expression scales are accepted too and get a sampled assumption check.
 
 The quantity the statistics actually consume is ln of the forward
 increment, ln(w(n+1) - w(n)). Computing the increment first and taking
 its log would cancel catastrophically for slow scales, so catalog scales
 expose it as an exact rational combination of iterated logs of n plus a
 small correction term that is evaluated directly from series-safe
-primitives (log1p, expm1) and vanishes as n grows.
+primitives (log1p, expm1) and vanishes as n grows; the increment is the
+exp of that split.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .numeric import ExtScalar
 
 __all__ = [
     "ScaleFn",
-    "Identity",
     "IterLog",
     "PowerOfN",
     "Custom",
@@ -47,8 +47,6 @@ __all__ = [
 class ScaleFn:
     """Base interface; instances are immutable."""
 
-    name: str = "?"
-
     def w_expr(self) -> Expr:
         raise NotImplementedError
 
@@ -56,8 +54,8 @@ class ScaleFn:
         return ex.eval_expr(self.w_expr(), n)
 
     def delta(self, n: ExtScalar) -> ExtScalar:
-        """w(n+1) - w(n), computed without catastrophic cancellation."""
-        raise NotImplementedError
+        """w(n+1) - w(n), the exp of the stable split of its log."""
+        return nm.ext_exp(self.log_delta(n))
 
     def log_delta_combo(self) -> LogCombo | None:
         """Exact split of ln delta(n), or None when only pointwise
@@ -89,46 +87,23 @@ class ScaleFn:
 
 
 @dataclass(frozen=True, repr=False)
-class Identity(ScaleFn):
-    """w(n) = n."""
-
-    @property
-    def name(self) -> str:
-        return "n"
-
-    def w_expr(self) -> Expr:
-        return ex.Var()
-
-    def delta(self, n: ExtScalar) -> ExtScalar:
-        return nm.ONE
-
-    def log_delta_combo(self) -> LogCombo:
-        return LogCombo({}, Fraction(0), [], [])
-
-
-@dataclass(frozen=True, repr=False)
 class IterLog(ScaleFn):
-    """w(n) = the depth-fold iterated natural log of n."""
+    """w(n) = the depth-fold iterated natural log of n; depth 0 is n."""
 
     depth: int
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("IterLog depth must be at least 1")
+        if self.depth < 0:
+            raise ValueError("IterLog depth must be nonnegative")
 
     @property
     def name(self) -> str:
-        return "ln" * self.depth if self.depth <= 4 else f"iterlog:{self.depth}"
+        if self.depth > 4:
+            return f"iterlog:{self.depth}"
+        return "ln" * self.depth or "n"
 
     def w_expr(self) -> Expr:
         return ex.iterln(self.depth, ex.Var())
-
-    def delta(self, n: ExtScalar) -> ExtScalar:
-        d = nm.ext_ln1p(nm.ext_div(nm.ONE, n))
-        for j in range(2, self.depth + 1):
-            level = nm.iter_ln(j - 1, n)
-            d = nm.ext_ln1p(nm.ext_div(d, level))
-        return d
 
     def log_delta_combo(self) -> LogCombo:
         coeffs = {j: Fraction(-1) for j in range(1, self.depth + 1)}
@@ -180,11 +155,6 @@ class PowerOfN(ScaleFn):
 
     def w_expr(self) -> Expr:
         return ex.Pow(ex.Var(), ex.Const(self.sigma))
-
-    def delta(self, n: ExtScalar) -> ExtScalar:
-        s = nm.from_value(self.sigma)
-        t = nm.ext_ln1p(nm.ext_div(nm.ONE, n))
-        return nm.ext_mul(nm.ext_pow(n, s), nm.ext_expm1(nm.ext_mul(s, t)))
 
     def log_delta_combo(self) -> LogCombo:
         return LogCombo(
@@ -308,9 +278,7 @@ class Custom(ScaleFn):
 def parse_scale(text: str) -> ScaleFn:
     """Parse a scale name: n, ln, lnln, lnlnln, pow:sigma, expr:..."""
     s = text.strip()
-    if s == "n":
-        return Identity()
-    if s in ("ln", "lnln", "lnlnln", "lnlnlnln"):
+    if s in ("n", "ln", "lnln", "lnlnln", "lnlnlnln"):
         return IterLog(len(s) // 2)
     if s.startswith("pow:"):
         try:

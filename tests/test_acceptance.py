@@ -60,7 +60,7 @@ def test_criterion_1_bertrand_equivalence():
 def test_criterion_2_log_power_family():
     ts = [Fraction(v) for v in ("-2", "-6/5", "-1", "1/2")]
     for t in ts:
-        v0 = cr.log_ratio_test("(ln(n))^t/n", sc.Identity(),
+        v0 = cr.log_ratio_test("(ln(n))^t/n", sc.IterLog(0),
                                params={"t": t})
         assert v0.exact_value == Fraction(-1)
         assert v0.decision == "inconclusive"

@@ -195,6 +195,41 @@ def test_grid_below_index_one_is_input_error(capsys, grid):
     assert err.startswith("error in input parsing: --grid: ")
 
 
+@pytest.mark.parametrize("text", ["1/(n^2+2^(1/2)*n)", "1/n^2"])
+def test_grid_that_cannot_be_built_is_input_error(capsys, text):
+    # exp^7(2) is past the tower cap. The grid is built before the run,
+    # so the exact 1/n^2, which never samples it, fails the same way.
+    code, out, err = run(capsys, ["analyze", text, "--grid",
+                                  "tower:9:2:1:12"])
+    assert code == 1
+    assert out == ""
+    assert err.strip() == ("error in input parsing: --grid: tower level 7 "
+                           "exceeds the configured maximum 6")
+
+
+def test_grid_segments_join_in_order(capsys):
+    from logladder import limits as lm
+
+    text = "geometric:101:10:6;tower:1:15:1:6"
+    assert cli._parse_grid(text, 0) == (
+        lm.make_grid(lm.Geometric(101, 10, 6))
+        + lm.make_grid(lm.TowerGeometric(1, 15, 1, 6))
+    )
+    code, out, _ = run(capsys, ["analyze", "1/(n^2+2^(1/2)*n)", "--grid",
+                                text])
+    assert code == 0
+    assert "verdict: converges [raabe]" in out
+
+
+def test_grid_size_is_bounded(capsys):
+    code, out, err = run(capsys, ["analyze", "1/n^2", "--grid",
+                                  "geometric:101:10:6000;tower:1:2:1:6000"])
+    assert code == 1
+    assert out == ""
+    assert err.strip() == ("error in input parsing: --grid: 12000 points "
+                           "exceed 10000")
+
+
 # -- sum ---------------------------------------------------------------------------
 
 
@@ -271,6 +306,20 @@ def test_sum_precise_empty_range_is_an_error(capsys):
     assert out == ""
     assert err.strip() == (
         "error in oracle summation: empty summation range [1, 0]"
+    )
+
+
+def test_precise_sum_is_held_to_the_budget(capsys):
+    # at about 20 000 precise terms a second this would run an hour
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sum", "1/n^2", "100000000",
+                                  "--precision", "128"])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert out == ""
+    assert err.strip() == (
+        "error in oracle summation: 100000000 term evaluations at 128 bits "
+        "(2000 float terms each) exceed the budget of 100000000"
     )
 
 

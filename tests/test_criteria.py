@@ -145,11 +145,11 @@ def test_scaled_log_numeric_recovers_order():
 
 
 def test_log_ratio_without_increment():
-    v = cr.log_ratio_test("(ln(n))^t/n", sc.Identity(),
+    v = cr.log_ratio_test("(ln(n))^t/n", sc.IterLog(0),
                           params={"t": "-1.2"})
     assert v.exact_value == Fraction(-1)
     assert v.decision == "inconclusive"
-    v = cr.log_ratio_test("1/n^2", sc.Identity())
+    v = cr.log_ratio_test("1/n^2", sc.IterLog(0))
     assert v.exact_value == Fraction(-2)
     assert v.decision == "converges"
 
@@ -232,7 +232,7 @@ def test_one_sided_oscillating_divergence():
     def osc(n):
         return (2 + (-1) ** n) / n**0.5
 
-    v = cr.one_sided_test(cr.CallableTerm(osc), sc.Identity())
+    v = cr.one_sided_test(cr.CallableTerm(osc), sc.IterLog(0))
     assert v.decision == "diverges"
     assert v.one_sided
 
@@ -343,7 +343,7 @@ def test_custom_scale_decides_like_catalog(custom, catalog, text):
 
 
 def test_analyze_pinned_identity_on_geometric():
-    pol = cr.AnalysisPolicy(scale=sc.Identity())
+    pol = cr.AnalysisPolicy(scale=sc.IterLog(0))
     rep = cr.analyze("exp(-n/2)", pol)
     assert rep.final.decision == "converges"
     assert rep.final.one_sided

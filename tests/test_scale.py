@@ -11,7 +11,7 @@ from logladder.errors import AssumptionViolation, LogLadderError
 
 
 def test_identity_basics():
-    w = sc.Identity()
+    w = sc.IterLog(0)
     assert w.name == "n"
     n = nm.from_value(7)
     assert nm.to_float(w.value(n)) == 7.0
@@ -31,11 +31,16 @@ def test_iterlog_names_and_values():
 
 def test_iterlog_depth_validation():
     with pytest.raises((ValueError, LogLadderError)):
-        sc.IterLog(0)
+        sc.IterLog(-1)
+    # depth 0 is n itself, with an increment of exactly 1
+    w = sc.IterLog(0)
+    assert w.name == "n" and sc.parse_scale("n") == w
+    d = w.delta(nm.from_value(10**6))
+    assert (d.sign, d.level, d.mag) == (1, 0, 1)
 
 
 def test_delta_matches_finite_difference():
-    for w in (sc.Identity(), sc.IterLog(1), sc.IterLog(2),
+    for w in (sc.IterLog(0), sc.IterLog(1), sc.IterLog(2),
               sc.PowerOfN(Fraction(1, 2))):
         n = nm.from_value(10**4)
         n1 = nm.from_value(10**4 + 1)
@@ -65,7 +70,8 @@ def test_log_delta_combo_iterlog():
 def test_log_delta_includes_correction():
     w = sc.IterLog(1)
     n = nm.from_value(10**6)
-    exact = nm.ext_ln(w.delta(n))
+    with mp.workprec(300):
+        exact = nm.from_value(mp.log(mp.log1p(mp.mpf(1) / 10**6)))
     combo_part = nm.ext_neg(nm.iter_ln(1, n))  # combo says -ln(n)
     corr = w.delta_correction(n)
     assert nm.to_float(exact) == pytest.approx(
