@@ -103,14 +103,18 @@ class TermSource:
 class ExprTerm(TermSource):
     """Terms defined by a parsed expression with all parameters bound.
 
-    The term must be positive from n_start on. When expr.to_log_power
-    reads it as an exact monomial q * n^p0 * (ln n)^p1 * ... with
-    rational q > 0, that is proved: from n_start = domain_start on, every
-    iterated log in the tree is past its threshold exp^k(1) * (1 + 1e-6),
-    so every factor is positive. Any other term (sums, shifts, exp, a
-    negative coefficient) is sampled by expr.check_positive, which may
-    reject it. The proof holds only from n_start on (lnln(n) is exact but
-    negative at n = 2), so it lives here and not in check_positive.
+    The term must be positive from n_start on. Two readings of the tree
+    prove it without evaluating anything: expr.to_log_power (an exact
+    monomial q * n^p0 * (ln n)^p1 * ... with rational q > 0) and
+    expr.proves_positive (positive constants, n, and iterated logs of
+    rising arguments, combined by sums, products, quotients and n-free
+    powers). Both rest on one argument: from n_start = domain_start on,
+    every iterated log of n in the tree is past its threshold
+    exp^k(1) * (1 + 1e-6) and stays past it, so every factor is
+    positive. Any other term (differences, exp, a negative coefficient)
+    is sampled by expr.check_positive, which may reject it. The proofs
+    hold only from n_start on (lnln(n) is exact but negative at n = 2),
+    so they live here and not in check_positive.
     """
 
     def __init__(self, expression, params=None, text=None):
@@ -125,7 +129,7 @@ class ExprTerm(TermSource):
         self.expression = bound
         self.text = text if text is not None else ex.format_expr(bound)
         self._n_start = ex.domain_start(bound)
-        if ex.to_log_power(bound) is None:
+        if ex.to_log_power(bound) is None and not ex.proves_positive(bound):
             ex.check_positive(bound, self._n_start)
         self._combo: LogCombo | None = None
 

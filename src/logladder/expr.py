@@ -68,6 +68,7 @@ __all__ = [
     "domain_start",
     "check_positive",
     "to_log_power",
+    "proves_positive",
     "log_transform",
     "LogCombo",
     "linearize",
@@ -886,6 +887,38 @@ def to_log_power(e: Expr) -> _Lead | None:
     """
     a = _lead(e)
     return a if a is not None and a.exact and a.coef > 0 else None
+
+
+def _rising(e: Expr) -> bool:
+    """True when e is non-decreasing in n: a*n + b with a > 0, or an
+    iterated log of a rising argument."""
+    if isinstance(e, IterLn):
+        return _rising(e.arg)
+    affine = _affine(e)
+    return affine is not None and affine[0] > 0
+
+
+def proves_positive(e: Expr) -> bool:
+    """True when e > 0 at every real n >= domain_start(e), read from the
+    tree alone: a positive constant, n, sums, products and quotients of
+    positive parts, a positive base to an n-free (any real) power, and an
+    iterated log of a rising argument, which domain_start puts past
+    exp^k(1) * (1 + 1e-6) and which stays past it.
+
+    False says nothing: differences, exp, logs of constants and
+    non-positive constants are left to check_positive.
+    """
+    if isinstance(e, Const):
+        return e.value > 0
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, (Add, Mul, Div)):
+        return proves_positive(e.left) and proves_positive(e.right)
+    if isinstance(e, Pow):
+        return not contains_var(e.exponent) and proves_positive(e.base)
+    if isinstance(e, IterLn):
+        return _rising(e.arg)
+    return False
 
 
 # -- log transform ----------------------------------------------------------

@@ -63,6 +63,7 @@ __all__ = [
     "get_precision",
     "local_precision",
     "MAX_TOWER_LEVEL",
+    "INT_POWER_LIMIT",
 ]
 
 _GUARD = 10
@@ -394,17 +395,19 @@ def _log_gap_exceeds(big: ExtScalar, small: ExtScalar, bits: int) -> bool:
         return gap.mag > mp.mpf(bits) * mp.ln(2)
 
 
-# Absorption messages print a magnitude past this, or below its
-# reciprocal, as exp(<ln value>): the decimal digits of a number that
-# large or that small take about a second each.
+# Absorption messages print their numbers to this many significant
+# digits at any working precision, and a magnitude past _FMT_LIMIT, or
+# below its reciprocal, as exp(<ln value>): the decimal digits of a
+# number that large or that small take about a second each.
+_WARN_DIGITS = 8
 _FMT_LIMIT = mp.mpf(2) ** 4096
 _FMT_TINY = mp.mpf(2) ** -4096
 
 
 def _fmt_addend(v) -> str:
     if not v or _FMT_TINY <= abs(v) <= _FMT_LIMIT:
-        return fmt(_plain(v))
-    text = f"exp({fmt(_plain(mp.ln(abs(v))))})"
+        return fmt(_plain(v), _WARN_DIGITS)
+    text = f"exp({fmt(_plain(mp.ln(abs(v))), _WARN_DIGITS)})"
     return text if v > 0 else "-" + text
 
 
@@ -456,7 +459,7 @@ def _add_pairs(sx: int, xm: ExtScalar, sy: int, ym: ExtScalar):
         if c == 0:
             if sx == sy:
                 _note_absorption(
-                    f"equal-magnitude term folded into {fmt(xm)}"
+                    f"equal-magnitude term folded into {fmt(xm, _WARN_DIGITS)}"
                 )
                 return sx, xm
             raise CancellationError(
@@ -467,14 +470,18 @@ def _add_pairs(sx: int, xm: ExtScalar, sy: int, ym: ExtScalar):
         else:
             sb, big, ss, small = sy, ym, sx, xm
         if _log_gap_exceeds(big, small, prec + 2):
-            _note_absorption(f"term {fmt(small)} absorbed into {fmt(big)}")
+            _note_absorption(
+                f"term {fmt(small, _WARN_DIGITS)} absorbed into "
+                f"{fmt(big, _WARN_DIGITS)}"
+            )
             return sb, big
         if sb == ss:
             # The smaller term matters in value but not at the resolution
             # of a tower this size: ln(big + small) differs from ln(big)
             # by less than one ulp of the residue.
             _note_absorption(
-                f"term {fmt(small)} below log resolution of {fmt(big)}"
+                f"term {fmt(small, _WARN_DIGITS)} below log resolution of "
+                f"{fmt(big, _WARN_DIGITS)}"
             )
             return sb, big
         raise CancellationError(
@@ -548,6 +555,11 @@ def ext_div(x: ExtScalar, y: ExtScalar) -> ExtScalar:
     return _product(x, y, -1)
 
 
+# A plain base to an integer power of at most this magnitude is
+# multiplied out; any other power is exp(y * ln x).
+INT_POWER_LIMIT = 4096
+
+
 def ext_pow(x: ExtScalar, y: ExtScalar) -> ExtScalar:
     if y.sign == 0:
         return ONE
@@ -565,7 +577,8 @@ def ext_pow(x: ExtScalar, y: ExtScalar) -> ExtScalar:
             sign = -1 if e % 2 else 1
         mag = ext_pow(ext_abs(x), y)
         return _materialize(sign, mag)
-    if x.level == 0 and y.level == 0 and mp.isint(y.mag) and y.mag <= 4096:
+    if (x.level == 0 and y.level == 0 and mp.isint(y.mag)
+            and y.mag <= INT_POWER_LIMIT):
         with _Working():
             return _plain(x.mag ** (int(y.mag) * y.sign))
     return ext_exp(ext_mul(y, ext_ln(x)))

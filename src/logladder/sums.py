@@ -13,7 +13,8 @@ conservative bound n_terms * 2^(1-53) * value for that reason: the
 53-bit term evaluation dominates. A precision override evaluates terms
 one by one at the requested bits instead; it is orders of magnitude
 slower, so the budget charges each precise term as _PRECISE_COST float
-terms: the default budget bounds a precise run to a few seconds.
+terms, plus a charge that grows with the bits for each log or exp it
+takes: the default budget bounds a precise run to a few seconds.
 
 Expressions compile to numpy evaluators with constant arithmetic folded
 to scalars and intermediate arrays reused in place; each term keeps the
@@ -89,6 +90,12 @@ _ACC_BITS = 160
 # On 2 cores the precise path ran 12-21 thousand terms/s at 64 to 1024
 # bits and the float kernel 31-54 million, so 10^8 allows 2.5-4 s.
 _PRECISE_COST = 2000
+# Each log or exp in a precise term costs more with the bits: per term,
+# 1/(n*ln(n)^2) ran 10 500/s at 64 bits, 2 800 at 1024, 430 at 4096 and
+# 57 at 16384, and n^(-3/2) (a log and an exp) 12 600, 3 300, 410 and 35,
+# while 1/n^2 stayed at 18 000-26 000. So each one adds _LOG_COST float
+# terms up to 256 bits and _LOG_COST * (bits/256)^1.5 above.
+_LOG_COST = 1500
 
 
 @dataclass(frozen=True)
@@ -378,6 +385,33 @@ def _start_index(term) -> int:
     return int(mp.ceil(v))
 
 
+def _log_exp_ops(e: ex.Expr) -> int:
+    """The logs and exps one evaluation of e takes: k for a k-fold log,
+    one for exp, two for a power other than a small integer one."""
+    ops = 0
+    for x in ex._walk(e):
+        if isinstance(x, ex.IterLn):
+            ops += x.count
+        elif isinstance(x, ex.Exp):
+            ops += 1
+        elif isinstance(x, ex.Pow):
+            r = ex._const_fold(x.exponent)
+            if (r is None or r.denominator != 1
+                    or abs(r) > nm.INT_POWER_LIMIT):
+                ops += 2
+    return ops
+
+
+def _precise_cost(term, bits: int) -> int:
+    """Float terms charged for one term evaluated at bits > 53."""
+    while isinstance(term, cr.MutatedTerm):
+        term = term.base
+    if not isinstance(term, cr.ExprTerm):
+        return _PRECISE_COST
+    each = math.ceil(_LOG_COST * max(1.0, bits / 256) ** 1.5)
+    return _PRECISE_COST + _log_exp_ops(term.expression) * each
+
+
 def _run(term, n0: int, N: int, budget: int, cuts=(),
          bits: int = _TERM_BITS):
     """Sum a_n for n in [n0, N], recording totals at the cut indices.
@@ -389,7 +423,7 @@ def _run(term, n0: int, N: int, budget: int, cuts=(),
     if N < n0:
         raise ValueError(f"empty summation range [{n0}, {N}]")
     n_terms = N - n0 + 1
-    cost = _PRECISE_COST if bits > _TERM_BITS else 1
+    cost = _precise_cost(term, bits) if bits > _TERM_BITS else 1
     if n_terms * cost > budget:
         each = f" at {bits} bits ({cost} float terms each)" if cost > 1 else ""
         raise BudgetExceededError(

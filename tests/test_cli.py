@@ -323,6 +323,24 @@ def test_precise_sum_is_held_to_the_budget(capsys):
     )
 
 
+def test_precise_log_term_is_charged_by_the_bits(capsys):
+    # each log costs more with the bits: at 16384 bits this would run
+    # about 20 minutes, while 2000 terms at 128 bits stay accepted
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sum", "1/(n*ln(n)^2)", "50000",
+                                  "--precision", "16384"])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert out == ""
+    assert err.strip() == (
+        "error in oracle summation: 49998 term evaluations at 16384 bits "
+        "(770000 float terms each) exceed the budget of 100000000"
+    )
+    code, _, _ = run(capsys, ["sum", "1/(n*ln(n)^2)", "2000",
+                              "--precision", "128"])
+    assert code == 0
+
+
 def test_sum_has_no_method_option(capsys):
     code, out, err = run(capsys, [
         "sum", "1/n^2", "10", "--method", "pairwise",

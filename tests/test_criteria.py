@@ -41,9 +41,9 @@ def test_expr_term_samples_a_negative_exact_term():
         cr.ExprTerm("(1-3)*n^(-2)")
 
 
-def test_expr_term_proves_bertrand_tuples_positive(monkeypatch):
-    # every Bertrand tuple (m <= 4) is an exact monomial: building its
-    # term evaluates nothing
+def _build_bertrand_terms(monkeypatch, depths, variables):
+    """Build every Bertrand tuple of the given lengths in each variable
+    and return (terms built, eval_expr calls made while building)."""
     calls = []
     real = ex.eval_expr
 
@@ -54,14 +54,30 @@ def test_expr_term_proves_bertrand_tuples_positive(monkeypatch):
     monkeypatch.setattr(ex, "eval_expr", counted)
     exponents = ("-2", "-3/2", "-1", "-1/2", "0", "1")
     built = 0
-    for m in (1, 2, 3, 4):
+    for m in depths:
         for ps in itertools.product(exponents, repeat=m):
-            cr.ExprTerm("*".join(
-                f"({'ln(' * k}n{')' * k})^({p})" for k, p in enumerate(ps)
-            ))
-            built += 1
-    assert built == 1554
-    assert calls == []
+            for var in variables:
+                cr.ExprTerm("*".join(
+                    f"({'ln(' * k}{var}{')' * k})^({p})"
+                    for k, p in enumerate(ps)
+                ))
+                built += 1
+    return built, len(calls)
+
+
+def test_expr_term_proves_bertrand_tuples_positive(monkeypatch):
+    # every Bertrand tuple (m <= 4) is an exact monomial: building its
+    # term evaluates nothing
+    assert _build_bertrand_terms(monkeypatch, (1, 2, 3, 4), ("n",)) == (
+        1554, 0)
+
+
+def test_expr_term_proves_shifted_bertrand_tuples_positive(monkeypatch):
+    # a shifted tuple (m <= 3) is no exact monomial, but every factor is
+    # a positive power of n + c or of an iterated log of it: building its
+    # term evaluates nothing either
+    shifts = ("(n+1)", "(n+2)", "(n+3)")
+    assert _build_bertrand_terms(monkeypatch, (1, 2, 3), shifts) == (774, 0)
 
 
 def test_callable_term_plain_only():

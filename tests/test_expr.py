@@ -153,6 +153,56 @@ def test_exact_monomials_pass_the_sampled_check(coef, factors):
     ex.check_positive(e, ex.domain_start(e))
 
 
+_POSITIVE_ATOMS = st.one_of(
+    st.integers(-3, 3).map(lambda c: f"(n+({c}))"),
+    st.tuples(st.integers(1, 3), st.sampled_from([1, 2]),
+              st.integers(-3, 3)).map(
+        lambda t: "(" + "ln(" * t[0] + f"{t[1]}*n+({t[2]})" + ")" * t[0] + ")"
+    ),
+    st.sampled_from(["(3/2)", "2^(1/2)", "3^(-2/3)"]),
+)
+
+
+def _positive_terms(children):
+    power = st.sampled_from(["-2", "-3/2", "1", "1/2", "-(2^(1/2))",
+                             "ln(2)", "0"])
+    return st.one_of(
+        st.tuples(children, children).map(lambda t: f"({t[0]}+{t[1]})"),
+        st.tuples(children, children).map(lambda t: f"{t[0]}*{t[1]}"),
+        st.tuples(children, children).map(lambda t: f"{t[0]}/({t[1]})"),
+        st.tuples(children, power).map(lambda t: f"({t[0]})^({t[1]})"),
+    )
+
+
+@given(st.recursive(_POSITIVE_ATOMS, _positive_terms, max_leaves=5))
+@settings(max_examples=60, deadline=None)
+def test_proved_positive_terms_pass_the_sampled_check(text):
+    # a term proves_positive accepts is positive at every point
+    # check_positive samples from its domain start
+    e = ex.parse(text)
+    if ex.proves_positive(e):
+        ex.check_positive(e, ex.domain_start(e))
+
+
+def test_proves_positive_reads_shifts_sums_and_real_powers():
+    for text in ("(n+2)^(-1)*(ln((n+2)))^(-1)*(ln(ln((n+2))))^(-1/2)",
+                 "1/(n^2+1)", "1/(n*ln(n+1))", "n^(-2^(1/2))",
+                 "(n^2+2^(1/2)*n)^(-1)", "1/(n*lnln(n+7))", "ln(n-3)"):
+        assert ex.proves_positive(ex.parse(text)), text
+    for text in ("exp(-n)", "(n-5)^(-2)", "log_5(n)", "n+(-1)", "2^n"):
+        assert not ex.proves_positive(ex.parse(text)), text
+
+
+@pytest.mark.parametrize("text, n0", [
+    ("ln(n)-2", 2), ("n-n", 1), ("(1-3)*n^(-2)", 1), ("ln(1/2)*n", 1),
+])
+def test_unproved_terms_are_still_rejected(text, n0):
+    e = ex.parse(text)
+    assert not ex.proves_positive(e)
+    with pytest.raises(PositivityViolation):
+        ex.check_positive(e, nm.from_value(n0))
+
+
 def test_to_log_power_reads_exponents():
     form = ex.to_log_power(ex.parse("(ln(n))^(1/2)/n"))
     assert form is not None
