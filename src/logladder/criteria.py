@@ -1018,6 +1018,8 @@ def _envelope_verdict(m: _Measure, w: sc.ScaleFn) -> Verdict:
     A fit that found a limit or a divergence gives the reading. Suffix
     envelopes stand in only when the sample differences change sign:
     the suffix maximum of a monotone sequence is just its last sample.
+    Only an envelope whose limit is certified decides; samples that
+    merely stay on one side of -1 bound nothing past the grid.
     """
     if m.est is None or m.est.status != "not_converged":
         # A limit (exact or fitted) bounds both envelopes, so the
@@ -1034,21 +1036,6 @@ def _envelope_verdict(m: _Measure, w: sc.ScaleFn) -> Verdict:
         if _decide(est, None) == decision:
             return Verdict(decision, "one-sided", w, 0, est,
                            one_sided=True, notes=(note,))
-    # Drifting envelopes: a statistic that stays on one side of the
-    # boundary over the whole trailing window still bounds the terms
-    # from that side, even when no envelope limit can be certified.
-    values = m.samples
-    tail = values[-max(4, len(values) // 2):]
-    finite = [v for v in tail if not math.isinf(nm.to_float(v))]
-    for decision, bound, note in (("converges", max, "ceiling"),
-                                  ("diverges", min, "floor")):
-        if finite and all(_side(v, nm.ZERO) == decision for v in tail):
-            est = lm.LimitEstimate("not_converged", bound(finite), None,
-                                   "window-bound", len(values))
-            return Verdict(
-                decision, "one-sided", w, 0, est, one_sided=True,
-                notes=(f"empirical {note} of the trailing window",),
-            )
     return _inconclusive(
         "one-sided", w, 0, sup_est, "envelopes-straddle-boundary"
     )

@@ -901,11 +901,11 @@ def _rising(e: Expr) -> bool:
 def proves_positive(e: Expr) -> bool:
     """True when e > 0 at every real n >= domain_start(e), read from the
     tree alone: a positive constant, n, sums, products and quotients of
-    positive parts, a positive base to an n-free (any real) power, and an
-    iterated log of a rising argument, which domain_start puts past
-    exp^k(1) * (1 + 1e-6) and which stays past it.
+    positive parts, a positive base to an n-free (any real) power, ln(c)
+    for a rational c > 1, and an iterated log of a rising argument, which
+    domain_start puts past exp^k(1) * (1 + 1e-6) and which stays past it.
 
-    False says nothing: differences, exp, logs of constants and
+    False says nothing: differences, exp, other logs of constants and
     non-positive constants are left to check_positive.
     """
     if isinstance(e, Const):
@@ -917,6 +917,8 @@ def proves_positive(e: Expr) -> bool:
     if isinstance(e, Pow):
         return not contains_var(e.exponent) and proves_positive(e.base)
     if isinstance(e, IterLn):
+        if e.count == 1 and isinstance(e.arg, Const):
+            return e.arg.value > 1
         return _rising(e.arg)
     return False
 

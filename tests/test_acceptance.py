@@ -5,7 +5,6 @@ prints exactly one PASSED/FAILED line per criterion. The [PASS] prints
 carry the measured numbers for runs with output enabled.
 """
 
-import itertools
 import json
 import random
 import time
@@ -14,6 +13,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from known_verdicts import bertrand, bertrand_tuples, classical_verdict
 from logladder import cli
 from logladder import corpus as corpus_mod
 from logladder import criteria as cr
@@ -22,33 +22,14 @@ from logladder import numeric as nm
 from logladder import scale as sc
 from logladder import sums
 
-EXPONENTS = [Fraction(v) for v in ("-2", "-3/2", "-1", "-1/2", "0", "1")]
-
-
-def _bertrand_expression(ps):
-    factors = []
-    for k, p in enumerate(ps):
-        base = "n" if k == 0 else "(" + "ln(" * k + "n" + ")" * k + ")"
-        factors.append(f"{base}^({p})")
-    return "*".join(factors)
-
-
-def _classical_verdict(ps):
-    for p in ps:
-        if p != -1:
-            return "converges" if p < -1 else "diverges"
-    return "diverges"
-
-
 def test_criterion_1_bertrand_equivalence():
     t0 = time.time()
     total = matched = 0
-    for m in range(1, 5):
-        for ps in itertools.product(EXPONENTS, repeat=m):
-            total += 1
-            rep = cr.analyze(_bertrand_expression(ps))
-            if rep.final.decision == _classical_verdict(ps):
-                matched += 1
+    for ps in bertrand_tuples((1, 2, 3, 4)):
+        total += 1
+        rep = cr.analyze(bertrand(ps))
+        if rep.final.decision == classical_verdict(ps):
+            matched += 1
     elapsed = time.time() - t0
     print(f"[PASS] 1: {matched}/{total} exponent tuples match the "
           f"classical rule in {elapsed:.1f}s")
@@ -194,7 +175,7 @@ def test_criterion_8_invariance_sweep():
     for _ in range(runs):
         depth = rng.randint(1, 3)
         ps = [rng.choice(pool) for _ in range(depth)]
-        expr = _bertrand_expression(ps)
+        expr = bertrand(ps)
         c = rng.choice([Fraction(1, 1000), Fraction(1000)])
         overrides = {
             rng.randint(1, 100): rng.choice(override_vals)

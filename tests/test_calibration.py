@@ -9,42 +9,20 @@ by default they take the exact route: ln(n+c) is ln n plus a part that
 tends to 0.
 """
 
-import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
+from known_verdicts import bertrand, bertrand_tuples, classical_verdict
 from logladder import criteria as cr
 from logladder import numeric as nm
 
-EXPONENTS = [Fraction(v) for v in ("-2", "-3/2", "-1", "-1/2", "0", "1")]
 NUMERIC = cr.AnalysisPolicy(backend="numeric")
 
 
-def _tuples():
-    return [ps for m in (1, 2, 3)
-            for ps in itertools.product(EXPONENTS, repeat=m)]
-
-
-def _expression(ps, shift):
-    var = f"(n+{shift})" if shift else "n"
-    return "*".join(
-        f"{'(' + 'ln(' * k + var + ')' * k + ')' if k else var}^({p})"
-        for k, p in enumerate(ps)
-    )
-
-
-def _classical(ps):
-    for p in ps:
-        if p != -1:
-            return "converges" if p < -1 else "diverges"
-    return "diverges"
-
-
 def _numeric_reports(shift):
-    return {ps: cr.analyze(_expression(ps, shift), NUMERIC)
-            for ps in _tuples()}
+    return {ps: cr.analyze(bertrand(ps, shift), NUMERIC)
+            for ps in bertrand_tuples()}
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +39,8 @@ def test_numeric_backend_never_decides_the_wrong_side(unshifted):
             decision = report.final.decision
             if decision == "inconclusive":
                 inconclusive += 1
-            elif decision != _classical(ps):
-                wrong.append((_expression(ps, shift), decision,
+            elif decision != classical_verdict(ps):
+                wrong.append((bertrand(ps, shift), decision,
                               report.final.test_id))
     print(f"numeric backend: {runs} runs, {len(wrong)} wrong, "
           f"{inconclusive} inconclusive")
@@ -86,9 +64,9 @@ def test_float_callables_never_decide_the_wrong_side():
     # terms floored there, (-1,-1,-1), (-1,-1,-1/2), (-1,-1/2,-2) and
     # (-1,-1/2,-3/2) read "converges".
     wrong = []
-    for ps in _tuples():
+    for ps in bertrand_tuples():
         decision = cr.analyze(_float_callable(ps)).final.decision
-        if decision not in ("inconclusive", _classical(ps)):
+        if decision not in ("inconclusive", classical_verdict(ps)):
             wrong.append((ps, decision))
     assert wrong == []
 
@@ -101,7 +79,7 @@ def test_fitted_limits_cover_the_exact_statistic(unshifted):
     covered, missed = 0, []
     for ps, report in unshifted.items():
         exact = {_key(v): v.exact_value
-                 for v in cr.analyze(_expression(ps, 0)).trace
+                 for v in cr.analyze(bertrand(ps, 0)).trace
                  if v.exact_value is not None}
         for v in report.trace:
             est = v.statistic
@@ -112,7 +90,7 @@ def test_fitted_limits_cover_the_exact_statistic(unshifted):
             if err <= nm.to_float(est.uncertainty):
                 covered += 1
             else:
-                missed.append((_expression(ps, 0), _key(v), err))
+                missed.append((bertrand(ps, 0), _key(v), err))
     print(f"coverage: {covered} of {covered + len(missed)} converged rows")
     assert covered > 0
     assert missed == []
@@ -120,12 +98,12 @@ def test_fitted_limits_cover_the_exact_statistic(unshifted):
 
 def test_shifted_tuples_take_the_exact_route():
     wrong = []
-    for ps in _tuples():
+    for ps in bertrand_tuples():
         for shift in (1, 2, 3):
-            report = cr.analyze(_expression(ps, shift))
+            report = cr.analyze(bertrand(ps, shift))
             if (report.backend != "symbolic"
-                    or report.final.decision != _classical(ps)):
-                wrong.append((_expression(ps, shift), report.backend,
+                    or report.final.decision != classical_verdict(ps)):
+                wrong.append((bertrand(ps, shift), report.backend,
                               report.final.decision))
-    assert len(_tuples()) * 3 == 774
+    assert len(bertrand_tuples()) * 3 == 774
     assert wrong == []

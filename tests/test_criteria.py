@@ -1,10 +1,10 @@
 """Decision ladder: statistics, verdicts, escalation, and rates."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
 
+from known_verdicts import bertrand, bertrand_tuples
 from logladder import criteria as cr
 from logladder import expr as ex
 from logladder import numeric as nm
@@ -41,8 +41,8 @@ def test_expr_term_samples_a_negative_exact_term():
         cr.ExprTerm("(1-3)*n^(-2)")
 
 
-def _build_bertrand_terms(monkeypatch, depths, variables):
-    """Build every Bertrand tuple of the given lengths in each variable
+def _build_bertrand_terms(monkeypatch, depths, shifts):
+    """Build every Bertrand tuple of the given lengths in n + each shift
     and return (terms built, eval_expr calls made while building)."""
     calls = []
     real = ex.eval_expr
@@ -52,23 +52,18 @@ def _build_bertrand_terms(monkeypatch, depths, variables):
         return real(*args)
 
     monkeypatch.setattr(ex, "eval_expr", counted)
-    exponents = ("-2", "-3/2", "-1", "-1/2", "0", "1")
     built = 0
-    for m in depths:
-        for ps in itertools.product(exponents, repeat=m):
-            for var in variables:
-                cr.ExprTerm("*".join(
-                    f"({'ln(' * k}{var}{')' * k})^({p})"
-                    for k, p in enumerate(ps)
-                ))
-                built += 1
+    for ps in bertrand_tuples(depths):
+        for shift in shifts:
+            cr.ExprTerm(bertrand(ps, shift))
+            built += 1
     return built, len(calls)
 
 
 def test_expr_term_proves_bertrand_tuples_positive(monkeypatch):
     # every Bertrand tuple (m <= 4) is an exact monomial: building its
     # term evaluates nothing
-    assert _build_bertrand_terms(monkeypatch, (1, 2, 3, 4), ("n",)) == (
+    assert _build_bertrand_terms(monkeypatch, (1, 2, 3, 4), (0,)) == (
         1554, 0)
 
 
@@ -76,8 +71,8 @@ def test_expr_term_proves_shifted_bertrand_tuples_positive(monkeypatch):
     # a shifted tuple (m <= 3) is no exact monomial, but every factor is
     # a positive power of n + c or of an iterated log of it: building its
     # term evaluates nothing either
-    shifts = ("(n+1)", "(n+2)", "(n+3)")
-    assert _build_bertrand_terms(monkeypatch, (1, 2, 3), shifts) == (774, 0)
+    assert _build_bertrand_terms(monkeypatch, (1, 2, 3), (1, 2, 3)) == (
+        774, 0)
 
 
 def test_callable_term_plain_only():
@@ -258,8 +253,13 @@ def test_oscillation_vetoes_subsequence_verdicts():
     def osc(n):
         return (2 + (-1) ** n) / n**0.5
 
+    # The series diverges, but at ln the lower envelope grows like
+    # ln n/(2 lnln n) and no envelope fit certifies that, so the ladder
+    # says it cannot decide rather than guess a side.
     rep = cr.analyze(osc)
-    assert rep.final.decision == "diverges"
+    assert all(v.decision != "converges" for v in rep.trace)
+    assert rep.trace[-1].reason == "envelopes-straddle-boundary"
+    assert rep.final.decision == "inconclusive"
 
 
 # -- the assembled ladder ----------------------------------------------------------

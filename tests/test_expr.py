@@ -187,9 +187,10 @@ def test_proved_positive_terms_pass_the_sampled_check(text):
 def test_proves_positive_reads_shifts_sums_and_real_powers():
     for text in ("(n+2)^(-1)*(ln((n+2)))^(-1)*(ln(ln((n+2))))^(-1/2)",
                  "1/(n^2+1)", "1/(n*ln(n+1))", "n^(-2^(1/2))",
-                 "(n^2+2^(1/2)*n)^(-1)", "1/(n*lnln(n+7))", "ln(n-3)"):
+                 "(n^2+2^(1/2)*n)^(-1)", "1/(n*lnln(n+7))", "ln(n-3)",
+                 "log_5(n)"):
         assert ex.proves_positive(ex.parse(text)), text
-    for text in ("exp(-n)", "(n-5)^(-2)", "log_5(n)", "n+(-1)", "2^n"):
+    for text in ("exp(-n)", "(n-5)^(-2)", "ln(1)*n", "n+(-1)", "2^n"):
         assert not ex.proves_positive(ex.parse(text)), text
 
 

@@ -27,23 +27,12 @@ from pathlib import Path
 
 import pytest
 
+from known_verdicts import EXPONENTS, bertrand, bertrand_tuples
 from logladder import cli
 from logladder import corpus
 from logladder import criteria as cr
 
 GOLDEN = Path(__file__).with_name("golden.json")
-
-_EXPONENTS = ("-2", "-3/2", "-1", "-1/2", "0", "1")
-_FLOAT_EXPONENTS = (-2.0, -1.5, -1.0, -0.5, 0.0, 1.0)
-
-
-def _bertrand(ps, shift):
-    var = f"(n+{shift})"
-    factors = []
-    for k, p in enumerate(ps):
-        base = var if k == 0 else "(" + "ln(" * k + var + ")" * k + ")"
-        factors.append(f"{base}^({p})")
-    return "*".join(factors)
 
 
 def _argv_cases():
@@ -55,18 +44,16 @@ def _argv_cases():
             argv += ["--w", e.scale]
         cases.append((f"corpus:{e.entry_id}", argv))
     rng = random.Random("golden")
-    tuples = [ps for m in (1, 2, 3)
-              for ps in itertools.product(_EXPONENTS, repeat=m)]
-    picked = rng.sample(tuples, 27)
+    picked = rng.sample(bertrand_tuples(), 27)
     for ps in picked:
         c = rng.choice((1, 2, 3))
-        cases.append((f"shift:{c}:{' '.join(ps)}",
-                      ["analyze", _bertrand(ps, c), "--json"]))
+        cases.append((f"shift:{c}:{' '.join(map(str, ps))}",
+                      ["analyze", bertrand(ps, c), "--json"]))
     for c in (1, 2, 3):
-        ps = ("-1", "-1", "-1")
+        ps = (-1, -1, -1)
         if ps not in picked:
-            cases.append((f"shift:{c}:{' '.join(ps)}",
-                          ["analyze", _bertrand(ps, c), "--json"]))
+            cases.append((f"shift:{c}:{' '.join(map(str, ps))}",
+                          ["analyze", bertrand(ps, c), "--json"]))
     for w in ("n", "ln", "lnln", "pow:1/2"):
         for text in ("1/(n*ln(n))", "(n+2)^(-3/2)"):
             cases.append((f"w:{w}:{text}",
@@ -96,10 +83,10 @@ def _argv_cases():
                                       "10000"]))
     # Bytes decided by the tree walks (parameters, powers, iterated-log
     # thresholds) and by the custom-scale assumption check.
-    bertrand = "n^t*(ln(n))^s"
-    cases.append(("walk:params", ["analyze", bertrand, "--param", "t=-1",
+    with_params = "n^t*(ln(n))^s"
+    cases.append(("walk:params", ["analyze", with_params, "--param", "t=-1",
                                   "--param", "s=-2"]))
-    cases.append(("walk:unbound", ["analyze", bertrand]))
+    cases.append(("walk:unbound", ["analyze", with_params]))
     cases.append(("walk:power", ["analyze", "n^n"]))
     cases.append(("walk:thresholds", ["analyze",
                                       "1/(n*log_5(n+3)*lnln(2*n+7))"]))
@@ -136,7 +123,7 @@ def _callable(key):
 
 def _callable_keys():
     keys = [f"{p0},{p1}" for p0, p1 in
-            itertools.product(_FLOAT_EXPONENTS, repeat=2)]
+            itertools.product(map(float, EXPONENTS), repeat=2)]
     return keys + ["harmonic-log", "oscillating"]
 
 

@@ -5,35 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from known_verdicts import EXPONENTS, bertrand, classical_verdict
 from logladder import criteria as cr
 from logladder import numeric as nm
 from logladder import scale as sc
 
-EXPONENTS = [Fraction(v) for v in ("-2", "-3/2", "-1", "-1/2", "0", "1")]
-
 _SETTINGS = dict(max_examples=40, deadline=None)
-
-
-def bertrand_expression(ps):
-    factors = []
-    for k, p in enumerate(ps):
-        base = "n" if k == 0 else "(" + "ln(" * k + "n" + ")" * k + ")"
-        factors.append(f"{base}^({p})")
-    return "*".join(factors)
-
-
-def classical_verdict(ps):
-    """First exponent away from -1 decides; all -1 diverges."""
-    for p in ps:
-        if p != -1:
-            return "converges" if p < -1 else "diverges"
-    return "diverges"
 
 
 @given(st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=3))
 @settings(**_SETTINGS)
 def test_bertrand_matches_classical_rule(ps):
-    rep = cr.analyze(bertrand_expression(ps))
+    rep = cr.analyze(bertrand(ps))
     assert rep.final.decision == classical_verdict(ps)
 
 
@@ -60,7 +43,7 @@ def test_backend_agreement_on_statistics(t):
 )
 @settings(**_SETTINGS)
 def test_scaling_invariance(ps, c):
-    base = bertrand_expression(ps)
+    base = bertrand(ps)
     r1 = cr.analyze(base)
     r2 = cr.analyze(f"({c})*{base}")
     assert r1.final.decision == r2.final.decision
@@ -78,7 +61,7 @@ def test_scaling_invariance(ps, c):
 )
 @settings(**_SETTINGS)
 def test_tail_invariance_under_prefix_mutation(ps, overrides):
-    base = cr.ExprTerm(bertrand_expression(ps))
+    base = cr.ExprTerm(bertrand(ps))
     mut = cr.MutatedTerm(base, overrides)
     r1 = cr.analyze(base)
     r2 = cr.analyze(mut)
