@@ -19,7 +19,6 @@ from .criteria import (
     Verdict,
     analyze,
     hierarchy_test,
-    log_ratio_test,
     one_sided_test,
     raabe_test,
     scaled_log_test,
@@ -97,7 +96,6 @@ __all__ = [
     "estimate_limit",
     "estimate_limsup_liminf",
     "hierarchy_test",
-    "log_ratio_test",
     "make_grid",
     "one_sided_test",
     "parse_scale",

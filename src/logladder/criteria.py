@@ -58,7 +58,6 @@ __all__ = [
     "AnalysisPolicy",
     "AnalysisReport",
     "raabe_test",
-    "log_ratio_test",
     "scaled_log_test",
     "slow_divergence_test",
     "hierarchy_test",
@@ -250,7 +249,6 @@ class RatePrediction:
       log-log-tail      ln(tail sum)    / (level+1)-fold log w -> order + 1
       log-log-partial   ln(partial sum) / (level+1)-fold log w -> order + 1
       slow-log          partial sums ~ constant * ln w(n)
-      slow-log-bound    partial sums grow at least like ln w(n) (one-sided)
     """
 
     template: str
@@ -593,45 +591,41 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
     return _Statistic(exact, partial(_choose_grid, term, None), sample)
 
 
-def _numerator(term: TermSource, w: sc.ScaleFn, level: int,
-               include_delta: bool):
-    """(combo, value) of ln a_n [- ln dw(n)] + sum_{i=1..level} i-fold
+def _numerator(term: TermSource, w: sc.ScaleFn, level: int):
+    """(combo, value) of ln a_n - ln dw(n) + sum_{i=1..level} i-fold
     log of w(n), the level-th escalation numerator.
 
-    combo is its exact split, or None when the term or, with
-    include_delta, the scale has none. value(n, den) evaluates it at n
-    from the combo (see LogCombo.value for den) or else from the terms.
+    combo is its exact split, or None when the term or the scale has
+    none. value(n, den) evaluates it at n from the combo (see
+    LogCombo.value for den) or else from the terms.
     """
     tc = term.log_combo()
-    dc = w.log_delta_combo() if include_delta else None
-    if tc is None or (include_delta and dc is None):
+    dc = w.log_delta_combo()
+    if tc is None or dc is None:
         chains = [w.ln_chain(i) for i in range(1, level + 1)]
 
         def sampled(n, den=None):
-            nv = nm.ext_ln(term.term(n))
-            if include_delta:
-                nv = nm.ext_sub(nv, w.log_delta(n))
+            nv = nm.ext_sub(nm.ext_ln(term.term(n)), w.log_delta(n))
             for c in chains:
                 nv = nm.ext_add(nv, ex.eval_expr(c, n))
             return nv
 
         return None, sampled
-    num = tc if dc is None else tc.merged(dc, -1)
+    num = tc.merged(dc, -1)
     for i in range(1, level + 1):
         num = num.merged(_chain_combo(w, i), 1)
 
     def split(n, den=None):
-        nv = num.value(n, den)
-        return nm.ext_sub(nv, w.delta_correction(n)) if include_delta else nv
+        return nm.ext_sub(num.value(n, den), w.delta_correction(n))
 
     return num, split
 
 
-def _quotient_statistic(term: TermSource, w: sc.ScaleFn, level: int,
-                        include_delta: bool) -> _Statistic:
+def _quotient_statistic(term: TermSource, w: sc.ScaleFn,
+                        level: int) -> _Statistic:
     """The level-th numerator over the (level+1)-fold log of w(n)."""
     bits = nm.get_precision().significand_bits
-    num, value = _numerator(term, w, level, include_delta)
+    num, value = _numerator(term, w, level)
     den = _chain_combo(w, level + 1)
     den_value = (den.value if num is not None
                  else partial(ex.eval_expr, w.ln_chain(level + 1)))
@@ -659,7 +653,7 @@ def _slow_divergence_statistic(term: TermSource,
                                w: sc.ScaleFn) -> _Statistic:
     """ln g(n) with g = w(n) a_n / dw(n): the level-1 numerator."""
     bits = nm.get_precision().significand_bits
-    lng, value = _numerator(term, w, 1, include_delta=True)
+    lng, value = _numerator(term, w, 1)
 
     def sample(n):
         with nm.local_precision(bits + 64):
@@ -840,38 +834,22 @@ def raabe_test(seq, policy: AnalysisPolicy | None = None,
     return _limit_verdict(m, "raabe", None, 0, "precise-")
 
 
-def log_ratio_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
-                   params=None) -> Verdict:
-    """Limit of ln a_n / ln w(n) against the -1 boundary.
-
-    Decisive values attach the log-ratio rate: ln of the partial (or
-    tail) sums over ln w(n) tends to order + 1.
-    """
-    policy = policy or AnalysisPolicy()
-    term = _as_term(seq, params)
-    m = _measure(_quotient_statistic(term, w, 0, include_delta=False), policy)
-    return _limit_verdict(m, "log-ratio", w, 0, "log-ratio-")
-
-
 def scaled_log_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
                     params=None) -> Verdict:
     """Limit of ln(a_n / dw(n)) / ln w(n) against the -1 boundary.
 
-    dw(n) = w(n+1) - w(n). Same rate templates as the plain log-ratio
-    test, but the increment normalization makes the statistic exact for
-    scale-matched sequences and feeds the escalation hierarchy when the
-    limit lands on -1.
+    dw(n) = w(n+1) - w(n). Decisive values attach the log-ratio rate:
+    ln of the partial (or tail) sums over ln w(n) tends to order + 1.
+    The increment makes the statistic exact for scale-matched sequences
+    and feeds the escalation hierarchy when the limit lands on -1.
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
-    m = _measure(_quotient_statistic(term, w, 0, include_delta=True), policy)
+    m = _measure(_quotient_statistic(term, w, 0), policy)
     return _limit_verdict(m, "scaled-log", w, 0, "log-ratio-")
 
 
-_BOUND_NOTE = (
-    "one-sided: the term-to-increment ratio stays bounded away from "
-    "zero, so the partial sums grow at least like ln of the scale"
-)
+_SLOW = "slow-divergence"
 
 
 def slow_divergence_test(seq, w: sc.ScaleFn,
@@ -879,26 +857,13 @@ def slow_divergence_test(seq, w: sc.ScaleFn,
                          params=None) -> Verdict:
     """Growth of g(n) = w(n) a_n / dw(n) when the scaled-log limit is -1.
 
-    If g tends to a finite limit C > 0 the series diverges with partial
-    sums ~ C ln w(n). If g only stays bounded away from zero, the series
-    still diverges but only the one-sided floor ln w(n) is claimed.
+    If ln g settles to ln C the series diverges with partial sums
+    ~ C ln w(n). A sampled limit counts only when its drift is within
+    the margin: ln g drifting like an iterated log fits a limit with a
+    large uncertainty, and the hierarchy reads that drift instead.
     """
     policy = policy or AnalysisPolicy()
     m = _measure(_slow_divergence_statistic(_as_term(seq, params), w), policy)
-    v = _constant_reading(m, w)
-    return v if v.decisive else _bound_reading(m, w)
-
-
-_SLOW = "slow-divergence"
-
-
-def _constant_reading(m: _Measure, w: sc.ScaleFn) -> Verdict:
-    """The constant reading of an ln g measure: ln g settling to ln C.
-
-    A sampled limit counts only when its drift is within the margin:
-    ln g drifting like an iterated log fits a limit with a large
-    uncertainty.
-    """
     est = m.est
     if (est is None or est.status != "converged"
             or est.uncertainty > _MARGIN):
@@ -910,27 +875,6 @@ def _constant_reading(m: _Measure, w: sc.ScaleFn) -> Verdict:
     )
     return Verdict("diverges", _SLOW, w, 0, est, rate=rate,
                    exact_value=exact_c)
-
-
-def _bound_reading(m: _Measure, w: sc.ScaleFn) -> Verdict:
-    """The bound reading of an ln g measure: g bounded away from zero.
-
-    ln g diverging to +inf, or a lower envelope that has a limit or
-    diverges to +inf, gives the one-sided floor.
-    """
-    est = m.est
-    if est is None:
-        return _slow_undecided(m, w)
-    floor = est if est.status == "diverged" and est.direction > 0 else None
-    if est.status == "not_converged" and _oscillates(m.samples):
-        _, inf_est = lm.estimate_limsup_liminf(m.samples)
-        if inf_est.status != "not_converged" and inf_est.direction >= 0:
-            floor = inf_est
-    if floor is None:
-        return _slow_undecided(m, w)
-    rate = RatePrediction(template="slow-log-bound", scale=w, one_sided=True)
-    return Verdict("diverges", _SLOW, w, 0, floor, rate=rate,
-                   one_sided=True, notes=(_BOUND_NOTE,))
 
 
 def _slow_undecided(m: _Measure, w: sc.ScaleFn) -> Verdict:
@@ -970,8 +914,7 @@ def hierarchy_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     term = _as_term(seq, params)
     levels = []
     for j in range(1, policy.k_max + 1):
-        m = _measure(_quotient_statistic(term, w, j, include_delta=True),
-                     policy)
+        m = _measure(_quotient_statistic(term, w, j), policy)
         v = _limit_verdict(m, "hierarchy", w, j, "log-log-")
         if v.decision == "diverges" and _is_zero_statistic(v):
             v = replace(v, notes=v.notes + (_zero_statistic_note(j),))
@@ -1002,7 +945,7 @@ def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
-    stat = _quotient_statistic(term, w, 0, include_delta=True)
+    stat = _quotient_statistic(term, w, 0)
     return _envelope_verdict(_measure(stat, policy), w)
 
 
@@ -1045,22 +988,18 @@ def _envelope_verdict(m: _Measure, w: sc.ScaleFn) -> Verdict:
 
 
 def _scale_rungs(term, w, policy, trace):
-    """Scaled-log at w, then escalation on a boundary limit or the
-    envelopes otherwise.
+    """Scaled-log at w, then slow divergence and escalation on a
+    boundary limit, then the envelopes.
 
-    Each row reads a measure taken once: the envelope row reads the
-    scaled-log measure, and the two slow-divergence rows, the constant
-    reading before the hierarchy and the bound reading after it, read
-    one ln g measure.
+    The envelope row reads the scaled-log measure, which is taken once.
     """
-    m = _measure(_quotient_statistic(term, w, 0, include_delta=True), policy)
+    m = _measure(_quotient_statistic(term, w, 0), policy)
     v = _limit_verdict(m, "scaled-log", w, 0, "log-ratio-")
     trace.append(v)
     if v.decisive:
         return v
     if v.reason == "statistic-at-boundary":
-        g = _measure(_slow_divergence_statistic(term, w), policy)
-        v = _constant_reading(g, w)
+        v = slow_divergence_test(term, w, policy)
         trace.append(v)
         if v.decisive:
             return v
@@ -1071,10 +1010,6 @@ def _scale_rungs(term, w, policy, trace):
         trace.extend(levels)
         if levels and levels[-1].decisive:
             return levels[-1]
-        v = _bound_reading(g, w)
-        trace.append(v)
-        if v.decisive:
-            return v
     v = _envelope_verdict(m, w)
     trace.append(v)
     return v if v.decisive else None

@@ -80,7 +80,6 @@ _TOLERANCE = {
     "precise-tail": 0.001,
     "precise-partial": 0.001,
     "slow-log": 0.02,
-    "slow-log-bound": 0.02,
 }
 _RATIO_TOLERANCE = 0.05
 
@@ -613,10 +612,9 @@ def slope_check(seq, prediction, checkpoints, tolerance: float | None = None,
                 budget: int = DEFAULT_BUDGET, params=None) -> RateCheck:
     """Fit the predicted growth template against checkpoint sums.
 
-    slow-log templates report consecutive slopes of S(N) against
-    ln w(N) and compare the predicted constant with C fitted from
-    S(N) = C ln w(N) + c0 + c1 e1(N) (or, when the prediction leaves
-    the constant open, demand a stable last slope). The log-ratio and
+    The slow-log template reports consecutive slopes of S(N) against
+    ln w(N) and compares the predicted constant with C fitted from
+    S(N) = C ln w(N) + c0 + c1 e1(N). The log-ratio and
     log-log templates fit consecutive slopes of ln(sum) against the
     template's comparison log, targeting order + 1; their tail forms
     fit the exponent from the ratios of adjacent checkpoint windows.
@@ -631,7 +629,7 @@ def slope_check(seq, prediction, checkpoints, tolerance: float | None = None,
         raise ValueError("slope_check needs at least 3 checkpoints")
     template = prediction.template
     ratio_fit = template.startswith(("log-ratio-", "log-log-"))
-    slow = template in ("slow-log", "slow-log-bound")
+    slow = template == "slow-log"
     precise = template in ("precise-tail", "precise-partial")
     if not (ratio_fit or slow or precise):
         raise ValueError(f"no fit procedure for template {template!r}")
@@ -668,6 +666,11 @@ def slope_check(seq, prediction, checkpoints, tolerance: float | None = None,
             return result("insufficient-signal",
                           note="prediction carries no exponent")
         target = nm.to_float(prediction.exponent)
+    if slow:
+        if prediction.constant is None:
+            return result("insufficient-signal",
+                          note="prediction carries no constant")
+        target = nm.to_float(prediction.constant)
 
     rows = checkpoint_sums(term, cps, budget=budget)
     sums = [nm.to_float(s) for _, s in rows]
@@ -718,21 +721,10 @@ def slope_check(seq, prediction, checkpoints, tolerance: float | None = None,
             for a, b, x, y in zip(series, series[1:], absc, absc[1:])
         ]
 
-    if slow and prediction.constant is not None:
-        target = nm.to_float(prediction.constant)
+    if slow:
         fitted = _slow_log_constant(prediction.scale, cps, absc, sums)
         ok = _rel_err(fitted, target) <= tolerance
         return result("pass" if ok else "fail", target, observed,
                       fitted=fitted)
-    if slow:
-        # Constant left open: fit it, demand a stable positive slope.
-        stable = (
-            observed[-1] > 0
-            and abs(observed[-1] - observed[-2])
-            <= tolerance * max(abs(observed[-1]), 1e-12)
-        )
-        return result("pass" if stable else "fail", None, observed,
-                      fitted=observed[-1],
-                      note="constant fitted from the last slope")
     ok = abs(observed[-1] - target) <= tolerance * max(1.0, abs(target))
     return result("pass" if ok else "fail", target, observed)

@@ -5,11 +5,11 @@ bertrand(ps, shift) writes the Bertrand tuple n^p0 (ln n)^p1 (lnln n)^p2
 its verdict: the first exponent away from -1 decides, and all -1
 diverges (Bertrand, by the integral test).
 
-FAMILIES holds harder terms, each with its verdict by the integral test
-or by Cauchy condensation and with a float callable that computes the
-same term. With t = ln_j n, the sum of f(ln_j n)/(n ln n ... ln_{j-1} n)
-behaves like the integral of f(t) dt, which settles each exp-log family
-below.
+FAMILIES holds harder terms, each with its verdict by the integral test,
+by Cauchy condensation or by comparison, and with a float callable that
+computes the same term. With t = ln_j n, the sum of
+f(ln_j n)/(n ln n ... ln_{j-1} n) behaves like the integral of f(t) dt,
+which settles each exp-log family below.
 """
 
 from __future__ import annotations
@@ -160,10 +160,31 @@ def _cancelling():
     )
 
 
+def _oscillating():
+    # (2+(-1)^n)/b lies between 1/b and 3/b, so by comparison it has
+    # the verdict of its base b.
+    bases = (
+        ("n^2", "converges", lambda n: n ** 2),
+        ("n^(3/2)", "converges", lambda n: n ** 1.5),
+        ("n^(1/2)", "diverges", lambda n: n ** 0.5),
+        ("n", "diverges", lambda n: n),
+        ("(n*ln(n)^2)", "converges", lambda n: n * math.log(n) ** 2),
+        ("(n*ln(n))", "diverges", lambda n: n * math.log(n)),
+        ("(n*ln(n)*lnln(n)^2)", "converges",
+         lambda n: n * math.log(n) * math.log(math.log(n)) ** 2),
+        ("(n*ln(n)*lnln(n))", "diverges",
+         lambda n: n * math.log(n) * math.log(math.log(n))),
+    )
+    for text, verdict, base in bases:
+        yield Known(f"(2+(-1)^n)/{text}", verdict,
+                    lambda n, base=base: (2 + (-1) ** n) / base(n))
+
+
 FAMILIES = (
     *_irrational_powers(),
     *_exp_of_log_power(),
     *_exp_of_log_over_lnln(),
     *_pre_asymptotic(),
     *_cancelling(),
+    *_oscillating(),
 )

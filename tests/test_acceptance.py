@@ -41,8 +41,8 @@ def test_criterion_1_bertrand_equivalence():
 def test_criterion_2_log_power_family():
     ts = [Fraction(v) for v in ("-2", "-6/5", "-1", "1/2")]
     for t in ts:
-        v0 = cr.log_ratio_test("(ln(n))^t/n", sc.IterLog(0),
-                               params={"t": t})
+        v0 = cr.scaled_log_test("(ln(n))^t/n", sc.IterLog(0),
+                                params={"t": t})
         assert v0.exact_value == Fraction(-1)
         assert v0.decision == "inconclusive"
         v1 = cr.scaled_log_test("(ln(n))^t/n", sc.IterLog(1),

@@ -155,16 +155,6 @@ def test_scaled_log_numeric_recovers_order():
         assert got == pytest.approx(float(Fraction(t)), abs=1e-6)
 
 
-def test_log_ratio_without_increment():
-    v = cr.log_ratio_test("(ln(n))^t/n", sc.IterLog(0),
-                          params={"t": "-1.2"})
-    assert v.exact_value == Fraction(-1)
-    assert v.decision == "inconclusive"
-    v = cr.log_ratio_test("1/n^2", sc.IterLog(0))
-    assert v.exact_value == Fraction(-2)
-    assert v.decision == "converges"
-
-
 # -- slow divergence ---------------------------------------------------------------
 
 

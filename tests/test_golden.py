@@ -60,6 +60,11 @@ def _argv_cases():
                           ["analyze", text, "--w", w, "--json"]))
     cases.append(("grid", ["analyze", "(n+1)^(-3/2)", "--grid",
                            "geometric:200:3:12", "--json"]))
+    # A trace through every rung at ln: scaled-log, slow-divergence,
+    # hierarchy and one-sided.
+    ln_rungs = "exp((lnln(n))^(1/4))/(n*ln(n))"
+    cases.append(("rungs:ln", ["analyze", ln_rungs]))
+    cases.append(("rungs:ln:json", ["analyze", ln_rungs, "--json"]))
     cases.append(("examples", ["examples", "--json"]))
     cases.append(("sum:partial", ["sum", "1/(n*ln(n+1))", "20000", "--json"]))
     cases.append(("sum:tail", ["sum", "n^(-3/2)", "20000", "--tail-from",

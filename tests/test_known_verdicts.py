@@ -33,6 +33,10 @@ KNOWN_WRONG_TWINS = KNOWN_WRONG_EXPRESSIONS | {
     "exp((ln(n))^(1/2))*n^(-1-1/100)",
     "exp(-(ln(n))^(1/2))*n^(-1+1/1000)",
     "exp((ln(n))^(1/2))*n^(-1-1/1000)",
+    # The upper envelope of the scaled-log samples at ln fits as
+    # -1.10486 +/- 0.0824 and certifies a limsup below -1, but the
+    # series diverges like its base 1/(n ln n lnln n).
+    "(2+(-1)^n)/(n*ln(n)*lnln(n))",
 }
 
 # The verdict of each turns only past n = exp(10^6).

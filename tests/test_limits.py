@@ -104,7 +104,7 @@ def test_envelope_with_extreme_in_trimmed_tail_is_not_converged():
     # while it grows: every suffix maximum is the last peak, and a flat
     # upper envelope must not read as a converged limsup
     term = cr.CallableTerm(lambda n: (2 + (-1) ** n) / n ** 0.5, n_start=2)
-    stat = cr._quotient_statistic(term, sc.IterLog(1), 0, True)
+    stat = cr._quotient_statistic(term, sc.IterLog(1), 0)
     samples = cr._measure(stat, cr.AnalysisPolicy()).samples
     xs = [nm.to_float(v) for v in samples]
     assert max(xs) == max(xs[-2:]) > max(xs[:-2])

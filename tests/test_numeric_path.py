@@ -203,10 +203,10 @@ def test_one_sided_rung_reuses_scaled_log_samples(monkeypatch):
     rows = [v.test_id for v in report.trace]
     assert rows[-1] == "one-sided"
     # every measure is sampled once: one-sided reads the scaled-log
-    # samples at the same scale, and the two slow-divergence rows read
-    # one ln g measure
-    assert rows.count("slow-divergence") == 2
-    assert len(sampled) == len(rows) - 2
+    # samples at the same scale, and one slow-divergence row reads the
+    # ln g measure
+    assert rows.count("slow-divergence") == 1
+    assert len(sampled) == len(rows) - 1
     # and the envelope verdict is the one the public test gives
     alone = cr.one_sided_test(text, sc.IterLog(1), policy)
     assert alone == report.trace[-1]

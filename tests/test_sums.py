@@ -190,16 +190,16 @@ def test_slope_check_detects_wrong_prediction():
     assert chk.status == "fail"
 
 
-def test_slope_check_fits_open_constant():
+def test_slope_check_needs_slow_log_constant():
+    # a slow-log prediction without its constant has nothing to fit
+    # against, so nothing is summed
     rep = cr.analyze("1/(n*ln(n))")
-    open_rate = cr.RatePrediction(
-        template="slow-log-bound",
-        scale=rep.final.rate.scale,
-        one_sided=True,
-    )
-    chk = sums.slope_check("1/(n*ln(n))", open_rate, _CPS, tolerance=0.05)
-    assert chk.passed
-    assert chk.fitted_constant == pytest.approx(1.0, abs=0.05)
+    open_rate = cr.RatePrediction(template="slow-log",
+                                  scale=rep.final.rate.scale)
+    chk = sums.slope_check("1/(n*ln(n))", open_rate, _CPS)
+    assert chk.status == "insufficient-signal"
+    assert chk.note == "prediction carries no constant"
+    assert chk.rows == ()
 
 
 def test_slope_check_needs_three_checkpoints():
