@@ -114,6 +114,15 @@ class ExprTerm(TermSource):
     is sampled by expr.check_positive, which may reject it. The proofs
     hold only from n_start on (lnln(n) is exact but negative at n = 2),
     so they live here and not in check_positive.
+
+    Each reading takes the tree once. domain_start reads the start of a
+    log of n or of n + b (integer b) from a table that the first call at
+    a precision fills whole. The leader that to_log_power returns is
+    kept: when it is exact with coefficient 1, ln of the term is
+    p0 ln n + p1 lnln n + ..., and log_combo builds that split from it
+    without reading the tree again. Any other term is split by
+    log_transform and linearize, which keep a coefficient q != 1 as the
+    tree spells it (n^2/4 gives -ln 4, not ln(1/4)).
     """
 
     def __init__(self, expression, params=None, text=None):
@@ -128,7 +137,8 @@ class ExprTerm(TermSource):
         self.expression = bound
         self.text = text if text is not None else ex.format_expr(bound)
         self._n_start = ex.domain_start(bound)
-        if ex.to_log_power(bound) is None and not ex.proves_positive(bound):
+        self._lead = ex.to_log_power(bound)
+        if self._lead is None and not ex.proves_positive(bound):
             ex.check_positive(bound, self._n_start)
         self._combo: LogCombo | None = None
 
@@ -141,7 +151,14 @@ class ExprTerm(TermSource):
 
     def log_combo(self) -> LogCombo:
         if self._combo is None:
-            self._combo = ex.linearize(ex.log_transform(self.expression))
+            lead = self._lead
+            if lead is not None and lead.coef == 1:
+                self._combo = LogCombo(
+                    {i + 1: p for i, p in enumerate(lead.exps) if p},
+                    Fraction(0), [], [],
+                )
+            else:
+                self._combo = ex.linearize(ex.log_transform(self.expression))
         return self._combo
 
 

@@ -526,11 +526,6 @@ def eval_expr(e: Expr, n) -> ExtScalar:
 # -- domain inference ---------------------------------------------------------
 
 
-def _ln_thresholds(e: Expr) -> list[tuple[int, Expr]]:
-    """All (count, argument) pairs of iterated-log nodes in e."""
-    return [(x.count, x.arg) for x in _walk(e) if isinstance(x, IterLn)]
-
-
 def _iter_exp_one(k: int) -> ExtScalar:
     v = nm.ONE
     for _ in range(k):
@@ -545,22 +540,48 @@ def _ln_threshold(k: int) -> ExtScalar:
     )
 
 
-# The thresholds of the named logs (k = 0 .. 4, ln to lnlnlnln) by working
-# bits. ExtScalar is immutable, so one table serves every later call at
-# the same precision. The first domain_start at a precision fills the
-# whole table, whatever logs its term holds, so that every later call
-# does the same work; deeper logs compute their threshold on each call.
-_NAMED_THRESHOLDS: dict[int, tuple[ExtScalar, ...]] = {}
+# The named logs (k = 0 .. 4, ln to lnlnlnln) by working bits: for each k
+# its threshold and its start, the first index at which the k-fold log of
+# n clears that threshold. A start below 1e15 (k <= 3) is a plain int; the
+# k = 4 start lies near 2.33e1656520 and stays the ExtScalar that
+# _first_n_reaching returns. ExtScalar is immutable, so one table serves
+# every later call at the same precision. The first domain_start at a
+# precision fills the whole table, whatever logs its term holds, so that
+# every later call does the same work; deeper logs compute their
+# threshold on each call. Nothing is filled at import, where every
+# start-up would pay for it.
+_NAMED_THRESHOLDS: dict[
+    int, tuple[tuple[ExtScalar, int | ExtScalar], ...]
+] = {}
 
 
-def _named_thresholds() -> tuple[ExtScalar, ...]:
+def _named_thresholds() -> tuple[tuple[ExtScalar, int | ExtScalar], ...]:
     bits = nm._bits()
     table = _NAMED_THRESHOLDS.get(bits)
     if table is None:
         table = _NAMED_THRESHOLDS[bits] = tuple(
-            _ln_threshold(k) for k in range(5)
+            (t, _as_start(_first_n_reaching(Var(), t)))
+            for t in map(_ln_threshold, range(5))
         )
     return table
+
+
+def _as_start(n: ExtScalar) -> int | ExtScalar:
+    """n as a plain int when it is below 1e15; int() of a start near
+    1e1656520 would take minutes."""
+    return int(n.mag) if n.level == 0 and n.mag < 1e15 else n
+
+
+def _shifted_start(arg: Expr, first: int | ExtScalar | None) -> int | None:
+    """The start of a named log of arg = n + b with integer b, read from
+    first, that log's start at n: first - b, at least 1. None when arg
+    has another form, first is not an int, or first - b passes 1e15,
+    where _first_n_reaching searches instead."""
+    affine = _affine(arg) if isinstance(first, int) else None
+    if affine is None or affine[0] != 1 or affine[1].denominator != 1:
+        return None
+    n = first - affine[1].numerator
+    return max(1, n) if n <= 10**15 else None
 
 
 def domain_start(e: Expr) -> ExtScalar:
@@ -568,23 +589,38 @@ def domain_start(e: Expr) -> ExtScalar:
     safety threshold exp^k(1) * (1 + 1e-6).
 
     For thresholds too large to enumerate integers the real solution is
-    returned, rounded up to the representable resolution.
+    returned, rounded up to the representable resolution. One walk
+    collects the logs and the free parameters. A named log of n or of
+    n + b (integer b) reads its start from the table above; any other
+    argument is searched by _first_n_reaching.
     """
-    missing = free_params(e)
+    logs, missing = [], set()
+    for x in _walk(e):
+        if isinstance(x, IterLn):
+            logs.append(x)
+        elif isinstance(x, Param):
+            missing.add(x.name)
     if missing:
         raise UnboundParameterError(missing)
     named = _named_thresholds()
-    best = nm.ONE
-    for k, arg in _ln_thresholds(e):
-        if not contains_var(arg):
-            # Constant argument: either always fine or always a domain
-            # error; evaluation will report the latter.
-            continue
-        threshold = named[k] if k < len(named) else _ln_threshold(k)
-        n_k = _first_n_reaching(arg, threshold)
-        if nm.ext_cmp(n_k, best) > 0:
-            best = n_k
-    return best
+    start, far = 1, None
+    for x in logs:
+        k, arg = x.count, x.arg
+        threshold, first = (named[k] if k < len(named)
+                            else (_ln_threshold(k), None))
+        n_k = first if isinstance(arg, Var) else _shifted_start(arg, first)
+        if n_k is None:
+            if not contains_var(arg):
+                # Constant argument: either always fine or always a
+                # domain error; evaluation will report the latter.
+                continue
+            n_k = _first_n_reaching(arg, threshold)
+        if isinstance(n_k, int):
+            start = max(start, n_k)
+        elif far is None or nm.ext_cmp(n_k, far) > 0:
+            far = n_k
+    best = nm.ONE if start == 1 else nm.from_value(start)
+    return far if far is not None and nm.ext_cmp(far, best) > 0 else best
 
 
 def _eval_or_none(arg: Expr, n: ExtScalar) -> ExtScalar | None:
@@ -692,7 +728,8 @@ def check_positive(e: Expr, n0: ExtScalar) -> None:
     tower points past n0; a point where evaluation fails is skipped. A
     value that is not positive raises, except an exact 0 at a tower
     point: there the operands of a difference absorbed each other (n + 1
-    rounds to n), so the 0 carries no sign and counts as no sample.
+    rounds to n), so the 0 carries no sign and counts as no sample. A
+    term that divides by zero at every point is undefined and raises.
     """
     points: list[ExtScalar] = []
     try:
@@ -710,10 +747,14 @@ def check_positive(e: Expr, n0: ExtScalar) -> None:
         p = ExtScalar.tower(lvl, res)
         if nm.ext_cmp(p, n0) >= 0:
             points.append(p)
+    undefined = 0
     for p in points:
         try:
             v = eval_expr(e, p)
-        except (RangeError, CancellationError, DivisionByZero, DomainError):
+        except DivisionByZero:
+            undefined += 1
+            continue
+        except (RangeError, CancellationError, DomainError):
             continue
         if v.sign == 0 and p.level > 0:
             continue
@@ -721,6 +762,10 @@ def check_positive(e: Expr, n0: ExtScalar) -> None:
             raise PositivityViolation(
                 f"term is not positive at n = {nm.fmt(p, 8)}"
             )
+    if points and undefined == len(points):
+        raise PositivityViolation(
+            "term is undefined at every sampled point (division by zero)"
+        )
 
 
 # -- log-power recognition ------------------------------------------------
@@ -898,12 +943,26 @@ def _rising(e: Expr) -> bool:
     return affine is not None and affine[0] > 0
 
 
+def _defined(c: Expr) -> bool:
+    """True when the n-free subtree c has a value: it folds to a rational,
+    or one evaluation succeeds (n^(1/0) has no exponent to prove)."""
+    if _const_fold(c) is not None:
+        return True
+    try:
+        eval_expr(c, nm.ONE)
+    except (DivisionByZero, DomainError, RangeError, CancellationError,
+            UnboundParameterError):
+        return False
+    return True
+
+
 def proves_positive(e: Expr) -> bool:
     """True when e > 0 at every real n >= domain_start(e), read from the
     tree alone: a positive constant, n, sums, products and quotients of
-    positive parts, a positive base to an n-free (any real) power, ln(c)
-    for a rational c > 1, and an iterated log of a rising argument, which
-    domain_start puts past exp^k(1) * (1 + 1e-6) and which stays past it.
+    positive parts, a positive base to a defined n-free (any real) power,
+    ln(c) for a rational c > 1, and an iterated log of a rising argument,
+    which domain_start puts past exp^k(1) * (1 + 1e-6) and which stays
+    past it.
 
     False says nothing: differences, exp, other logs of constants and
     non-positive constants are left to check_positive.
@@ -915,7 +974,8 @@ def proves_positive(e: Expr) -> bool:
     if isinstance(e, (Add, Mul, Div)):
         return proves_positive(e.left) and proves_positive(e.right)
     if isinstance(e, Pow):
-        return not contains_var(e.exponent) and proves_positive(e.base)
+        return (not contains_var(e.exponent) and _defined(e.exponent)
+                and proves_positive(e.base))
     if isinstance(e, IterLn):
         if e.count == 1 and isinstance(e.arg, Const):
             return e.arg.value > 1
@@ -1126,6 +1186,8 @@ def linearize(e: Expr) -> LogCombo:
         if isinstance(e.arg, Const):
             if e.arg.value <= 0 or (e.count >= 2 and e.arg.value <= 1):
                 return LogCombo({}, Fraction(0), [], [e])
+            if e.arg.value == 1:  # ln 1 = 0, as in ln(1/n^2)
+                return LogCombo({}, Fraction(0), [], [])
             return LogCombo(
                 {}, Fraction(0), [(Fraction(1), e.count, e.arg.value)], []
             )

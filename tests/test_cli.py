@@ -137,6 +137,16 @@ def test_analyze_input_error_exit_one_names_stage(capsys):
     assert "error in" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "1/(n-n)"], ["analyze", "(1/0)*n"], ["analyze", "n+1/0"],
+    ["analyze", "1/(n^2-n^2)"], ["analyze", "n^(1/0)"],
+])
+def test_undefined_term_is_a_construction_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error in sequence construction: ")
+
+
 def test_analyze_bad_param_value(capsys):
     code, _, err = run(capsys, ["analyze", "1/n^q", "--param", "q=abc"])
     assert code == 1

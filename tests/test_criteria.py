@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from known_verdicts import bertrand, bertrand_tuples
+from known_verdicts import FAMILIES, bertrand, bertrand_tuples
 from logladder import criteria as cr
 from logladder import expr as ex
 from logladder import numeric as nm
 from logladder import scale as sc
+from test_golden import _argv_cases
 from logladder.errors import (
     ExhaustedHierarchy,
+    LogLadderError,
     PositivityViolation,
     RangeError,
     UnboundParameterError,
@@ -73,6 +75,54 @@ def test_expr_term_proves_shifted_bertrand_tuples_positive(monkeypatch):
     # term evaluates nothing either
     assert _build_bertrand_terms(monkeypatch, (1, 2, 3), (1, 2, 3)) == (
         774, 0)
+
+
+def _unit_leader_terms():
+    """Every term with an exact leader of coefficient 1 among the Bertrand
+    tuples (m <= 4), the known-verdict corpus and the golden argv."""
+    cases = [(bertrand(ps), {}) for ps in bertrand_tuples((1, 2, 3, 4))]
+    cases += [(k.expression, {}) for k in FAMILIES]
+    for _, argv in _argv_cases():
+        if argv[0] in ("analyze", "verify"):
+            params = [v for k, v in zip(argv, argv[1:]) if k == "--param"]
+            cases.append((argv[1], dict(p.split("=") for p in params)))
+    for text, params in cases:
+        try:
+            term = cr.ExprTerm(text, params)
+        except LogLadderError:  # unbound names, n^n, a sign change
+            continue
+        lead = term._lead
+        if lead is not None and lead.coef == 1:
+            yield term
+
+
+def _count_linearize(monkeypatch) -> list:
+    calls = []
+    real = ex.linearize
+    monkeypatch.setattr(ex, "linearize", lambda e: calls.append(e) or real(e))
+    return calls
+
+
+def test_log_combo_from_the_leader_matches_linearize(monkeypatch):
+    calls = _count_linearize(monkeypatch)
+    terms = list(_unit_leader_terms())
+    assert len(terms) > 1554
+    for term in terms:
+        combo = term.log_combo()
+        assert not calls, term.text  # built from the leader alone
+        assert combo == ex.linearize(ex.log_transform(term.expression))
+        calls.clear()
+
+
+@pytest.mark.parametrize("text", ["n^2/4", "1/(3*n^2)"])
+def test_log_combo_of_another_coefficient_is_linearized(monkeypatch, text):
+    # the leader of n^2/4 would give ln(1/4) where linearize gives -ln 4
+    calls = _count_linearize(monkeypatch)
+    term = cr.ExprTerm(text)
+    assert term._lead.exact and term._lead.coef != 1
+    combo = term.log_combo()
+    assert calls
+    assert combo == ex.linearize(ex.log_transform(term.expression))
 
 
 def test_callable_term_plain_only():

@@ -1,5 +1,6 @@
 """Expression parsing, binding, evaluation, and log-linear forms."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,11 @@ from mpmath import mp
 
 from logladder import expr as ex
 from logladder import numeric as nm
-from logladder.errors import ParseError, PositivityViolation
+from logladder.errors import (
+    ParseError,
+    PositivityViolation,
+    UnboundParameterError,
+)
 
 
 def _f(text, n, params=None):
@@ -77,8 +82,10 @@ def test_walks_read_trees_deeper_than_the_recursion_limit():
         deep = ex.Add(ex.iterln(1, ex.Var()), deep)
     assert ex.free_params(deep) == {"t"}
     assert ex.contains_var(deep)
-    thresholds = ex._ln_thresholds(deep)
-    assert len(thresholds) == 5000 and thresholds[0] == (1, ex.Var())
+    logs = [x for x in ex._walk(deep) if isinstance(x, ex.IterLn)]
+    assert len(logs) == 5000 and logs[0] == ex.IterLn(1, ex.Var())
+    with pytest.raises(UnboundParameterError, match="t"):
+        ex.domain_start(deep)  # one walk finds the logs and the name
     # pre-order, left to right; bind keeps a subtree without the name
     e = ex.parse("ln(n)^t*exp(s)")
     order = [type(x).__name__ for x in ex._walk(e)]
@@ -93,6 +100,49 @@ def test_domain_start_clears_iterated_logs():
     # lnln must be positive from the start index on
     v = nm.to_float(ex.eval_expr(e, n0))
     assert v > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("b", [-3, -2, -1, 0, 1, 2, 3, 10**7, -10**15])
+def test_domain_start_table_matches_the_search(k, b):
+    # the table start of a named log of n + b is the one the search finds;
+    # b = 10^7 clamps to 1 for k <= 3, and b = -10^15 puts the start past
+    # the table's integer range
+    arg = ex.parse(f"n+({b})")
+    want = ex._first_n_reaching(arg, ex._ln_threshold(k))
+    got = ex.domain_start(ex.IterLn(k, arg))
+    assert (got.sign, got.level, got.mag) == (want.sign, want.level, want.mag)
+    if b == 10**7 and k <= 3:
+        assert got == 1
+
+
+def test_domain_start_table_keeps_the_far_start_unconverted(monkeypatch):
+    # the start of lnlnlnln(n) lies near 2.33e1656520; a fresh precision
+    # fills the whole table, and the start stays an ExtScalar
+    monkeypatch.delitem(ex._NAMED_THRESHOLDS, 301, raising=False)
+    with nm.local_precision(301):
+        began = time.process_time()
+        start = ex.domain_start(ex.parse("lnlnlnln(n)"))
+        assert time.process_time() - began < 0.5
+        assert start == ex._ln_threshold(4)
+        assert [isinstance(s, int) for _, s in ex._NAMED_THRESHOLDS[301]] \
+            == [True] * 4 + [False]
+    assert start.level == 0 and start.mag > mp.mpf("2.3e1656520")
+
+
+def test_domain_start_searches_other_arguments(monkeypatch):
+    ex.domain_start(ex.parse("ln(n)"))  # the table is filled
+    searched = []
+    real = ex._first_n_reaching
+    monkeypatch.setattr(ex, "_first_n_reaching",
+                        lambda arg, t: searched.append(arg) or real(arg, t))
+    assert ex.domain_start(ex.parse("1/(ln(n-3)*lnln(n+2))")) == 14
+    assert searched == []
+    for text in ("2*n+1", "n+1/2"):
+        arg = ex.parse(text)
+        assert ex.domain_start(ex.IterLn(1, arg)) == real(
+            arg, ex._ln_threshold(1))
+        assert searched[-1] == arg
 
 
 def test_check_positive_rejects_sign_change():
@@ -112,6 +162,21 @@ def test_check_positive_sign_needs_a_plain_point():
     ex.check_positive(ex.parse("ln(n+1)-ln(n)"), nm.from_value(1))
     with pytest.raises(PositivityViolation):
         ex.check_positive(ex.parse("n-n"), nm.from_value(1))
+
+
+@pytest.mark.parametrize("text", [
+    "1/(n-n)", "(1/0)*n", "n+1/0", "1/(n^2-n^2)", "n^(1/0)",
+])
+def test_check_positive_rejects_a_term_undefined_everywhere(text):
+    e = ex.parse(text)
+    assert not ex.proves_positive(e)
+    with pytest.raises(PositivityViolation, match="undefined at every"):
+        ex.check_positive(e, nm.from_value(1))
+
+
+def test_check_positive_skips_terms_out_of_range_everywhere():
+    # a RangeError at every point is no evidence of a sign
+    ex.check_positive(ex.parse("exp(exp(exp(n)))^(-1)"), nm.from_value(10))
 
 
 def test_check_positive_is_not_a_proof_before_the_domain_start():

@@ -144,9 +144,10 @@ def test_callable_sees_ambient_precision():
 def _brute_start(e):
     """Smallest integer n >= 1 clearing every iterated-log threshold."""
     thresholds = [
-        (arg, nm.ext_mul(ex._iter_exp_one(k),
-                         nm.from_value(Fraction(1000001, 1000000))))
-        for k, arg in ex._ln_thresholds(e) if ex.contains_var(arg)
+        (x.arg, nm.ext_mul(ex._iter_exp_one(x.count),
+                           nm.from_value(Fraction(1000001, 1000000))))
+        for x in ex._walk(e)
+        if isinstance(x, ex.IterLn) and ex.contains_var(x.arg)
     ]
     n = 1
     while True:
