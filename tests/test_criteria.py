@@ -9,7 +9,6 @@ from logladder import criteria as cr
 from logladder import expr as ex
 from logladder import numeric as nm
 from logladder import scale as sc
-from test_golden import _argv_cases
 from logladder.errors import (
     ExhaustedHierarchy,
     LogLadderError,
@@ -17,6 +16,7 @@ from logladder.errors import (
     RangeError,
     UnboundParameterError,
 )
+from test_golden import _argv_cases
 
 NUM = cr.AnalysisPolicy(backend="numeric")
 
@@ -85,6 +85,7 @@ def _unit_leader_terms():
     for _, argv in _argv_cases():
         if argv[0] in ("analyze", "verify"):
             params = [v for k, v in zip(argv, argv[1:]) if k == "--param"]
+            params += [a[8:] for a in argv if a.startswith("--param=")]
             cases.append((argv[1], dict(p.split("=") for p in params)))
     for text, params in cases:
         try:
