@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import criteria as cr
@@ -37,28 +36,13 @@ from .errors import (
 from .limits import Geometric, TowerGeometric, make_grid
 from .scale import parse_scale
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 SCHEMA_VERSION = "1"
 
 _VERIFY_CHECKPOINTS = (10**4, 10**5, 10**6, 10**7)
 
 _MAX_GRID_POINTS = 10**4  # the default grids have 10 and 12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command invocation depends on."""
-
-    expression: str
-    params: dict
-    scale: object | None  # parsed scale, None = auto ladder
-    k_max: int
-    precision: int
-    grid: object | None
-    budget: int
-    fmt: str  # 'text' | 'json'
-    expect: str | None
 
 
 class _StageError(Exception):
@@ -124,44 +108,24 @@ def _parse_grid(text: str, precision: int) -> list:
         raise ParseError(f"--grid: {e}") from None
 
 
-def _build_config(args) -> RunConfig:
+def _analyze(args):
+    """Read the ladder's inputs from args, build the term once and run
+    the ladder on it: (term, pinned scale or None, report)."""
     try:
         params = _parse_params(args.param)
-        scale = None
-        w = getattr(args, "w", None)
-        if w and w != "auto":
-            scale = parse_scale(w)
-        grid = None
-        if getattr(args, "grid", None):
-            grid = _parse_grid(args.grid, args.precision)
-    except (ParseError, LogLadderError) as e:
+        scale = parse_scale(args.w) if args.w and args.w != "auto" else None
+        grid = _parse_grid(args.grid, args.precision) if args.grid else None
+    except LogLadderError as e:
         raise _StageError("input parsing", e)
-    return RunConfig(
-        expression=args.expression,
-        params=params,
-        scale=scale,
-        k_max=getattr(args, "kmax", 4),
-        precision=args.precision,
-        grid=grid,
-        budget=getattr(args, "budget", sums.DEFAULT_BUDGET),
-        fmt="json" if args.json else "text",
-        expect=getattr(args, "expect", None),
-    )
-
-
-def _analyze(config: RunConfig):
     try:
-        policy = cr.AnalysisPolicy(
-            scale=config.scale, k_max=config.k_max, grid=config.grid
-        )
-        scope = nm.local_precision(nm.Precision(config.precision)
-                                   if config.precision else nm.get_precision())
+        policy = cr.AnalysisPolicy(scale=scale, k_max=args.kmax, grid=grid)
+        scope = nm.local_precision(nm.Precision(args.precision)
+                                   if args.precision else nm.get_precision())
     except ValueError as e:
         raise _StageError("policy validation", e)
     with scope:
-        return cr.analyze(
-            config.expression, policy=policy, params=config.params or None
-        )
+        term = cr.ExprTerm(args.expression, params)
+        return term, scale, cr.analyze(term, policy=policy)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -218,13 +182,13 @@ def _verdict_json(v):
     }
 
 
-def _report_json(config: RunConfig, report) -> dict:
+def _report_json(scale, report) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "sequence": report.sequence,
         "params": {k: str(v) for k, v in sorted(report.params.items())},
         "backend": report.backend,
-        "scale": config.scale.name if config.scale is not None else "auto",
+        "scale": scale.name if scale is not None else "auto",
         "trace": [_verdict_json(v) for v in report.trace],
         "final": _verdict_json(report.final),
         "warnings": list(report.warnings),
@@ -313,16 +277,15 @@ def _print_report(report) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    config = _build_config(args)
-    report = _analyze(config)
-    if config.fmt == "json":
-        _emit(_report_json(config, report))
+    _, scale, report = _analyze(args)
+    if args.json:
+        _emit(_report_json(scale, report))
     else:
         _print_report(report)
     final = report.final
     if not final.decisive:
         return 2
-    if config.expect is not None and final.decision != config.expect:
+    if args.expect is not None and final.decision != args.expect:
         return 3
     return 0
 
@@ -342,12 +305,11 @@ def _verification_json(check, tag) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    config = _build_config(args)
-    report = _analyze(config)
+    term, scale, report = _analyze(args)
     final = report.final
     if not final.decisive or final.rate is None:
-        if config.fmt == "json":
-            out = _report_json(config, report)
+        if args.json:
+            out = _report_json(scale, report)
             out["verification"] = None
             _emit(out)
         else:
@@ -355,18 +317,16 @@ def _cmd_verify(args) -> int:
             print("verify: no quantitative rate to check")
         return 2
     checkpoints = args.checkpoints or list(_VERIFY_CHECKPOINTS)
-    checkpoints = [c for c in checkpoints if c <= config.budget]
+    checkpoints = [c for c in checkpoints if c <= args.budget]
     try:
         check = sums.slope_check(
-            config.expression, final.rate, checkpoints,
-            tolerance=args.tolerance, budget=config.budget,
-            params=config.params or None,
+            term, final.rate, checkpoints,
+            tolerance=args.tolerance, budget=args.budget,
         )
         if args.csv:
             # the check sums the checkpoints unless it stopped before
             rows = check.rows or sums.checkpoint_sums(
-                config.expression, checkpoints, budget=config.budget,
-                params=config.params or None,
+                term, checkpoints, budget=args.budget,
             )
             _write_csv(args.csv, rows)
     except (BudgetExceededError, RangeError, ValueError) as e:
@@ -375,8 +335,8 @@ def _cmd_verify(args) -> int:
         "unverifiable-at-scale"
         if check.status == "insufficient-signal" else check.status
     )
-    if config.fmt == "json":
-        out = _report_json(config, report)
+    if args.json:
+        out = _report_json(scale, report)
         out["verification"] = _verification_json(check, tag)
         _emit(out)
     else:
@@ -399,9 +359,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    config = _build_config(args)
     try:
-        nm.Precision(config.precision or 64)  # 0 keeps the default
+        params = _parse_params(args.param)
+    except ParseError as e:
+        raise _StageError("input parsing", e)
+    try:
+        nm.Precision(args.precision or 64)  # 0 keeps the default
     except ValueError as e:
         raise _StageError("policy validation", e)
     # Running totals are float64 sums from the first index, so an
@@ -412,24 +375,22 @@ def _cmd_sum(args) -> int:
         problem = f"checkpoint {max(cps)} is past UPTO={args.upto}"
     elif cps and args.tail_from is not None:
         problem = "--tail-from does not apply to --checkpoints"
-    elif cps and config.precision:
+    elif cps and args.precision:
         problem = "--precision does not apply to --checkpoints"
     elif args.csv and not cps:
         problem = "--csv writes checkpoint rows and needs --checkpoints"
     if problem:
         raise _StageError("input parsing", ParseError(problem))
+    term = cr.ExprTerm(args.expression, params)
     try:
         if cps:
-            rows = sums.checkpoint_sums(
-                config.expression, cps, budget=config.budget,
-                params=config.params or None,
-            )
+            rows = sums.checkpoint_sums(term, cps, budget=args.budget)
             if args.csv:
                 _write_csv(args.csv, rows)
-            if config.fmt == "json":
+            if args.json:
                 _emit({
                     "schema_version": SCHEMA_VERSION,
-                    "sequence": config.expression,
+                    "sequence": term.text,
                     "checkpoints": [
                         {"N": n, "partial_sum": _num(s)} for n, s in rows
                     ],
@@ -438,28 +399,25 @@ def _cmd_sum(args) -> int:
                 for n, s in rows:
                     print(f"S({n}) = {nm.fmt(s, digits=15)}")
             return 0
-        precision = config.precision or 53
+        precision = args.precision or 53
         if args.tail_from is not None:
             result = sums.tail_sum(
-                config.expression, args.tail_from, args.upto,
-                budget=config.budget,
-                precision=precision, params=config.params or None,
+                term, args.tail_from, args.upto,
+                budget=args.budget, precision=precision,
             )
             kind = "tail"
         else:
             result = sums.partial_sum(
-                config.expression, args.upto,
-                budget=config.budget, precision=precision,
-                params=config.params or None,
+                term, args.upto, budget=args.budget, precision=precision,
             )
             kind = "partial"
     except (BudgetExceededError, RangeError, PositivityViolation,
             ValueError) as e:
         raise _StageError("oracle summation", e)
-    if config.fmt == "json":
+    if args.json:
         _emit({
             "schema_version": SCHEMA_VERSION,
-            "sequence": config.expression,
+            "sequence": term.text,
             "kind": kind,
             "n_terms": result.n_terms,
             "value": _num(result.value),
@@ -471,7 +429,7 @@ def _cmd_sum(args) -> int:
             "note": result.note,
         })
     else:
-        print(f"{kind} sum of {config.expression}")
+        print(f"{kind} sum of {term.text}")
         print(f"  terms:    {result.n_terms}")
         print(f"  value:    {nm.fmt(result.value, digits=15)}")
         if result.truncation_correction is not None:
@@ -494,7 +452,6 @@ def _cmd_examples(args) -> int:
     # reads it
     from . import corpus as corpus_mod
 
-    as_json = getattr(args, "json", False)
     try:
         rows = corpus_mod.run_corpus(entry_ids=args.only or None)
     except LogLadderError as e:
@@ -508,7 +465,7 @@ def _cmd_examples(args) -> int:
             f"{m}: no such corpus entry"
             for m in sorted(set(args.only) - known)
         ]
-    if as_json:
+    if args.json:
         _emit({
             "schema_version": SCHEMA_VERSION,
             "entries": [

@@ -115,14 +115,12 @@ class ExprTerm(TermSource):
     hold only from n_start on (lnln(n) is exact but negative at n = 2),
     so they live here and not in check_positive.
 
-    Each reading takes the tree once. domain_start reads the start of a
-    log of n or of n + b (integer b) from a table that the first call at
-    a precision fills whole. The leader that to_log_power returns is
-    kept: when it is exact with coefficient 1, ln of the term is
-    p0 ln n + p1 lnln n + ..., and log_combo builds that split from it
-    without reading the tree again. Any other term is split by
-    log_transform and linearize, which keep a coefficient q != 1 as the
-    tree spells it (n^2/4 gives -ln 4, not ln(1/4)).
+    Each reading takes the tree once. domain_start reads the start of
+    ln, lnln and lnlnln of n or of n + b (integer b) from constants. The
+    leader that to_log_power returns is kept: ln of the term is then
+    ln q + p0 ln n + p1 lnln n + ..., and log_combo builds that split
+    from it without reading the tree again. Any other term is split by
+    log_transform and linearize.
     """
 
     def __init__(self, expression, params=None, text=None):
@@ -151,14 +149,10 @@ class ExprTerm(TermSource):
 
     def log_combo(self) -> LogCombo:
         if self._combo is None:
-            lead = self._lead
-            if lead is not None and lead.coef == 1:
-                self._combo = LogCombo(
-                    {i + 1: p for i, p in enumerate(lead.exps) if p},
-                    Fraction(0), [], [],
-                )
-            else:
-                self._combo = ex.linearize(ex.log_transform(self.expression))
+            self._combo = (
+                ex._lead_combo(self._lead) if self._lead is not None
+                else ex.linearize(ex.log_transform(self.expression))
+            )
         return self._combo
 
 

@@ -193,6 +193,9 @@ _LOG_BASES = {f"log_{d}": d for d in range(2, 10)}
 _MAX_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
 
+# str.isdigit would also take superscripts and other scripts' digits
+_DIGITS = "0123456789"
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -217,15 +220,15 @@ class _Lexer:
         if c in "+-*/^()":
             self.tok, self.val, self.pos = c, c, i + 1
             return
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < len(t) and t[j].isdigit():
+            while j < len(t) and t[j] in _DIGITS:
                 j += 1
             if j < len(t) and t[j] == ".":
                 j += 1
-                if j >= len(t) or not t[j].isdigit():
+                if j >= len(t) or t[j] not in _DIGITS:
                     raise ParseError("digits required after decimal point", j)
-                while j < len(t) and t[j].isdigit():
+                while j < len(t) and t[j] in _DIGITS:
                     j += 1
             self.tok, self.val, self.pos = "number", t[i:j], j
             return
@@ -255,7 +258,6 @@ def parse(text: str) -> Expr:
         raise ParseError(f"trailing input {lx.val!r}", lx.tok_pos)
     if _depth(e) > _MAX_DEPTH:
         raise ParseError(_TOO_DEEP)
-    _validate_powers(e)
     return e
 
 
@@ -310,6 +312,10 @@ def _parse_factor(lx: _Lexer) -> Expr:
     if lx.tok == "^":
         lx.advance()
         exponent = _parse_atom(lx)
+        if contains_var(exponent) and contains_var(base):
+            raise ParseError(
+                "power needs an n-free exponent or an n-free base"
+            )
         return Pow(base, exponent)
     return base
 
@@ -359,15 +365,6 @@ def _parse_atom(lx: _Lexer) -> Expr:
 
 def contains_var(e: Expr) -> bool:
     return any(isinstance(x, Var) for x in _walk(e))
-
-
-def _validate_powers(e: Expr) -> None:
-    for x in _walk(e):
-        if (isinstance(x, Pow) and contains_var(x.exponent)
-                and contains_var(x.base)):
-            raise ParseError(
-                "power needs an n-free exponent or an n-free base"
-            )
 
 
 # -- formatting --------------------------------------------------------------
@@ -540,44 +537,19 @@ def _ln_threshold(k: int) -> ExtScalar:
     )
 
 
-# The named logs (k = 0 .. 4, ln to lnlnlnln) by working bits: for each k
-# its threshold and its start, the first index at which the k-fold log of
-# n clears that threshold. A start below 1e15 (k <= 3) is a plain int; the
-# k = 4 start lies near 2.33e1656520 and stays the ExtScalar that
-# _first_n_reaching returns. ExtScalar is immutable, so one table serves
-# every later call at the same precision. The first domain_start at a
-# precision fills the whole table, whatever logs its term holds, so that
-# every later call does the same work; deeper logs compute their
-# threshold on each call. Nothing is filled at import, where every
-# start-up would pay for it.
-_NAMED_THRESHOLDS: dict[
-    int, tuple[tuple[ExtScalar, int | ExtScalar], ...]
-] = {}
+# The first index at which ln, lnln and lnlnln of n clear their
+# thresholds: the same integers at every working precision. Deeper logs
+# start near 2.33e1656520 and beyond; they are searched, and their start
+# stays an ExtScalar, since int() of it would take minutes.
+_LOG_STARTS = {1: 3, 2: 16, 3: 3814283}
 
 
-def _named_thresholds() -> tuple[tuple[ExtScalar, int | ExtScalar], ...]:
-    bits = nm._bits()
-    table = _NAMED_THRESHOLDS.get(bits)
-    if table is None:
-        table = _NAMED_THRESHOLDS[bits] = tuple(
-            (t, _as_start(_first_n_reaching(Var(), t)))
-            for t in map(_ln_threshold, range(5))
-        )
-    return table
-
-
-def _as_start(n: ExtScalar) -> int | ExtScalar:
-    """n as a plain int when it is below 1e15; int() of a start near
-    1e1656520 would take minutes."""
-    return int(n.mag) if n.level == 0 and n.mag < 1e15 else n
-
-
-def _shifted_start(arg: Expr, first: int | ExtScalar | None) -> int | None:
+def _shifted_start(arg: Expr, first: int | None) -> int | None:
     """The start of a named log of arg = n + b with integer b, read from
     first, that log's start at n: first - b, at least 1. None when arg
-    has another form, first is not an int, or first - b passes 1e15,
-    where _first_n_reaching searches instead."""
-    affine = _affine(arg) if isinstance(first, int) else None
+    has another form, first is None, or first - b passes 1e15, where
+    _first_n_reaching searches instead."""
+    affine = _affine(arg) if first is not None else None
     if affine is None or affine[0] != 1 or affine[1].denominator != 1:
         return None
     n = first - affine[1].numerator
@@ -590,9 +562,10 @@ def domain_start(e: Expr) -> ExtScalar:
 
     For thresholds too large to enumerate integers the real solution is
     returned, rounded up to the representable resolution. One walk
-    collects the logs and the free parameters. A named log of n or of
-    n + b (integer b) reads its start from the table above; any other
-    argument is searched by _first_n_reaching.
+    collects the logs and the free parameters. ln, lnln and lnlnln of n
+    or of n + b (integer b) read their start from _LOG_STARTS; any other
+    log is searched by _first_n_reaching, which returns the threshold
+    itself for a deeper log of n.
     """
     logs, missing = [], set()
     for x in _walk(e):
@@ -602,19 +575,17 @@ def domain_start(e: Expr) -> ExtScalar:
             missing.add(x.name)
     if missing:
         raise UnboundParameterError(missing)
-    named = _named_thresholds()
     start, far = 1, None
     for x in logs:
         k, arg = x.count, x.arg
-        threshold, first = (named[k] if k < len(named)
-                            else (_ln_threshold(k), None))
+        first = _LOG_STARTS.get(k)
         n_k = first if isinstance(arg, Var) else _shifted_start(arg, first)
         if n_k is None:
             if not contains_var(arg):
                 # Constant argument: either always fine or always a
                 # domain error; evaluation will report the latter.
                 continue
-            n_k = _first_n_reaching(arg, threshold)
+            n_k = _first_n_reaching(arg, _ln_threshold(k))
         if isinstance(n_k, int):
             start = max(start, n_k)
         elif far is None or nm.ext_cmp(n_k, far) > 0:
@@ -1142,18 +1113,26 @@ def _const_fold(e: Expr) -> Fraction | None:
     return None
 
 
+def _lead_combo(a: _Lead, vanishing=()) -> LogCombo:
+    """ln of the positive leader a = q * n^p0 * (ln n)^p1 * ...:
+    p0 ln n + p1 lnln n + ... + ln q, plus the vanishing parts given."""
+    return LogCombo(
+        {i + 1: p for i, p in enumerate(a.exps) if p},
+        Fraction(0),
+        [] if a.coef == 1 else [(Fraction(1), 1, a.coef)],
+        [],
+        list(vanishing),
+    )
+
+
 def _ln_split(x: Expr) -> LogCombo | None:
     """ln x as the exact LogCombo of the leader of x plus the vanishing
     part ln(x / leader), or None when x has no positive leader."""
     a = _lead(x)
     if a is None or a.coef <= 0:
         return None
-    return LogCombo(
-        {i + 1: p for i, p in enumerate(a.exps) if p},
-        Fraction(0),
-        [] if a.coef == 1 else [(Fraction(1), 1, a.coef)],
-        [],
-        [] if a.exact else [IterLn(1, Div(x, _monomial_expr(a)))],
+    return _lead_combo(
+        a, () if a.exact else [IterLn(1, Div(x, _monomial_expr(a)))]
     )
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from logladder import cli, sums
+from logladder import criteria as cr
 
 
 def run(capsys, argv):
@@ -67,13 +68,13 @@ def test_parser_is_built_once():
 
 def test_reused_parser_keeps_no_options(capsys, monkeypatch):
     seen = []
-    real = cli._build_config
+    real = cli._analyze
 
     def spy(args):
         seen.append(args.expect)
         return real(args)
 
-    monkeypatch.setattr(cli, "_build_config", spy)
+    monkeypatch.setattr(cli, "_analyze", spy)
     assert run(capsys, ["analyze", "--expect", "diverges", "1/n^2"])[0] == 3
     assert run(capsys, ["analyze", "1/n^2"])[0] == 0
     assert seen == ["diverges", None]
@@ -143,6 +144,13 @@ def test_analyze_input_error_exit_one_names_stage(capsys):
 ])
 def test_undefined_term_is_a_construction_error(capsys, argv):
     code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error in sequence construction: ")
+
+
+@pytest.mark.parametrize("text", ["n-n", "1/(n-n)"])
+def test_sum_names_the_construction_stage(capsys, text):
+    code, out, err = run(capsys, ["sum", text, "10"])
     assert (code, out) == (1, "")
     assert err.startswith("error in sequence construction: ")
 
@@ -608,6 +616,24 @@ def test_verify_csv_sums_once(capsys, tmp_path, monkeypatch, text,
                  "--csv", str(path)])
     assert passes == [n_terms]
     assert path.read_text() == "N,partial_sum\n" + csv
+
+
+@pytest.mark.parametrize("text, csv", [("1/n^2", False),
+                                       ("1/(n*ln(n))", True)])
+def test_verify_builds_one_term(capsys, tmp_path, monkeypatch, text, csv):
+    built = []
+    init = cr.ExprTerm.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cr.ExprTerm, "__init__", counted)
+    argv = ["verify", text]
+    if csv:
+        argv += ["--csv", str(tmp_path / "cp.csv")]
+    assert run(capsys, argv)[0] == 0
+    assert built == [text]
 
 
 # -- examples ----------------------------------------------------------------------

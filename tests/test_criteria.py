@@ -115,15 +115,47 @@ def test_log_combo_from_the_leader_matches_linearize(monkeypatch):
         calls.clear()
 
 
+def _assert_same_split(got, want):
+    # ln q joins the leader's split as ln(1/4) where linearize spells
+    # -ln 4: the same rationals, and the same constant to float precision
+    assert got.is_exact and want.is_exact
+    assert got.coeffs == want.coeffs
+    assert cr._exact_const_exp(got) == cr._exact_const_exp(want)
+    assert nm.to_float(got.const_value()) == nm.to_float(want.const_value())
+
+
 @pytest.mark.parametrize("text", ["n^2/4", "1/(3*n^2)"])
-def test_log_combo_of_another_coefficient_is_linearized(monkeypatch, text):
-    # the leader of n^2/4 would give ln(1/4) where linearize gives -ln 4
+def test_log_combo_of_another_coefficient_comes_from_the_leader(monkeypatch,
+                                                                text):
     calls = _count_linearize(monkeypatch)
     term = cr.ExprTerm(text)
     assert term._lead.exact and term._lead.coef != 1
     combo = term.log_combo()
-    assert calls
-    assert combo == ex.linearize(ex.log_transform(term.expression))
+    assert not calls
+    _assert_same_split(combo, ex.linearize(ex.log_transform(term.expression)))
+
+
+def test_log_combo_of_every_coefficient_comes_from_the_leader(monkeypatch):
+    calls = _count_linearize(monkeypatch)
+    shapes = ("{q}*n^2", "{q}/(n*(ln(n))^2)", "(n/({q}))^(-3)*lnln(n)")
+    for a in (1, 2, 3, 7, 12, 39):
+        for b in (1, 4, 9, 11, 38):
+            for shape in shapes:
+                term = cr.ExprTerm(shape.format(q=f"{a}/{b}"))
+                assert term._lead.exact, term.text
+                combo = term.log_combo()
+                assert not calls, term.text
+                _assert_same_split(
+                    combo, ex.linearize(ex.log_transform(term.expression))
+                )
+                calls.clear()
+
+
+def test_slow_log_constant_under_a_root_is_exact():
+    # the leader's coefficient is 2; linearize spelled ln 4 times -1/2,
+    # which reads no exact constant
+    rate = cr.analyze("(n^2*(ln(n))^2/4)^(-1/2)").final.rate
+    assert (rate.template, rate.exact_constant) == ("slow-log", 2)
 
 
 def test_callable_term_plain_only():

@@ -53,6 +53,32 @@ def test_parse_errors():
             ex.parse(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    # str.isdigit takes superscripts and other scripts' digits as well
+    ("2\u00b2", "unexpected character '\u00b2' (at position 1)"),
+    ("\u0663/n^2", "unexpected character '\u0663' (at position 0)"),
+    ("n^2.\u0663", "digits required after decimal point (at position 4)"),
+], ids=["superscript", "arabic-indic", "after-point"])
+def test_only_ascii_digits_are_digits(text, message):
+    with pytest.raises(ParseError) as info:
+        ex.parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "n^n", "n^n)", "2*(n+1)^(ln(n))", "exp(n)^n", "((n^n)^2)",
+])
+def test_power_rule_is_checked_where_the_power_is_read(text):
+    # the power fault is found before any later syntax fault
+    with pytest.raises(ParseError) as info:
+        ex.parse(text)
+    assert str(info.value) == (
+        "power needs an n-free exponent or an n-free base"
+    )
+    for fine in ("2^n", "n^2", "(ln(2))^n", "n^(ln(2))"):
+        ex.parse(fine)
+
+
 def test_format_parse_roundtrip():
     for text in ("1/n^2", "(ln(n))^t/n", "1/(n*ln(n)*lnln(n))",
                  "exp(-n/2)", "n^(-1/2)"):
@@ -116,22 +142,26 @@ def test_domain_start_table_matches_the_search(k, b):
         assert got == 1
 
 
-def test_domain_start_table_keeps_the_far_start_unconverted(monkeypatch):
-    # the start of lnlnlnln(n) lies near 2.33e1656520; a fresh precision
-    # fills the whole table, and the start stays an ExtScalar
-    monkeypatch.delitem(ex._NAMED_THRESHOLDS, 301, raising=False)
+@pytest.mark.parametrize("bits", [64, 256, 4096])
+def test_log_starts_match_the_search(bits):
+    with nm.local_precision(bits):
+        for k, start in ex._LOG_STARTS.items():
+            found = ex._first_n_reaching(ex.Var(), ex._ln_threshold(k))
+            assert found == start, k
+
+
+def test_domain_start_table_keeps_the_far_start_unconverted():
+    # the start of lnlnlnln(n) lies near 2.33e1656520: the search returns
+    # the threshold itself, and the start stays an ExtScalar
     with nm.local_precision(301):
         began = time.process_time()
         start = ex.domain_start(ex.parse("lnlnlnln(n)"))
         assert time.process_time() - began < 0.5
         assert start == ex._ln_threshold(4)
-        assert [isinstance(s, int) for _, s in ex._NAMED_THRESHOLDS[301]] \
-            == [True] * 4 + [False]
     assert start.level == 0 and start.mag > mp.mpf("2.3e1656520")
 
 
 def test_domain_start_searches_other_arguments(monkeypatch):
-    ex.domain_start(ex.parse("ln(n)"))  # the table is filled
     searched = []
     real = ex._first_n_reaching
     monkeypatch.setattr(ex, "_first_n_reaching",
