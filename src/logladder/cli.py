@@ -27,6 +27,7 @@ from . import numeric as nm
 from . import sums
 from .errors import (
     BudgetExceededError,
+    DomainError,
     LogLadderError,
     ParseError,
     PositivityViolation,
@@ -108,6 +109,15 @@ def _parse_grid(text: str, precision: int) -> list:
         raise ParseError(f"--grid: {e}") from None
 
 
+def _term(args, params) -> cr.ExprTerm:
+    """The command's term. Its domain start is found while it is built,
+    so a start that cannot be found is a construction error."""
+    try:
+        return cr.ExprTerm(args.expression, params)
+    except DomainError as e:
+        raise _StageError("sequence construction", e)
+
+
 def _analyze(args):
     """Read the ladder's inputs from args, build the term once and run
     the ladder on it: (term, pinned scale or None, report)."""
@@ -124,7 +134,7 @@ def _analyze(args):
     except ValueError as e:
         raise _StageError("policy validation", e)
     with scope:
-        term = cr.ExprTerm(args.expression, params)
+        term = _term(args, params)
         return term, scale, cr.analyze(term, policy=policy)
 
 
@@ -381,7 +391,7 @@ def _cmd_sum(args) -> int:
         problem = "--csv writes checkpoint rows and needs --checkpoints"
     if problem:
         raise _StageError("input parsing", ParseError(problem))
-    term = cr.ExprTerm(args.expression, params)
+    term = _term(args, params)
     try:
         if cps:
             rows = sums.checkpoint_sums(term, cps, budget=args.budget)

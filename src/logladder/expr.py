@@ -7,7 +7,8 @@ An expression denotes a function of one positive variable n. The grammar:
     factor := atom ('^' atom)?
     atom   := number | name | 'n' | '(' expr ')' | fn '(' expr ')'
     fn     := 'ln' | 'lnln' | 'lnlnln' | 'lnlnlnln' | 'log_2' .. 'log_9' | 'exp'
-    number := digits ['.' digits]
+    number := [0-9]+ ['.' [0-9]+]
+    name   := [A-Za-z_][A-Za-z0-9_]*
 
 Names other than 'n' and the function names are free parameters, bound to
 exact rationals before analysis. Powers are restricted: the exponent must
@@ -29,8 +30,11 @@ terms cancel in exact arithmetic instead of floating point.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from itertools import islice
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -83,11 +87,9 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
-    value: Fraction
+    """An exact rational: an int where it is integral, else a Fraction."""
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    value: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -193,174 +195,127 @@ _LOG_BASES = {f"log_{d}": d for d in range(2, 10)}
 _MAX_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
 
-# str.isdigit would also take superscripts and other scripts' digits
+# One token per match, after blanks: an operator, a number (a point
+# without digits after it is kept, and refused where it is reached), an
+# ASCII name, any other single character, or '' at the end. ASCII
+# classes only: str.isdigit and str.isalnum would take superscripts and
+# other scripts' digits and letters.
+_TOKEN = re.compile(
+    r"\s*([-+*/^()]|[0-9]+(?:\.[0-9]*)?|[A-Za-z_][A-Za-z0-9_]*|.?)", re.S
+)
 _DIGITS = "0123456789"
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tok = None
-        self.val = None
-        self.tok_pos = 0
-        self.depth = 0
-        self.advance()
-
-    def advance(self):
-        t = self.text
-        i = self.pos
-        while i < len(t) and t[i].isspace():
-            i += 1
-        self.tok_pos = i
-        if i >= len(t):
-            self.tok, self.val, self.pos = "end", None, i
-            return
-        c = t[i]
-        if c in "+-*/^()":
-            self.tok, self.val, self.pos = c, c, i + 1
-            return
-        if c in _DIGITS:
-            j = i
-            while j < len(t) and t[j] in _DIGITS:
-                j += 1
-            if j < len(t) and t[j] == ".":
-                j += 1
-                if j >= len(t) or t[j] not in _DIGITS:
-                    raise ParseError("digits required after decimal point", j)
-                while j < len(t) and t[j] in _DIGITS:
-                    j += 1
-            self.tok, self.val, self.pos = "number", t[i:j], j
-            return
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                j += 1
-            self.tok, self.val, self.pos = "name", t[i:j], j
-            return
-        raise ParseError(f"unexpected character {c!r}", i)
-
-    def expect(self, tok: str):
-        if self.tok != tok:
-            raise ParseError(
-                f"expected {tok!r}, found {self.val!r}", self.tok_pos
-            )
-        v = self.val
-        self.advance()
-        return v
+_LETTERS = "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_STARTS = _DIGITS + _LETTERS + "+-*/^()"
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text. Raises ParseError with a position."""
-    lx = _Lexer(text)
-    e = _parse_expr(lx)
-    if lx.tok != "end":
-        raise ParseError(f"trailing input {lx.val!r}", lx.tok_pos)
-    if _depth(e) > _MAX_DEPTH:
+    """Parse expression text. Raises ParseError with a position.
+
+    Each parsing function returns a subtree and its tree levels. An
+    error is positioned from the index of the token it names, and a bad
+    character or a point without digits at or before the current token
+    is reported first, as a lexer reading left to right meets it.
+    """
+    toks = _TOKEN.findall(text)
+    at = 0  # the current token
+
+    def error(message, k=None):
+        spans = [m.span(1) for m in islice(_TOKEN.finditer(text), at + 1)]
+        for t, (i, j) in zip(toks, spans):
+            if t[:1] not in _STARTS:  # the end token '' is in every string
+                return ParseError(f"unexpected character {t!r}", i)
+            if t[-1:] == ".":
+                return ParseError("digits required after decimal point", j)
+        return ParseError(message, None if k is None else spans[k][0])
+
+    def expr(nest):
+        nonlocal at
+        if nest > _MAX_DEPTH:
+            raise error(_TOO_DEEP, at)
+        negate = toks[at] == "-"
+        if negate:
+            at += 1
+        e, d = term(nest)
+        if negate:
+            e, d = (Const(-e.value), d) if isinstance(e, Const) else (
+                Mul(Const(-1), e), d + 1)
+        while toks[at] in ("+", "-"):
+            op = Add if toks[at] == "+" else Sub
+            at += 1
+            r, rd = term(nest)
+            e, d = op(e, r), 1 + max(d, rd)
+        return e, d
+
+    def term(nest):
+        """factor (('*' | '/') factor)*, where factor := atom ['^' atom]."""
+        nonlocal at
+        op = None
+        while True:
+            first = at
+            f, fd = atom(nest)
+            if toks[at] == "^":
+                at += 1
+                mid = at
+                x, xd = atom(nest)
+                # every Var comes from an 'n' token, so the spans tell
+                if "n" in toks[mid:at] and "n" in toks[first:mid]:
+                    raise error(
+                        "power needs an n-free exponent or an n-free base")
+                f, fd = Pow(f, x), 1 + max(fd, xd)
+            e, d = (f, fd) if op is None else (op(e, f), 1 + max(d, fd))
+            if toks[at] != "*" and toks[at] != "/":
+                return e, d
+            op = Mul if toks[at] == "*" else Div
+            at += 1
+
+    def atom(nest):
+        nonlocal at
+        k, t = at, toks[at]
+        if t and t[0] in _DIGITS:
+            whole, point, frac = t.partition(".")
+            try:  # int() refuses past Python's integer string limit
+                value = Fraction(int(whole) * 10**len(frac) + int(frac),
+                                 10**len(frac)) if point else int(whole)
+            except ValueError:
+                raise error(f"number too long ({len(t)} characters)",
+                            k) from None
+            at += 1
+            return Const(value), 1
+        if t == "-":
+            # Allowed only inside parentheses by the grammar; a bare
+            # leading minus is read in expr.
+            raise error("unexpected '-'", k)
+        if t != "(":
+            if not t or t[0] not in _LETTERS:
+                raise error(f"unexpected token {t or None!r}", k)
+            at += 1
+            if toks[at] != "(":
+                if t == "n":
+                    return Var(), 1
+                if t in _FN_LOGS or t in _LOG_BASES or t == "exp":
+                    raise error(f"function {t!r} needs an argument", k)
+                return Param(t), 1
+        at += 1
+        e, d = expr(nest + 1)
+        if toks[at] != ")":
+            raise error(f"expected ')', found {toks[at] or None!r}", at)
+        at += 1
+        if t == "(":
+            return e, d
+        if t in _FN_LOGS:
+            return iterln(_FN_LOGS[t], e), d + _FN_LOGS[t]
+        if t in _LOG_BASES:
+            return Div(iterln(1, e), IterLn(1, Const(_LOG_BASES[t]))), d + 2
+        if t == "exp":
+            return Exp(e), d + 1
+        raise error(f"unknown function {t!r}", k)
+
+    e, d = expr(1)
+    if toks[at]:
+        raise error(f"trailing input {toks[at]!r}", at)
+    if d > _MAX_DEPTH:
         raise ParseError(_TOO_DEEP)
     return e
-
-
-def _depth(e: Expr) -> int:
-    """Tree levels of e, counted without recursion."""
-    deepest = 0
-    stack = [(e, 1)]
-    while stack:
-        x, d = stack.pop()
-        if isinstance(x, IterLn):
-            d += x.count - 1
-        deepest = max(deepest, d)
-        stack.extend((getattr(x, k), d + 1) for k in _subtrees(x))
-    return deepest
-
-
-def _parse_expr(lx: _Lexer) -> Expr:
-    lx.depth += 1
-    if lx.depth > _MAX_DEPTH:
-        raise ParseError(_TOO_DEEP, lx.tok_pos)
-    negate = False
-    if lx.tok == "-":
-        lx.advance()
-        negate = True
-    e = _parse_term(lx)
-    if negate:
-        if isinstance(e, Const):
-            e = Const(-e.value)
-        else:
-            e = Mul(Const(Fraction(-1)), e)
-    while lx.tok in ("+", "-"):
-        op = lx.tok
-        lx.advance()
-        rhs = _parse_term(lx)
-        e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-    lx.depth -= 1
-    return e
-
-
-def _parse_term(lx: _Lexer) -> Expr:
-    e = _parse_factor(lx)
-    while lx.tok in ("*", "/"):
-        op = lx.tok
-        lx.advance()
-        rhs = _parse_factor(lx)
-        e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-    return e
-
-
-def _parse_factor(lx: _Lexer) -> Expr:
-    base = _parse_atom(lx)
-    if lx.tok == "^":
-        lx.advance()
-        exponent = _parse_atom(lx)
-        if contains_var(exponent) and contains_var(base):
-            raise ParseError(
-                "power needs an n-free exponent or an n-free base"
-            )
-        return Pow(base, exponent)
-    return base
-
-
-def _parse_atom(lx: _Lexer) -> Expr:
-    if lx.tok == "number":
-        v, pos = lx.val, lx.tok_pos
-        try:
-            value = Fraction(v)
-        except ValueError:  # past Python's integer string limit
-            raise ParseError(f"number too long ({len(v)} characters)",
-                             pos) from None
-        lx.advance()
-        return Const(value)
-    if lx.tok == "(":
-        lx.advance()
-        e = _parse_expr(lx)
-        lx.expect(")")
-        return e
-    if lx.tok == "-":
-        # Allowed only inside parentheses by the grammar; a bare leading
-        # minus is handled in _parse_expr.
-        raise ParseError("unexpected '-'", lx.tok_pos)
-    if lx.tok == "name":
-        name = lx.val
-        pos = lx.tok_pos
-        lx.advance()
-        if lx.tok == "(":
-            lx.advance()
-            arg = _parse_expr(lx)
-            lx.expect(")")
-            if name in _FN_LOGS:
-                return iterln(_FN_LOGS[name], arg)
-            if name in _LOG_BASES:
-                base = _LOG_BASES[name]
-                return Div(iterln(1, arg), IterLn(1, Const(Fraction(base))))
-            if name == "exp":
-                return Exp(arg)
-            raise ParseError(f"unknown function {name!r}", pos)
-        if name == "n":
-            return Var()
-        if name in _FN_LOGS or name in _LOG_BASES or name == "exp":
-            raise ParseError(f"function {name!r} needs an argument", pos)
-        return Param(name)
-    raise ParseError(f"unexpected token {lx.val!r}", lx.tok_pos)
 
 
 def contains_var(e: Expr) -> bool:
@@ -605,9 +560,9 @@ def _affine(e: Expr) -> tuple[Fraction, Fraction] | None:
     """(a, b) with e = a*n + b exactly, when e is affine in n."""
     q = _const_fold(e)
     if q is not None:
-        return Fraction(0), q
+        return 0, q
     if isinstance(e, Var):
-        return Fraction(1), Fraction(0)
+        return 1, 0
     if isinstance(e, (Add, Sub)):
         left, right = _affine(e.left), _affine(e.right)
         if left is None or right is None:
@@ -620,7 +575,7 @@ def _affine(e: Expr) -> tuple[Fraction, Fraction] | None:
             q, rest = _const_fold(e.right), e.left
     elif isinstance(e, Div):
         q, rest = _const_fold(e.right), e.left
-        q = 1 / q if q else None
+        q = Fraction(1, q) if q else None
     else:
         return None
     inner = None if q is None else _affine(rest)
@@ -752,19 +707,21 @@ def check_positive(e: Expr, n0: ExtScalar) -> None:
 # times 1 + o(1) and ln of it is ln(leader) plus a part that tends to 0.
 
 
-@dataclass(frozen=True)
-class _Lead:
+class _Lead(NamedTuple):
     """Leading monomial coef * n^p0 * (ln n)^p1 * ... of a subtree,
-    which equals it exactly (exact) or up to a factor 1 + o(1).
-    Trailing zero exponents are stripped."""
+    which equals it exactly (exact) or up to a factor 1 + o(1). The
+    coefficient and exponents are ints where integral, else Fractions;
+    trailing zero exponents are stripped."""
 
-    coef: Fraction
-    exps: tuple[Fraction, ...]
+    coef: int | Fraction
+    exps: tuple
     exact: bool
 
 
-def _monomial(coef: Fraction, exps, exact: bool) -> _Lead:
-    exps = list(exps)
+_N_LEAD = _Lead(1, (1,), True)
+
+
+def _monomial(coef, exps: list, exact: bool) -> _Lead:
     while exps and not exps[-1]:
         exps.pop()
     return _Lead(coef, tuple(exps), exact)
@@ -779,9 +736,8 @@ def _order(exps) -> int:
 
 
 def _padded(a, b):
-    width = max(len(a), len(b))
-    zero = (Fraction(0),)
-    return a + zero * (width - len(a)), b + zero * (width - len(b))
+    width = len(a) - len(b)
+    return (a, b + (0,) * width) if width > 0 else (a + (0,) * -width, b)
 
 
 # A leader coefficient q^r is computed only when its numerator and
@@ -800,15 +756,15 @@ def _int_root(x: int, k: int) -> int | None:
     return next((c for c in (y - 1, y, y + 1) if c > 0 and c**k == x), None)
 
 
-def _rational_power(q: Fraction, r: Fraction) -> Fraction | None:
+def _rational_power(q, r) -> int | Fraction | None:
     """q^r when it is a rational number of at most _COEF_BITS bits."""
     if q == 1:
         return q
     size = max(abs(q.numerator).bit_length(), q.denominator.bit_length())
     if size * abs(r.numerator) > r.denominator * _COEF_BITS:
         return None
-    if r.denominator == 1:
-        return q**r.numerator
+    if r.denominator == 1:  # an int stays one, and 1/q is a Fraction
+        return (q if r > 0 else Fraction(q)) ** r.numerator
     if q <= 0:
         return None
     num = _int_root(q.numerator, r.denominator)
@@ -826,8 +782,8 @@ def _ln_lead(a: _Lead | None) -> _Lead | None:
         return None
     for i, p in enumerate(a.exps):
         if p:
-            exact = a.exact and a.coef == 1 and not any(a.exps[i + 1:])
-            return _Lead(p, (Fraction(0),) * (i + 1) + (Fraction(1),), exact)
+            exact = a.exact and a.coef == 1 and i + 1 == len(a.exps)
+            return _Lead(p, (0,) * (i + 1) + (1,), exact)
     return None
 
 
@@ -838,7 +794,7 @@ def _lead(e: Expr) -> _Lead | None:
     if isinstance(e, Const):
         return _Lead(e.value, (), True) if e.value else None
     if isinstance(e, Var):
-        return _Lead(Fraction(1), (Fraction(1),), True)
+        return _N_LEAD
     if isinstance(e, (Add, Sub)):
         a, b = _lead(e.left), _lead(e.right)
         if a is None or b is None:
@@ -857,21 +813,24 @@ def _lead(e: Expr) -> _Lead | None:
             return None
         pa, pb = _padded(a.exps, b.exps)
         if isinstance(e, Mul):
-            coef, exps = a.coef * b.coef, (x + y for x, y in zip(pa, pb))
+            coef = a.coef * b.coef
+            exps = [x + y if x and y else x or y for x, y in zip(pa, pb)]
         else:
-            coef, exps = a.coef / b.coef, (x - y for x, y in zip(pa, pb))
+            coef = a.coef if b.coef == 1 else Fraction(a.coef, b.coef)
+            exps = [x - y if y else x for x, y in zip(pa, pb)]
         return _monomial(coef, exps, a.exact and b.exact)
     if isinstance(e, Pow):
         r, a = _const_fold(e.exponent), _lead(e.base)
         coef = None if r is None or a is None else _rational_power(a.coef, r)
         if coef is None:
             return None
-        return _monomial(coef, (r * p for p in a.exps), a.exact)
+        exps = [r if p == 1 else p and r * p for p in a.exps]
+        return _monomial(coef, exps, a.exact)
     if isinstance(e, Exp):
         # exp of a vanishing argument is 1 + o(1)
         a = _lead(e.arg)
         if a is not None and _order(a.exps) < 0:
-            return _Lead(Fraction(1), (), False)
+            return _Lead(1, (), False)
         return None
     if isinstance(e, IterLn):
         a = _lead(e.arg)
@@ -888,7 +847,7 @@ def _monomial_expr(a: _Lead) -> Expr:
         if p:
             base = iterln(i, Var())
             factors.append(base if p == 1 else Pow(base, Const(p)))
-    out = factors[0] if factors else Const(Fraction(1))
+    out = factors[0] if factors else Const(1)
     for f in factors[1:]:
         out = Mul(out, f)
     return out
@@ -1101,7 +1060,7 @@ def _const_fold(e: Expr) -> Fraction | None:
         a, b = _const_fold(e.left), _const_fold(e.right)
         if a is None or b is None or b == 0:
             return None
-        return a / b
+        return Fraction(a, b)
     if isinstance(e, Pow):
         a, b = _const_fold(e.base), _const_fold(e.exponent)
         if a is None or b is None:
@@ -1117,7 +1076,7 @@ def _lead_combo(a: _Lead, vanishing=()) -> LogCombo:
     """ln of the positive leader a = q * n^p0 * (ln n)^p1 * ...:
     p0 ln n + p1 lnln n + ... + ln q, plus the vanishing parts given."""
     return LogCombo(
-        {i + 1: p for i, p in enumerate(a.exps) if p},
+        {i + 1: Fraction(p) for i, p in enumerate(a.exps) if p},
         Fraction(0),
         [] if a.coef == 1 else [(Fraction(1), 1, a.coef)],
         [],
@@ -1156,7 +1115,7 @@ def _opaque(e: Expr) -> LogCombo:
 def linearize(e: Expr) -> LogCombo:
     """Split a log-side expression into a LogCombo."""
     if isinstance(e, Const):
-        return LogCombo({}, e.value, [], [])
+        return LogCombo({}, Fraction(e.value), [], [])
     if isinstance(e, Var):
         return LogCombo({0: Fraction(1)}, Fraction(0), [], [])
     if isinstance(e, IterLn):

@@ -182,7 +182,10 @@ def _compile(e: ex.Expr, shared_n: bool):
     import numpy as np
 
     if isinstance(e, ex.Const):
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise RangeError("a constant overflows float64") from None
     if isinstance(e, ex.Var):
         return lambda x: x
     if isinstance(e, ex.Param):

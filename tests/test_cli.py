@@ -155,6 +155,18 @@ def test_sum_names_the_construction_stage(capsys, text):
     assert err.startswith("error in sequence construction: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "ln(-n)"], ["verify", "ln(-n)"], ["sum", "ln(-n)", "10"],
+    ["analyze", "lnln(1-n)", "--json"],
+])
+def test_a_domain_start_not_found_is_a_construction_error(capsys, argv):
+    # found while the term is built, before any ladder rung or sum runs
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == ("error in sequence construction: "
+                   "could not locate the domain start\n")
+
+
 def test_analyze_bad_param_value(capsys):
     code, _, err = run(capsys, ["analyze", "1/n^q", "--param", "q=abc"])
     assert code == 1
@@ -441,6 +453,18 @@ def test_sum_float_overflow_exit_one(capsys):
     assert out == ""
     assert "error in oracle summation" in err
     assert "overflows float64" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "9" * 400, "10"], ["sum", f"n^(-{'9' * 400})", "10"],
+    ["verify", f"n^(-{'9' * 400})"],
+])
+def test_constant_past_float64_is_an_oracle_error(capsys, argv):
+    # the ladder reads the exact constant; the float64 oracle cannot
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err.endswith("error in oracle summation: "
+                        "a constant overflows float64\n")
 
 
 def _nested_sum(depth):

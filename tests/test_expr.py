@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
+from known_verdicts import FAMILIES, bertrand, bertrand_tuples
 from logladder import expr as ex
 from logladder import numeric as nm
 from logladder.errors import (
@@ -47,12 +48,6 @@ def test_rational_constants_stay_exact():
     assert form.exps == (Fraction(-3, 2),)  # trailing zeros stripped
 
 
-def test_parse_errors():
-    for bad in ("", "1/((n)", "n +", "foo(n)", "2 3"):
-        with pytest.raises(ParseError):
-            ex.parse(bad)
-
-
 @pytest.mark.parametrize("text, message", [
     # str.isdigit takes superscripts and other scripts' digits as well
     ("2\u00b2", "unexpected character '\u00b2' (at position 1)"),
@@ -63,6 +58,87 @@ def test_only_ascii_digits_are_digits(text, message):
     with pytest.raises(ParseError) as info:
         ex.parse(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # str.isalnum takes them too: these once read as unbound names
+    ("n\u00b2", "unexpected character '\u00b2' (at position 1)"),
+    ("n\u00c5", "unexpected character '\u00c5' (at position 1)"),
+    ("\u00e9/n^2", "unexpected character '\u00e9' (at position 0)"),
+], ids=["superscript", "latin-letter", "leading-letter"])
+def test_names_are_ascii(text, message):
+    with pytest.raises(ParseError) as info:
+        ex.parse(text)
+    assert str(info.value) == message
+
+
+# The exact message of each malformed input, the parser's and the
+# lexer's, in the order a left-to-right reading meets them.
+PARSE_ERRORS = [
+    ("", "unexpected token None (at position 0)"),
+    ("   ", "unexpected token None (at position 3)"),
+    ("1.", "digits required after decimal point (at position 2)"),
+    ("3.x", "digits required after decimal point (at position 2)"),
+    ("2 3", "trailing input '3' (at position 2)"),
+    ("2 3 \u00b2", "trailing input '3' (at position 2)"),
+    ("n)", "trailing input ')' (at position 1)"),
+    ("(n))", "trailing input ')' (at position 3)"),
+    ("n^2^3", "trailing input '^' (at position 3)"),
+    ("ln(n)(n)", "trailing input '(' (at position 5)"),
+    ("((((n", "expected ')', found None (at position 5)"),
+    ("1/((n)", "expected ')', found None (at position 6)"),
+    ("log_2(n", "expected ')', found None (at position 7)"),
+    ("ln", "function 'ln' needs an argument (at position 0)"),
+    ("exp", "function 'exp' needs an argument (at position 0)"),
+    ("ln()", "unexpected token ')' (at position 3)"),
+    ("n +", "unexpected token None (at position 3)"),
+    ("n^", "unexpected token None (at position 2)"),
+    ("2^^3", "unexpected token '^' (at position 2)"),
+    ("-", "unexpected token None (at position 1)"),
+    ("foo(n)", "unknown function 'foo' (at position 0)"),
+    ("log_10(n)", "unknown function 'log_10' (at position 0)"),
+    ("n*-n", "unexpected '-' (at position 2)"),
+    ("--n", "unexpected '-' (at position 1)"),
+    ("9" * 5000, "number too long (5000 characters) (at position 0)"),
+    ("1." + "0" * 5000, "number too long (5002 characters) (at position 0)"),
+    ("n^2.\u0663", "digits required after decimal point (at position 4)"),
+    ("1.5.3", "unexpected character '.' (at position 3)"),
+    ("n @ 2", "unexpected character '@' (at position 2)"),
+    ("ln(n,2)", "unexpected character ',' (at position 4)"),
+    ("n^n^2", "power needs an n-free exponent or an n-free base"),
+]
+
+
+def test_parse_errors():
+    wrong = []
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as info:
+            ex.parse(text)
+        if str(info.value) != message:
+            wrong.append((text[:20], str(info.value)))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("opener, fits, position", [
+    ("ln(", 99, 300), ("(", 99, 100), ("lnlnlnln(", 24, None),
+])
+def test_depth_limit_of_nested_calls(opener, fits, position):
+    # an iterated log counts once per log: 24 lnlnlnln make 97 levels
+    ex.parse(opener * fits + "n" + ")" * fits)
+    with pytest.raises(ParseError) as info:
+        ex.parse(opener * (fits + 1) + "n" + ")" * (fits + 1))
+    where = "" if position is None else f" (at position {position})"
+    assert str(info.value) == ex._TOO_DEEP + where
+    deepest = ex.parse("lnlnlnln(" * 24 + "n" + ")" * 24)
+    assert deepest == ex.IterLn(96, ex.Var())
+
+
+def test_depth_limit_of_a_left_chain():
+    # one parser frame, one tree level per '+'
+    ex.parse("+".join(["n"] * 100))
+    with pytest.raises(ParseError) as info:
+        ex.parse("+".join(["n"] * 101))
+    assert str(info.value) == ex._TOO_DEEP
 
 
 @pytest.mark.parametrize("text", [
@@ -303,6 +379,35 @@ def test_to_log_power_reads_exponents():
     form = ex.to_log_power(ex.parse("(ln(n))^(1/2)/n"))
     assert form is not None
     assert (form.coef, form.exps) == (1, (Fraction(-1), Fraction(1, 2)))
+
+
+def _exact_number(v) -> bool:
+    return type(v) in (int, Fraction)
+
+
+def test_leaders_of_int_literals_stay_exact():
+    # integer literals stay ints, and division makes a Fraction, never
+    # a float: over the Bertrand tuples, their shifts and the corpus
+    texts = [bertrand(ps) for ps in bertrand_tuples((1, 2, 3, 4))]
+    texts += [bertrand(ps, c) for c in (1, 2, 3) for ps in bertrand_tuples()]
+    texts += [k.expression for k in FAMILIES]
+    assert len(texts) == 1554 + 774 + len(FAMILIES)
+    read = 0
+    for text in texts:
+        tree = ex.parse(text)
+        for lead in (ex._lead(tree), ex.to_log_power(tree)):
+            if lead is not None:
+                read += 1
+                assert all(map(_exact_number, (lead.coef, *lead.exps))), text
+    assert read > 1554 * 2
+    lead = ex.to_log_power(ex.parse("n^2/4"))
+    assert lead.coef == Fraction(1, 4) and _exact_number(lead.coef)
+    assert ex.parse("0.5") == ex.Const(Fraction(1, 2))
+    assert type(ex.parse("0.5").value) is Fraction
+    assert type(ex.parse("2").value) is int
+    for text in ("2/4", "2^(-1)"):
+        assert ex._const_fold(ex.parse(text)) == Fraction(1, 2)
+        assert type(ex._const_fold(ex.parse(text))) is Fraction
 
 
 def test_linearize_log_transform_exact_combo():
