@@ -205,8 +205,49 @@ def _report_json(scale, report) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, pad="\n") -> str:
+    """obj as the json module writes it with two-space indents and no
+    NaN or Infinity, byte for byte, for dict (str keys), list, str, int,
+    float, bool and None. json's indenting encoder is pure Python and
+    costs more than this per report."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(
+                "Out of range float values are not JSON compliant: "
+                + repr(obj)
+            )
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable"
+    )
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, allow_nan=False))
+    print(_json(obj))
 
 
 def _write_csv(path, rows) -> None:
@@ -315,6 +356,11 @@ def _verification_json(check, tag) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    tol = args.tolerance
+    if tol is not None and not 0 <= tol < math.inf:
+        raise _StageError("input parsing", ParseError(
+            f"--tolerance must be finite and at least 0, got {tol}"
+        ))
     term, scale, report = _analyze(args)
     final = report.final
     if not final.decisive or final.rate is None:
@@ -572,17 +618,19 @@ def _add_budget(p):
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call of the process and
-    reused after it: parse_args keeps no state between calls."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name, built on
+    the first call of the process and reused after it: parse_args keeps
+    no state between calls."""
     ap = _Parser(
         prog="logladder",
         description="Convergence analysis for positive series by "
                     "scaled-log statistics, with a summation oracle.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser(
+    p = commands["analyze"] = sub.add_parser(
         "analyze", help="run the decision ladder on a sequence"
     )
     _add_common(p)
@@ -593,7 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser(
+    p = commands["sum"] = sub.add_parser(
         "sum", help="sum terms directly (ground truth, no analysis)"
     )
     _add_common(p)
@@ -616,7 +664,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_sum)
 
-    p = sub.add_parser(
+    p = commands["verify"] = sub.add_parser(
         "verify", help="check the predicted rate against checkpoint sums"
     )
     _add_common(p)
@@ -633,7 +681,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write checkpoints as CSV")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser(
+    p = commands["examples"] = sub.add_parser(
         "examples", help="run the reference corpus and check expectations"
     )
     p.add_argument(
@@ -642,13 +690,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_examples)
-    return ap
+    return ap, commands
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        # a command's own parser reads its options; the top-level one
+        # answers anything else (no argv, -h, an unknown word)
+        top, commands = _build_parser()
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = top.parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import from_int
 
 from .errors import (
     CancellationError,
@@ -302,10 +303,17 @@ def _plain(v) -> ExtScalar:
     return ExtScalar(-1, 0, -v)
 
 
+_EXACT_INT = 1 << 53
+
+
 def from_value(x) -> ExtScalar:
     """Coerce an int, float, Fraction, mpf, or decimal string."""
     if isinstance(x, ExtScalar):
         return x
+    if type(x) is int and -_EXACT_INT < x < _EXACT_INT:
+        # exact at every precision, so no working precision and no
+        # comparisons of mpf values
+        return ExtScalar((x > 0) - (x < 0), 0, mp.make_mpf(from_int(abs(x))))
     with _Working():
         if not isinstance(x, str):
             return _plain(_to_mpf(x))

@@ -1,14 +1,17 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logladder import cli, sums
 from logladder import criteria as cr
@@ -57,6 +60,46 @@ def test_unwritable_csv_is_output_error(capsys, tmp_path, argv):
     assert err.startswith("error in output: ")
     assert str(path) in err and "Traceback" not in err
     assert not path.exists()
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -2**64, 10**30, -10**400]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.225e-308, 1e16, 1e-7, 1e22, 0.1]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9", "\U0001d11e"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite_floats_as_json_does(bad):
+    obj = {"a": [1, {"b": bad}]}
+    with pytest.raises(ValueError) as ours:
+        cli._json(obj)
+    with pytest.raises(ValueError) as theirs:
+        json.dumps(obj, indent=2, allow_nan=False)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), {1, 2}, b"x", object()])
+def test_json_writer_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        cli._json({"a": [bad]})
 
 
 # -- parser ------------------------------------------------------------------------
@@ -397,6 +440,43 @@ def test_usage_error_exits_one_names_stage(capsys, argv, message):
     assert message in err
 
 
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:  # --help
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "1/n^2"], 0),
+    (["sum", "1/n^2", "100", "--json"], 0),
+    (["verify", "1/n^2", "--checkpoints", "100", "1000", "10000"], 0),
+    (["examples", "--only", "inverse-square"], 0),
+    ([], 1),
+    (["-h"], 0),
+    (["frobnicate"], 1),
+    (["--json", "analyze", "1/n^2"], 1),
+    (["analyze", "--help"], 0),
+    (["sum", "-h"], 0),
+    (["analyze"], 1),
+    (["analyze", "-1/n^2"], 1),
+    (["analyze", "--", "-1/n^2"], 1),
+    (["analyze", "1/n^2", "--frobnicate"], 1),
+    (["analyze", "1/n^2", "--kmax", "abc"], 1),
+])
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv,
+                                               code):
+    direct = _outcome(capsys, argv)
+    top, _ = cli._build_parser()
+    # with no command parsers to pick from, main hands every argv to the
+    # top-level parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: (top, {}))
+    assert _outcome(capsys, argv) == direct
+    assert direct[0] == code
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "--help"])
@@ -600,6 +680,22 @@ def test_verify_fail_exit_three(capsys):
     ])
     assert code == 3
     assert "verification: fail" in out
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "1e999", "-1"])
+def test_verify_refuses_a_tolerance_not_finite_or_negative(
+        capsys, monkeypatch, tolerance, json_flag):
+    def no_run(args):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr(cli, "_analyze", no_run)
+    code, out, err = run(capsys, ["verify", "1/n^2",
+                                  f"--tolerance={tolerance}", *json_flag])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: --tolerance ")
+    assert err.count("\n") == 1
 
 
 def test_verify_json_tag(capsys):

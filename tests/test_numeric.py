@@ -22,6 +22,28 @@ def test_from_value_rejects_non_decimal_strings(text):
         nm.from_value(text)
 
 
+def _from_value_at_working_precision(x):
+    with nm._Working():
+        return nm._plain(nm._to_mpf(x))
+
+
+@pytest.mark.parametrize("scope", [
+    lambda: nm.local_precision(nm.get_precision()),
+    lambda: mp.workprec(10),
+    lambda: nm.local_precision(4096),
+], ids=["default", "mp-10-bits", "4096-bits"])
+@pytest.mark.parametrize("x", [
+    0, 1, -1, 16, 2**53 - 1, -(2**53 - 1), 2**53, -2**53, 10**30, -10**30,
+    True,
+])
+def test_from_value_of_an_int_is_exact_at_every_precision(scope, x):
+    with scope():
+        got = nm.from_value(x)
+        want = _from_value_at_working_precision(x)
+    assert (got.sign, got.level, got.mag._mpf_) == (
+        want.sign, want.level, want.mag._mpf_)
+
+
 def test_zero_one_constants():
     assert nm.to_float(nm.ZERO) == 0.0
     assert nm.to_float(nm.ONE) == 1.0
