@@ -55,12 +55,28 @@ class _StageError(Exception):
         self.err = err
 
 
+def _too_long(text: str) -> bool:
+    """True when the digits of a number text plus its decimal exponent
+    pass Python's integer string limit: Fraction() would compute
+    10**exponent first, and the report could not print the value."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    if not exponent.isdecimal():  # none, or Fraction() refuses the text
+        exponent = "0"
+    digits = sum(c.isdecimal() for c in mantissa)
+    return len(exponent) > len(str(limit)) or digits + int(exponent) > limit
+
+
 def _parse_params(pairs) -> dict:
     out = {}
     for raw in pairs or ():
         name, sep, val = raw.partition("=")
         if not sep or not name:
             raise ParseError(f"--param needs NAME=VALUE, got {raw!r}")
+        if _too_long(val):
+            raise ParseError(f"--param {name}: number too long (its digits "
+                             "and exponent pass Python's int string limit)")
         try:
             out[name] = Fraction(val)
         except (ValueError, ZeroDivisionError):
@@ -193,14 +209,18 @@ def _verdict_json(v):
 
 
 def _report_json(scale, report) -> dict:
+    trace = [_verdict_json(v) for v in report.trace]
+    # the deciding row is usually the last one traced: one dict for both
+    final = (trace[-1] if trace and report.final is report.trace[-1]
+             else _verdict_json(report.final))
     return {
         "schema_version": SCHEMA_VERSION,
         "sequence": report.sequence,
         "params": {k: str(v) for k, v in sorted(report.params.items())},
         "backend": report.backend,
         "scale": scale.name if scale is not None else "auto",
-        "trace": [_verdict_json(v) for v in report.trace],
-        "final": _verdict_json(report.final),
+        "trace": trace,
+        "final": final,
         "warnings": list(report.warnings),
     }
 
@@ -208,42 +228,64 @@ def _report_json(scale, report) -> dict:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json(obj, pad="\n") -> str:
+def _float(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError(
+            "Out of range float values are not JSON compliant: " + repr(x)
+        )
+    return float.__repr__(x)
+
+
+# The writers of the scalar types, in the order json tries them. A value
+# of one of these exact types is written by a lookup; a subclass is
+# written as json writes it, by the first type that it extends.
+_SCALARS = {
+    str: _quote,
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: _float,
+}
+
+
+def _json(obj) -> str:
     """obj as the json module writes it with two-space indents and no
     NaN or Infinity, byte for byte, for dict (str keys), list, str, int,
     float, bool and None. json's indenting encoder is pure Python and
     costs more than this per report."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(
-                "Out of range float values are not JSON compliant: "
-                + repr(obj)
-            )
-        return float.__repr__(obj)
+    return _write(obj, "\n", {})
+
+
+def _write(obj, pad, done) -> str:
+    """obj written at the indent pad. done maps the id of each dict or
+    list already written to its text and the pad it was written at: one
+    met again is not written again but re-indented. That is exact, since
+    strings are escaped, so each newline in its text starts an indent at
+    least as deep as the pad it was written at."""
+    if not isinstance(obj, (list, dict)):
+        for t, f in _SCALARS.items():
+            if isinstance(obj, t):
+                return f(obj)
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        "is not JSON serializable")
+    if not obj:
+        return "[]" if isinstance(obj, list) else "{}"
+    if id(obj) in done:
+        text, at = done[id(obj)]
+        return text.replace(at, pad)
     inner = pad + "  "
+    scalar = _SCALARS.get
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [_json(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(
-        f"Object of type {type(obj).__name__} is not JSON serializable"
-    )
+        items = [f(v) if (f := scalar(type(v))) else _write(v, inner, done)
+                 for v in obj]
+        text = "[" + inner + ("," + inner).join(items) + pad + "]"
+    else:
+        items = [_quote(k) + ": " + (
+            f(v) if (f := scalar(type(v))) else _write(v, inner, done))
+            for k, v in obj.items()]
+        text = "{" + inner + ("," + inner).join(items) + pad + "}"
+    done[id(obj)] = text, pad
+    return text
 
 
 def _emit(obj) -> None:

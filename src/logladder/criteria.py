@@ -423,8 +423,19 @@ def _index_bits(n: ExtScalar) -> int:
     return bits
 
 
+# The splits of the depth-fold logs of the scales the CLI names (n to
+# lnlnlnln), at every depth a policy reaches (k_max + 1), built at import
+# so that every call reads the same shared combos; nothing changes them.
+_CHAIN_COMBOS = {
+    (w, depth): ex.linearize(w.ln_chain(depth))
+    for w in map(sc.IterLog, range(5))
+    for depth in range(1, nm.MAX_TOWER_LEVEL)
+}
+
+
 def _chain_combo(w: sc.ScaleFn, depth: int) -> LogCombo:
-    return ex.linearize(w.ln_chain(depth))
+    combo = _CHAIN_COMBOS.get((w, depth))
+    return combo if combo is not None else ex.linearize(w.ln_chain(depth))
 
 
 def _infinite(sign) -> float:
@@ -550,22 +561,20 @@ def _choose_grid(term: TermSource, tower, policy: AnalysisPolicy):
 _SKIP = (DomainError, DivisionByZero, RangeError, CancellationError)
 
 
-@dataclass(frozen=True)
-class _Statistic:
-    """One ladder statistic: its exact limit, grid, sampler and drift.
+class _Statistic(NamedTuple):
+    """One ladder statistic: its exact limit, and how to sample it.
 
     exact is the limit read off an exact log split: a Fraction, a
     constant LogCombo (whose value is the limit), +/-inf, or None when
-    there is no exact split. grid(policy) gives the sampling points or
-    None; sampler(n) returns the statistic at one point and the argument
-    (the point, or the denominator) at which drift gives its two error
-    terms.
+    there is no exact split. sampling(policy) sets up a sampler only
+    when the statistic is sampled, and returns the grid (or None), the
+    sampler and the drift: sampler(n) returns the statistic at one point
+    and the argument (the point, or the denominator) at which drift
+    gives its two error terms.
     """
 
     exact: object
-    grid: Callable
-    sampler: Callable
-    drift: Callable = _index_drift
+    sampling: Callable
 
 
 def _raabe_statistic(term: TermSource) -> _Statistic:
@@ -579,107 +588,114 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
         # depth-0 term means a geometric factor and an infinite limit.
         c0 = combo.coeffs.get(0, Fraction(0))
         exact = _infinite(c0) if c0 != 0 else combo.coeffs.get(1, Fraction(0))
-    bits = nm.get_precision().significand_bits
-    # a(n+1) of a grid point is a(n) of its n+1 companion: each term is
-    # evaluated once per index and precision for the life of the statistic.
-    memo = {}
 
-    def value(n, precision):
-        key = (n.sign, n.level, n.mag, precision)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = term.term(n)
-        return v
+    def sampling(policy):
+        bits = nm.get_precision().significand_bits
+        # a(n+1) of a grid point is a(n) of its n+1 companion: each term
+        # is evaluated once per index and precision for the sampler.
+        memo = {}
 
-    def sample(n):
-        with nm.local_precision(bits + _index_bits(n) + 64) as p:
-            # a(n) first: a point whose term is out of range is skipped
-            # before n + 1 is formed at the raised precision
-            a = value(n, p)
-            r = nm.ext_div(value(nm.ext_add(n, nm.ONE), p), a)
-            return nm.ext_mul(n, nm.ext_sub(r, nm.ONE)), n
+        def value(n, precision):
+            key = (n.sign, n.level, n.mag, precision)
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = term.term(n)
+            return v
 
-    return _Statistic(exact, partial(_choose_grid, term, None), sample)
+        def sample(n):
+            with nm.local_precision(bits + _index_bits(n) + 64) as p:
+                # a(n) first: a point whose term is out of range is
+                # skipped before n + 1 is formed at the raised precision
+                a = value(n, p)
+                r = nm.ext_div(value(nm.ext_add(n, nm.ONE), p), a)
+                return nm.ext_mul(n, nm.ext_sub(r, nm.ONE)), n
+
+        return _choose_grid(term, None, policy), sample, _index_drift
+
+    return _Statistic(exact, sampling)
 
 
 def _numerator(term: TermSource, w: sc.ScaleFn, level: int):
-    """(combo, value) of ln a_n - ln dw(n) + sum_{i=1..level} i-fold
-    log of w(n), the level-th escalation numerator.
-
-    combo is its exact split, or None when the term or the scale has
-    none. value(n, den) evaluates it at n from the combo (see
-    LogCombo.value for den) or else from the terms.
-    """
+    """The exact split of ln a_n - ln dw(n) + sum_{i=1..level} i-fold
+    log of w(n), the level-th escalation numerator, or None when the
+    term or the scale has none."""
     tc = term.log_combo()
     dc = w.log_delta_combo()
     if tc is None or dc is None:
-        chains = [w.ln_chain(i) for i in range(1, level + 1)]
-
-        def sampled(n, den=None):
-            nv = nm.ext_sub(nm.ext_ln(term.term(n)), w.log_delta(n))
-            for c in chains:
-                nv = nm.ext_add(nv, ex.eval_expr(c, n))
-            return nv
-
-        return None, sampled
+        return None
     num = tc.merged(dc, -1)
     for i in range(1, level + 1):
         num = num.merged(_chain_combo(w, i), 1)
+    return num
 
-    def split(n, den=None):
-        return nm.ext_sub(num.value(n, den), w.delta_correction(n))
 
-    return num, split
+def _numerator_value(term: TermSource, w: sc.ScaleFn, level: int, num):
+    """value(n, den) of the level-th numerator at n: from its split num
+    (see LogCombo.value for den), or from the terms when num is None."""
+    if num is not None:
+        return lambda n, den=None: nm.ext_sub(num.value(n, den),
+                                              w.delta_correction(n))
+    chains = [w.ln_chain(i) for i in range(1, level + 1)]
+
+    def sampled(n, den=None):
+        nv = nm.ext_sub(nm.ext_ln(term.term(n)), w.log_delta(n))
+        for c in chains:
+            nv = nm.ext_add(nv, ex.eval_expr(c, n))
+        return nv
+
+    return sampled
 
 
 def _quotient_statistic(term: TermSource, w: sc.ScaleFn,
                         level: int) -> _Statistic:
     """The level-th numerator over the (level+1)-fold log of w(n)."""
-    bits = nm.get_precision().significand_bits
-    num, value = _numerator(term, w, level)
+    num = _numerator(term, w, level)
     den = _chain_combo(w, level + 1)
-    den_value = (den.value if num is not None
-                 else partial(ex.eval_expr, w.ln_chain(level + 1)))
 
-    def sample(n):
-        with nm.local_precision(bits + 64):
-            dv = den_value(n)
-            if not dv.sign > 0:
-                raise DomainError("comparison log not yet positive")
-            return nm.ext_div(value(n, dv), dv), dv
+    def sampling(policy):
+        bits = nm.get_precision().significand_bits
+        value = _numerator_value(term, w, level, num)
+        dl = den.leading()
+        depth = dl[0] if dl is not None else level + 1
+        tower = None if num is None else (depth, num)
+        den_value = (den.value if num is not None
+                     else partial(ex.eval_expr, w.ln_chain(level + 1)))
 
-    if num is None:
-        return _Statistic(None, partial(_choose_grid, term, None), sample,
-                          _quotient_drift)
-    dl = den.leading()
-    den_depth = dl[0] if dl is not None else level + 1
-    return _Statistic(
-        _symbolic_ratio(num, den),
-        partial(_choose_grid, term, (den_depth, num)),
-        sample, _quotient_drift,
-    )
+        def sample(n):
+            with nm.local_precision(bits + 64):
+                dv = den_value(n)
+                if not dv.sign > 0:
+                    raise DomainError("comparison log not yet positive")
+                return nm.ext_div(value(n, dv), dv), dv
+
+        return _choose_grid(term, tower, policy), sample, _quotient_drift
+
+    exact = None if num is None else _symbolic_ratio(num, den)
+    return _Statistic(exact, sampling)
 
 
 def _slow_divergence_statistic(term: TermSource,
                                w: sc.ScaleFn) -> _Statistic:
     """ln g(n) with g = w(n) a_n / dw(n): the level-1 numerator."""
-    bits = nm.get_precision().significand_bits
-    lng, value = _numerator(term, w, 1)
-
-    def sample(n):
-        with nm.local_precision(bits + 64):
-            return value(n, nm.ONE), n
-
-    if lng is None:
-        return _Statistic(None, partial(_choose_grid, term, None), sample)
-    lead = lng.leading()
+    lng = _numerator(term, w, 1)
+    lead = lng.leading() if lng is not None else None
     exact = None
-    if lng.is_exact:
+    if lng is not None and lng.is_exact:
         exact = lng if lead is None else _infinite(lead[1])
-    grid_depth = lead[0] if lead is not None and lead[0] >= 1 else 1
-    return _Statistic(
-        exact, partial(_choose_grid, term, (grid_depth, lng)), sample
-    )
+
+    def sampling(policy):
+        bits = nm.get_precision().significand_bits
+        value = _numerator_value(term, w, 1, lng)
+
+        def sample(n):
+            with nm.local_precision(bits + 64):
+                return value(n, nm.ONE), n
+
+        depth = lead[0] if lead is not None and lead[0] >= 1 else 1
+        tower = None if lng is None else (depth, lng)
+        return _choose_grid(term, tower, policy), sample, _index_drift
+
+    return _Statistic(exact, sampling)
 
 
 def _pair_spread(a: ExtScalar, b: ExtScalar):
@@ -749,16 +765,16 @@ def _measure(stat: _Statistic, policy: AnalysisPolicy) -> _Measure:
             ))
         value = exact.const_value() if isinstance(exact, LogCombo) else exact
         return _Measure(lm.LimitEstimate.exact(value), exact)
-    grid = stat.grid(policy)
+    grid, sampler, drift = stat.sampling(policy)
     if grid is None:
         return _Measure(None, samples=[])
-    values, drift_at, inter, spreads = _sample_grid(stat.sampler, grid)
+    values, drift_at, inter, spreads = _sample_grid(sampler, grid)
     if len(values) < 8:
         return _Measure(None, samples=inter)
     if spreads and max(spreads[-3:]) > float(DECIDE_MARGIN):
         est = lm.LimitEstimate("not_converged", samples_used=len(values))
     else:
-        est = lm._fit_limit(values, [stat.drift(d) for d in drift_at])
+        est = lm._fit_limit(values, [drift(d) for d in drift_at])
     return _Measure(est, samples=inter)
 
 

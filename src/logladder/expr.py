@@ -80,64 +80,72 @@ __all__ = [
 
 
 class Expr:
-    """Base class for expression nodes. Nodes are immutable and hashable."""
+    """Base class for expression nodes. Nodes compare and hash by type
+    and fields, so a node must not be changed once it is built: every
+    rewrite builds new nodes and shares the subtrees it keeps."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# Slotted, with a generated hash: a frozen dataclass would set each field
+# through object.__setattr__, which costs more than the rest of building
+# a node.
+_node = dataclass(slots=True, unsafe_hash=True)
+
+
+@_node
 class Const(Expr):
     """An exact rational: an int where it is integral, else a Fraction."""
 
     value: int | Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class IterLn(Expr):
     """count-fold iterated natural log of arg."""
 
@@ -147,16 +155,11 @@ class IterLn(Expr):
 
 # The field names of each node type's subtrees, in field order: its
 # dataclass fields that are expressions. Every generic walk over a tree
-# reads a node's subtrees through _subtrees and nowhere else.
+# reads a node's subtrees here and nowhere else.
 _SUBTREE_FIELDS = {
     cls: tuple(f.name for f in fields(cls) if f.type == "Expr")
     for cls in (Const, Param, Var, Add, Sub, Mul, Div, Pow, Exp, IterLn)
 }
-
-
-def _subtrees(e: Expr) -> tuple[str, ...]:
-    """The field names of the subtrees of e, in field order."""
-    return _SUBTREE_FIELDS[type(e)]
 
 
 def _walk(e: Expr):
@@ -166,7 +169,7 @@ def _walk(e: Expr):
     while stack:
         x = stack.pop()
         yield x
-        for k in reversed(_subtrees(x)):
+        for k in reversed(_SUBTREE_FIELDS[type(x)]):
             stack.append(getattr(x, k))
 
 
@@ -426,7 +429,7 @@ def bind(e: Expr, params: dict) -> Expr:
             return Const(values[x.name]) if x.name in values else x
         # a subtree without a bound parameter is kept as it is
         changed = {}
-        for k in _subtrees(x):
+        for k in _SUBTREE_FIELDS[type(x)]:
             c = getattr(x, k)
             new = walk(c)
             if new is not c:
@@ -523,11 +526,16 @@ def domain_start(e: Expr) -> ExtScalar:
     itself for a deeper log of n.
     """
     logs, missing = [], set()
-    for x in _walk(e):
-        if isinstance(x, IterLn):
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is IterLn:
             logs.append(x)
-        elif isinstance(x, Param):
+        elif t is Param:
             missing.add(x.name)
+        for k in reversed(_SUBTREE_FIELDS[t]):
+            stack.append(getattr(x, k))
     if missing:
         raise UnboundParameterError(missing)
     start, far = 1, None
@@ -790,16 +798,18 @@ def _ln_lead(a: _Lead | None) -> _Lead | None:
 def _lead(e: Expr) -> _Lead | None:
     """Leading log-power monomial of e, or None when e is outside the
     class: leaders that cancel, an irrational coefficient, exp of an
-    argument that does not tend to 0, an unbound parameter."""
-    if isinstance(e, Const):
+    argument that does not tend to 0, an unbound parameter. Dispatches
+    on the exact node type."""
+    t = type(e)
+    if t is Const:
         return _Lead(e.value, (), True) if e.value else None
-    if isinstance(e, Var):
+    if t is Var:
         return _N_LEAD
-    if isinstance(e, (Add, Sub)):
+    if t is Add or t is Sub:
         a, b = _lead(e.left), _lead(e.right)
         if a is None or b is None:
             return None
-        sign = 1 if isinstance(e, Add) else -1
+        sign = 1 if t is Add else -1
         pa, pb = _padded(a.exps, b.exps)
         if pa != pb:
             if pa > pb:
@@ -807,32 +817,32 @@ def _lead(e: Expr) -> _Lead | None:
             return _Lead(sign * b.coef, b.exps, False)
         coef = a.coef + sign * b.coef
         return _Lead(coef, a.exps, a.exact and b.exact) if coef else None
-    if isinstance(e, (Mul, Div)):
+    if t is Mul or t is Div:
         a, b = _lead(e.left), _lead(e.right)
         if a is None or b is None:
             return None
         pa, pb = _padded(a.exps, b.exps)
-        if isinstance(e, Mul):
+        if t is Mul:
             coef = a.coef * b.coef
             exps = [x + y if x and y else x or y for x, y in zip(pa, pb)]
         else:
             coef = a.coef if b.coef == 1 else Fraction(a.coef, b.coef)
             exps = [x - y if y else x for x, y in zip(pa, pb)]
         return _monomial(coef, exps, a.exact and b.exact)
-    if isinstance(e, Pow):
+    if t is Pow:
         r, a = _const_fold(e.exponent), _lead(e.base)
         coef = None if r is None or a is None else _rational_power(a.coef, r)
         if coef is None:
             return None
         exps = [r if p == 1 else p and r * p for p in a.exps]
         return _monomial(coef, exps, a.exact)
-    if isinstance(e, Exp):
+    if t is Exp:
         # exp of a vanishing argument is 1 + o(1)
         a = _lead(e.arg)
         if a is not None and _order(a.exps) < 0:
             return _Lead(1, (), False)
         return None
-    if isinstance(e, IterLn):
+    if t is IterLn:
         a = _lead(e.arg)
         for _ in range(e.count):
             a = _ln_lead(a)

@@ -26,12 +26,11 @@ since no digits of the true difference are known.
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import from_int
+from mpmath.libmp import from_int, from_rational, round_nearest
 
 from .errors import (
     CancellationError,
@@ -104,15 +103,20 @@ def get_precision() -> Precision:
     return _prec_stack[-1]
 
 
-@contextmanager
-def local_precision(precision):
-    """Temporarily switch precision. Accepts a Precision or a bit count."""
-    if isinstance(precision, int):
-        precision = Precision(precision)
-    _prec_stack.append(precision)
-    try:
-        yield precision
-    finally:
+class local_precision:
+    """Temporarily switch precision. Accepts a Precision or a bit count;
+    entering gives the Precision."""
+
+    def __init__(self, precision):
+        if isinstance(precision, int):
+            precision = Precision(precision)
+        self.precision = precision
+
+    def __enter__(self):
+        _prec_stack.append(self.precision)
+        return self.precision
+
+    def __exit__(self, *exc):
         _prec_stack.pop()
 
 
@@ -151,20 +155,22 @@ class _Working:
 _absorb_sinks: list[list[str]] = []
 
 
-@contextmanager
-def absorption_log():
+class absorption_log:
     """Collect absorption events from the enclosed operations.
 
-    Yields a list that receives one message per absorbed operand, in
-    evaluation order. Nesting works; every active log sees every event.
+    Entering gives a list that receives one message per absorbed
+    operand, in evaluation order. Nesting works; every active log sees
+    every event.
     """
-    sink: list[str] = []
-    _absorb_sinks.append(sink)
-    try:
-        yield sink
-    finally:
+
+    def __enter__(self):
+        self.sink = []
+        _absorb_sinks.append(self.sink)
+        return self.sink
+
+    def __exit__(self, *exc):
         # by identity: an outer log with equal contents is another sink
-        _absorb_sinks[:] = [s for s in _absorb_sinks if s is not sink]
+        _absorb_sinks[:] = [s for s in _absorb_sinks if s is not self.sink]
 
 
 def _note_absorption(message: str) -> None:
@@ -314,6 +320,14 @@ def from_value(x) -> ExtScalar:
         # exact at every precision, so no working precision and no
         # comparisons of mpf values
         return ExtScalar((x > 0) - (x < 0), 0, mp.make_mpf(from_int(abs(x))))
+    if type(x) is Fraction:
+        p, q = x.numerator, x.denominator
+        bits = _prec_stack[-1].significand_bits + _GUARD
+        if p.bit_length() <= bits and q.bit_length() <= bits:
+            # p and q are exact at the working precision, so one rounded
+            # division gives the bits of mpf(p) / mpf(q) there
+            mag = from_rational(abs(p), q, bits, round_nearest)
+            return ExtScalar((p > 0) - (p < 0), 0, mp.make_mpf(mag))
     with _Working():
         if not isinstance(x, str):
             return _plain(_to_mpf(x))

@@ -106,8 +106,8 @@ class IterLog(ScaleFn):
         return ex.iterln(self.depth, ex.Var())
 
     def log_delta_combo(self) -> LogCombo:
-        coeffs = {j: Fraction(-1) for j in range(1, self.depth + 1)}
-        return LogCombo(coeffs, Fraction(0), [], [])
+        combo = _DELTA_COMBOS.get(self.depth)
+        return combo if combo is not None else _iterlog_delta_combo(self.depth)
 
     def delta_correction(self, n: ExtScalar) -> ExtScalar:
         # Sum over levels of ln(log1p(q)/q); below any feasible working
@@ -134,6 +134,16 @@ class IterLog(ScaleFn):
                 ld = lq + corr
                 level = ln_level
         return nm.from_value(total)
+
+
+def _iterlog_delta_combo(depth: int) -> LogCombo:
+    return LogCombo({j: Fraction(-1) for j in range(1, depth + 1)},
+                    Fraction(0), [], [])
+
+
+# The splits of the scales the CLI names (n to lnlnlnln), built at import
+# so that every call reads the same shared combos; nothing changes them.
+_DELTA_COMBOS = {d: _iterlog_delta_combo(d) for d in range(5)}
 
 
 @dataclass(frozen=True, repr=False)

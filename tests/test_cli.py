@@ -62,6 +62,24 @@ def test_unwritable_csv_is_output_error(capsys, tmp_path, argv):
     assert not path.exists()
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not the digits"
+
+    __str__ = __repr__
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not the digits"
+
+    __str__ = __repr__
+
+
 _json_scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -71,6 +89,10 @@ _json_scalars = st.one_of(
     st.sampled_from([-0.0, 5e-324, 2.225e-308, 1e16, 1e-7, 1e22, 0.1]),
     st.text(),
     st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9", "\U0001d11e"]),
+    # subclasses are written as json writes them: by their base type
+    st.text().map(_Str),
+    st.integers().map(_Int),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
 )
 _json_values = st.recursive(
     _json_scalars,
@@ -84,6 +106,33 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_json_writer_matches_json_dumps(obj):
     assert cli._json(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values, st.integers(0, 3), st.integers(0, 3))
+def test_json_writer_writes_a_shared_value_at_each_depth(value, first, again):
+    # one object met twice, at any two depths, reads as two copies
+    def nest(depth):
+        out = value
+        for _ in range(depth):
+            out = {"row": [out]}
+        return out
+
+    obj = {"a": nest(first), "b": [nest(again)], "c": value}
+    assert cli._json(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+def test_report_whose_final_row_is_its_last_trace_row(capsys):
+    term = cr.ExprTerm("1/(n*ln(n)^2)")
+    report = cr.analyze(term)
+    assert report.final is report.trace[-1]
+    doc = cli._report_json(None, report)
+    assert doc["final"] is doc["trace"][-1]
+    assert cli._json(doc) == json.dumps(doc, indent=2, allow_nan=False)
+    code, out, _ = run(capsys, ["analyze", "1/(n*ln(n)^2)", "--json"])
+    assert code == 0
+    assert out == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    assert json.loads(out)["final"] == json.loads(out)["trace"][-1]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -208,6 +257,38 @@ def test_a_domain_start_not_found_is_a_construction_error(capsys, argv):
     assert (code, out) == (1, "")
     assert err == ("error in sequence construction: "
                    "could not locate the domain start\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "a/n^2"],
+    ["analyze", "a/n^2", "--json"],
+    ["verify", "a/n^2", "--json"],
+    ["sum", "a/n^2", "10"],
+])
+@pytest.mark.parametrize("value", [
+    "1e5000", "1e4300", "1e-5000", "1e999999999", "2.5E+999999999999",
+    "1" * 5000, "1/" + "3" * 5000,
+])
+def test_param_past_the_int_string_limit_is_input_error(capsys, command,
+                                                         value):
+    # refused before Fraction() builds 10**exponent, so this is quick
+    start = time.perf_counter()
+    code, out, err = run(capsys, command + ["--param", f"a={value}"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error in input parsing: --param a: number too long")
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("1e4299", "1" + "0" * 4299),
+    ("25e-3", "1/40"),
+    ("1_000e1", "10000"),
+])
+def test_param_within_the_int_string_limit_is_read(capsys, value, shown):
+    code, out, _ = run(capsys, ["analyze", "a/n^2", "--param",
+                                f"a={value}", "--json"])
+    assert code == 0
+    assert json.loads(out)["params"] == {"a": shown}
 
 
 def test_analyze_bad_param_value(capsys):

@@ -463,3 +463,34 @@ def test_policy_validation():
     # k_max past the tower budget is rejected at construction
     with pytest.raises(ValueError, match="exceeds the tower budget"):
         cr.AnalysisPolicy(k_max=99)
+
+
+# -- shared exact splits ------------------------------------------------------------
+
+
+def test_constant_combos_stay_constant(capsys):
+    # the splits of iterated-log scales are built at import and shared by
+    # every call: a call that changed one would change the next report
+    import copy
+
+    from logladder import cli
+
+    tables = (cr._CHAIN_COMBOS, sc._DELTA_COMBOS)
+    before = copy.deepcopy(tables)
+    text = "n^(-1)*(ln(n))^(-1)*(ln(ln(n)))^(-1)*(ln(ln(ln(n))))^(-1/2)"
+    outs = []
+    for extra in ([], [], ["--w", "lnln", "--kmax", "4"],
+                  ["--w", "lnln", "--kmax", "4"]):
+        assert cli.main(["analyze", text, "--json"] + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    assert outs[0] != outs[2]
+    assert tables == before
+    assert len(cr._CHAIN_COMBOS) == 5 * (nm.MAX_TOWER_LEVEL - 1)
+    # a combo of the table is the one a scale builds for itself
+    w = sc.IterLog(2)
+    assert cr._chain_combo(w, 3) is cr._CHAIN_COMBOS[(w, 3)]
+    assert cr._chain_combo(w, 3) == ex.linearize(w.ln_chain(3))
+    assert w.log_delta_combo() is sc._DELTA_COMBOS[2]
+    assert sc.IterLog(7).log_delta_combo().coeffs == {
+        j: -1 for j in range(1, 8)}

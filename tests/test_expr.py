@@ -1,6 +1,7 @@
 """Expression parsing, binding, evaluation, and log-linear forms."""
 
 import time
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -544,3 +545,49 @@ def test_sum_over_its_leader_tends_to_one(monomials):
     ratio = ex.Div(expr, ex._monomial_expr(lead))
     value = nm.to_float(ex.eval_expr(ratio, _TOWER_POINT))
     assert value == pytest.approx(1, abs=1e-6)
+
+
+# -- node semantics ------------------------------------------------------------
+
+
+def test_nodes_compare_by_type_and_fields():
+    a, b = ex.Var(), ex.Const(2)
+    assert ex.Add(a, b) == ex.Add(ex.Var(), ex.Const(2))
+    assert ex.Add(a, b) != ex.Mul(a, b)
+    assert ex.Sub(a, b) != ex.Div(a, b)
+    assert ex.Const(2) != ex.Param("2")
+
+
+def test_equal_trees_hash_equal_and_work_as_dict_keys():
+    first, second = ex.parse("n^(-2)*(ln(n))^3"), ex.parse("n^(-2)*(ln(n))^3")
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    table = {first: "seen"}
+    assert table[second] == "seen"
+    assert ex.parse("n^(-2)*(ln(n))^2") not in table
+
+
+def test_bind_keeps_unchanged_subtrees_by_identity():
+    tree = ex.parse("(ln(n))^2/n^a + exp(-n)")
+    bound = ex.bind(tree, {"a": 3})
+    assert bound.left.left is tree.left.left  # (ln(n))^2 has no parameter
+    assert bound.right is tree.right
+    assert bound.left.right == ex.Pow(ex.Var(), ex.Const(Fraction(3)))
+    assert ex.bind(tree, {}) is tree
+    assert ex.bind(tree, {"b": 1}) is tree
+
+
+def test_subtree_fields_cover_every_node_class():
+    nodes = {cls for cls in vars(ex).values()
+             if isinstance(cls, type) and issubclass(cls, ex.Expr)
+             and cls is not ex.Expr}
+    assert set(ex._SUBTREE_FIELDS) == nodes
+    for cls, names in ex._SUBTREE_FIELDS.items():
+        assert names == tuple(f.name for f in fields(cls)
+                              if f.name not in ("value", "name", "count"))
+
+
+def test_replace_and_fields_work_on_nodes():
+    node = ex.IterLn(2, ex.Var())
+    assert replace(node, count=3) == ex.IterLn(3, ex.Var())
+    assert [f.name for f in fields(node)] == ["count", "arg"]

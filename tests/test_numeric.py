@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from logladder import numeric as nm
@@ -42,6 +43,50 @@ def test_from_value_of_an_int_is_exact_at_every_precision(scope, x):
         want = _from_value_at_working_precision(x)
     assert (got.sign, got.level, got.mag._mpf_) == (
         want.sign, want.level, want.mag._mpf_)
+
+
+_WIDTHS = (64, 256, 1024)
+
+
+def _around_width(draw):
+    """An int whose bit length is near one of the working widths
+    (bits + the guard bits), on either side, or a small one."""
+    size = draw(st.sampled_from(_WIDTHS)) + nm._GUARD + draw(
+        st.integers(-3, 3))
+    return draw(st.one_of(
+        st.integers(0, 2**40),
+        st.integers(2**(size - 1), 2**size - 1),
+    ))
+
+
+@st.composite
+def _fractions(draw):
+    p = _around_width(draw) * draw(st.sampled_from([1, -1]))
+    q = max(1, _around_width(draw))
+    return Fraction(p, q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fractions(), st.sampled_from(_WIDTHS))
+def test_from_value_of_a_fraction_is_one_rounded_division(x, bits):
+    # the same sign, level and mpf as mpf(p) / mpf(q) at the working
+    # precision, whether p and q fit in it or not
+    with nm.local_precision(bits):
+        got = nm.from_value(x)
+        want = _from_value_at_working_precision(x)
+    assert (got.sign, got.level, got.mag._mpf_) == (
+        want.sign, want.level, want.mag._mpf_)
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(-1, 2), Fraction(1, 3),
+                               Fraction(-2**300, 3**200)])
+def test_from_value_of_a_fraction_at_each_width(x):
+    for bits in _WIDTHS:
+        with nm.local_precision(bits):
+            got = nm.from_value(x)
+            want = _from_value_at_working_precision(x)
+        assert (got.sign, got.level, got.mag._mpf_) == (
+            want.sign, want.level, want.mag._mpf_)
 
 
 def test_zero_one_constants():
