@@ -13,7 +13,6 @@ from .criteria import (
     AnalysisReport,
     CallableTerm,
     ExprTerm,
-    MutatedTerm,
     RatePrediction,
     TermSource,
     Verdict,
@@ -78,7 +77,6 @@ __all__ = [
     "IterLog",
     "LimitEstimate",
     "LogLadderError",
-    "MutatedTerm",
     "ParseError",
     "PositivityViolation",
     "PowerOfN",

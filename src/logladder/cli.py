@@ -551,12 +551,10 @@ def _cmd_examples(args) -> int:
     from . import corpus as corpus_mod
 
     try:
-        rows = corpus_mod.run_corpus(entry_ids=args.only or None)
+        rows = corpus_mod.run_corpus(entry_ids=args.only)
     except LogLadderError as e:
         raise _StageError("corpus run", e)
-    failures = [
-        f"{r.entry_id}: {d}" for r in rows for d in r.deviations
-    ]
+    failures = [f"{e.entry_id}: {d}" for e, _, devs in rows for d in devs]
     if args.only:
         known = {e.entry_id for e in corpus_mod.ENTRIES}
         failures += [
@@ -567,18 +565,9 @@ def _cmd_examples(args) -> int:
         _emit({
             "schema_version": SCHEMA_VERSION,
             "entries": [
-                {
-                    "id": r.entry_id,
-                    "sequence": r.expression,
-                    "decision": r.decision,
-                    "test": r.test,
-                    "w": r.scale_name,
-                    "level": r.level,
-                    "statistic": r.statistic,
-                    "rate": r.rate,
-                    "deviations": list(r.deviations),
-                }
-                for r in rows
+                {"id": e.entry_id, "sequence": e.expression,
+                 **row._asdict(), "deviations": list(devs)}
+                for e, row, devs in rows
             ],
             "mismatches": failures,
         })
@@ -589,12 +578,11 @@ def _cmd_examples(args) -> int:
         )
         print(header)
         print("-" * len(header))
-        for r in rows:
-            mark = "" if not r.deviations else "  <- MISMATCH"
+        for e, r, devs in rows:
+            mark = "  <- MISMATCH" if devs else ""
             print(
-                f"{r.entry_id:<26} {r.decision:<10} {r.test:<16} "
-                f"{r.scale_name:<6} {r.level:<3} {r.statistic:<10} "
-                f"{r.rate}{mark}"
+                f"{e.entry_id:<26} {r.decision:<10} {r.test:<16} "
+                f"{r.w:<6} {r.level:<3} {r.statistic:<10} {r.rate}{mark}"
             )
         for f in failures:
             print(f"mismatch: {f}")

@@ -52,7 +52,6 @@ __all__ = [
     "TermSource",
     "ExprTerm",
     "CallableTerm",
-    "MutatedTerm",
     "RatePrediction",
     "Verdict",
     "AnalysisPolicy",
@@ -69,6 +68,10 @@ DECIDE_MARGIN = Fraction(1, 1000)
 _BELOW = nm.from_value(Fraction(-1) - DECIDE_MARGIN)
 _ABOVE = nm.from_value(Fraction(-1) + DECIDE_MARGIN)
 _MARGIN = nm.from_value(DECIDE_MARGIN)
+
+# Shared scales and coefficient default; none is ever changed.
+_SCALE_N, _SCALE_LN = sc.IterLog(0), sc.IterLog(1)
+_ZERO = Fraction(0)
 
 # Grids never sample below this index, so finitely many leading terms
 # (indices 1..100) can be modified without touching any statistic.
@@ -192,44 +195,6 @@ class CallableTerm(TermSource):
                 f"{self.text} is not positive at n={idx}"
             )
         return v
-
-
-class MutatedTerm(TermSource):
-    """A source with finitely many overridden leading terms.
-
-    Overrides are restricted to indices 1..100 and positive values;
-    grids start at index 101 or later, so every limit statistic sees
-    the base sequence unchanged. The wrapper exists to make that
-    invariance testable, not to alter analysis results.
-    """
-
-    def __init__(self, base: TermSource, overrides: dict):
-        self.base = base
-        cleaned = {}
-        for k, v in overrides.items():
-            k = int(k)
-            if not 1 <= k <= 100:
-                raise ValueError("term overrides are limited to indices 1..100")
-            val = nm.from_value(v)
-            if not val.sign > 0:
-                raise PositivityViolation(f"override at n={k} is not positive")
-            cleaned[k] = val
-        self.overrides = cleaned
-        self.text = base.text + " [mutated prefix]"
-
-    @property
-    def n_start(self) -> ExtScalar:
-        return self.base.n_start
-
-    def term(self, n: ExtScalar) -> ExtScalar:
-        if n.level == 0:
-            v = n.as_mpf()
-            if abs(v) <= 100 and v == int(v) and int(v) in self.overrides:
-                return self.overrides[int(v)]
-        return self.base.term(n)
-
-    def log_combo(self) -> LogCombo | None:
-        return self.base.log_combo()
 
 
 def _as_term(seq, params=None) -> TermSource:
@@ -586,8 +551,8 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
         # contributes c to the statistic at depth 1 and only o(1)
         # beyond it, so the limit is the depth-1 coefficient; a
         # depth-0 term means a geometric factor and an infinite limit.
-        c0 = combo.coeffs.get(0, Fraction(0))
-        exact = _infinite(c0) if c0 != 0 else combo.coeffs.get(1, Fraction(0))
+        c0 = combo.coeffs.get(0, _ZERO)
+        exact = _infinite(c0) if c0 != 0 else combo.coeffs.get(1, _ZERO)
 
     def sampling(policy):
         bits = nm.get_precision().significand_bits
@@ -836,7 +801,7 @@ def _limit_verdict(m: _Measure, test_id: str, w: sc.ScaleFn | None,
         template=template + (
             "tail" if decision == "converges" else "partial"
         ),
-        scale=w if w is not None else sc.IterLog(0),
+        scale=w if w is not None else _SCALE_N,
         level=level, order=est.value, exact_order=exact,
     )
     return Verdict(
@@ -1070,12 +1035,12 @@ def analyze(seq, policy: AnalysisPolicy | None = None,
             if v.decisive:
                 final = v
             if final is None:
-                v = scaled_log_test(term, sc.IterLog(0), policy)
+                v = scaled_log_test(term, _SCALE_N, policy)
                 trace.append(v)
                 if v.decisive:
                     final = v
             if final is None:
-                final = _scale_rungs(term, sc.IterLog(1), policy, trace)
+                final = _scale_rungs(term, _SCALE_LN, policy, trace)
         else:
             final = _scale_rungs(term, policy.scale, policy, trace)
     if final is None:

@@ -313,9 +313,14 @@ def parse(text: str) -> Expr:
             return Exp(e), d + 1
         raise error(f"unknown function {t!r}", k)
 
-    e, d = expr(1)
-    if toks[at]:
-        raise error(f"trailing input {toks[at]!r}", at)
+    try:
+        e, d = expr(1)
+        if toks[at]:
+            raise error(f"trailing input {toks[at]!r}", at)
+    finally:
+        # The four closures reach one another through their cells; the
+        # cycle is cut here so that no parse leaves work for gc.
+        error = expr = term = atom = None
     if d > _MAX_DEPTH:
         raise ParseError(_TOO_DEEP)
     return e
@@ -423,20 +428,20 @@ def _as_fraction(v) -> Fraction:
 def bind(e: Expr, params: dict) -> Expr:
     """Substitute parameters by exact rationals. Unknown names are left."""
     values = {k: _as_fraction(v) for k, v in params.items()}
+    return _bound(e, values) if values else e
 
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, Param):
-            return Const(values[x.name]) if x.name in values else x
-        # a subtree without a bound parameter is kept as it is
-        changed = {}
-        for k in _SUBTREE_FIELDS[type(x)]:
-            c = getattr(x, k)
-            new = walk(c)
-            if new is not c:
-                changed[k] = new
-        return replace(x, **changed) if changed else x
 
-    return walk(e) if values else e
+def _bound(x: Expr, values: dict) -> Expr:
+    if isinstance(x, Param):
+        return Const(values[x.name]) if x.name in values else x
+    # a subtree without a bound parameter is kept as it is
+    changed = {}
+    for k in _SUBTREE_FIELDS[type(x)]:
+        c = getattr(x, k)
+        new = _bound(c, values)
+        if new is not c:
+            changed[k] = new
+    return replace(x, **changed) if changed else x
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -255,23 +255,6 @@ def _chunk_evaluator(term):
     """Map an index array to term values, choosing the fastest route."""
     import numpy as np
 
-    if isinstance(term, cr.MutatedTerm):
-        inner = _chunk_evaluator(term.base)
-        overrides = {
-            k: nm.to_float(v) for k, v in term.overrides.items()
-        }
-
-        def f(idx):
-            # Read the range first: the evaluator may overwrite idx.
-            lo, hi = idx[0], idx[-1]
-            vals = inner(idx)
-            if lo <= 100:
-                for k, v in overrides.items():
-                    if lo <= k <= hi:
-                        vals[int(k - lo)] = v
-            return vals
-
-        return f
     if isinstance(term, cr.ExprTerm):
         e = term.expression
         fn = _as_array(_compile(e, shared_n=_n_uses(e) > 1))
@@ -406,8 +389,6 @@ def _log_exp_ops(e: ex.Expr) -> int:
 
 def _precise_cost(term, bits: int) -> int:
     """Float terms charged for one term evaluated at bits > 53."""
-    while isinstance(term, cr.MutatedTerm):
-        term = term.base
     if not isinstance(term, cr.ExprTerm):
         return _PRECISE_COST
     each = math.ceil(_LOG_COST * max(1.0, bits / 256) ** 1.5)

@@ -10,6 +10,9 @@ by Cauchy condensation or by comparison, and with a float callable that
 computes the same term. With t = ln_j n, the sum of
 f(ln_j n)/(n ln n ... ln_{j-1} n) behaves like the integral of f(t) dt,
 which settles each exp-log family below.
+
+MutatedTerm wraps a term source and overrides finitely many leading
+terms; the ladder never samples them, so no verdict may move.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
+
+from logladder import criteria as cr
+from logladder import numeric as nm
+from logladder.errors import PositivityViolation
 
 EXPONENTS = tuple(
     Fraction(v) for v in ("-2", "-3/2", "-1", "-1/2", "0", "1")
@@ -46,6 +53,42 @@ def classical_verdict(ps) -> str:
         if p != -1:
             return "converges" if p < -1 else "diverges"
     return "diverges"
+
+
+class MutatedTerm(cr.TermSource):
+    """A source with finitely many overridden leading terms.
+
+    Overrides are restricted to indices 1..100 and positive values;
+    grids start at index 101 or later, so every limit statistic sees
+    the base sequence unchanged.
+    """
+
+    def __init__(self, base: cr.TermSource, overrides: dict):
+        self.base = base
+        self.overrides = {}
+        for k, v in overrides.items():
+            k = int(k)
+            if not 1 <= k <= 100:
+                raise ValueError("term overrides are limited to indices 1..100")
+            val = nm.from_value(v)
+            if not val.sign > 0:
+                raise PositivityViolation(f"override at n={k} is not positive")
+            self.overrides[k] = val
+        self.text = base.text + " [mutated prefix]"
+
+    @property
+    def n_start(self):
+        return self.base.n_start
+
+    def term(self, n):
+        if n.level == 0:
+            v = n.as_mpf()
+            if abs(v) <= 100 and v == int(v) and int(v) in self.overrides:
+                return self.overrides[int(v)]
+        return self.base.term(n)
+
+    def log_combo(self):
+        return self.base.log_combo()
 
 
 class Known(NamedTuple):

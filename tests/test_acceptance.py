@@ -13,7 +13,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from known_verdicts import bertrand, bertrand_tuples, classical_verdict
+from known_verdicts import (
+    MutatedTerm, bertrand, bertrand_tuples, classical_verdict,
+)
 from logladder import cli
 from logladder import corpus as corpus_mod
 from logladder import criteria as cr
@@ -183,7 +185,7 @@ def test_criterion_8_invariance_sweep():
         }
         base = cr.analyze(expr).final.decision
         scaled = cr.ExprTerm(f"({c})*{expr}")
-        mutated = cr.MutatedTerm(scaled, overrides) if overrides else scaled
+        mutated = MutatedTerm(scaled, overrides) if overrides else scaled
         got = cr.analyze(mutated).final.decision
         if got == base:
             unchanged += 1

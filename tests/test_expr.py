@@ -1,5 +1,6 @@
 """Expression parsing, binding, evaluation, and log-linear forms."""
 
+import gc
 import time
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -118,6 +119,20 @@ def test_parse_errors():
         if str(info.value) != message:
             wrong.append((text[:20], str(info.value)))
     assert wrong == []
+
+
+def test_parse_and_bind_leave_no_cycle():
+    # reference counting alone frees every parse and binding
+    text = "a/(n*ln(n)*lnln(n)^2)"
+    ex.bind(ex.parse(text), {"a": 2})
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            ex.bind(ex.parse(text), {"a": 2})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("opener, fits, position", [

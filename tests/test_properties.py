@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from known_verdicts import EXPONENTS, bertrand, classical_verdict
+from known_verdicts import (
+    EXPONENTS, MutatedTerm, bertrand, classical_verdict,
+)
 from logladder import criteria as cr
 from logladder import numeric as nm
 from logladder import scale as sc
@@ -62,7 +64,7 @@ def test_scaling_invariance(ps, c):
 @settings(**_SETTINGS)
 def test_tail_invariance_under_prefix_mutation(ps, overrides):
     base = cr.ExprTerm(bertrand(ps))
-    mut = cr.MutatedTerm(base, overrides)
+    mut = MutatedTerm(base, overrides)
     r1 = cr.analyze(base)
     r2 = cr.analyze(mut)
     assert r1.final.decision == r2.final.decision

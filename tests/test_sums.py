@@ -321,13 +321,6 @@ def test_run_error_names_first_bad_index(monkeypatch, workers, source,
         _run_with_workers(monkeypatch, workers, term, 1, 9000, 10**6)
 
 
-def test_mutated_prefix_summed():
-    mut = cr.MutatedTerm(cr.ExprTerm("1/n^2"), {1: 5, 7: "0.5"})
-    r = sums.partial_sum(mut, 10)
-    want = _FIRST_TEN - 1 - Fraction(1, 49) + 5 + Fraction(1, 2)
-    assert nm.to_float(r.value) == pytest.approx(float(want), rel=1e-14)
-
-
 def test_chunk_total_overflow_is_range_error():
     with pytest.raises(RangeError, match="overflows float64"):
         sums.partial_sum("10^308", 3)
