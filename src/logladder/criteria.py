@@ -106,24 +106,29 @@ class ExprTerm(TermSource):
     """Terms defined by a parsed expression with all parameters bound.
 
     The term must be positive from n_start on. Two readings of the tree
-    prove it without evaluating anything: expr.to_log_power (an exact
-    monomial q * n^p0 * (ln n)^p1 * ... with rational q > 0) and
-    expr.proves_positive (positive constants, n, and iterated logs of
-    rising arguments, combined by sums, products, quotients and n-free
-    powers). Both rest on one argument: from n_start = domain_start on,
-    every iterated log of n in the tree is past its threshold
-    exp^k(1) * (1 + 1e-6) and stays past it, so every factor is
-    positive. Any other term (differences, exp, a negative coefficient)
-    is sampled by expr.check_positive, which may reject it. The proofs
-    hold only from n_start on (lnln(n) is exact but negative at n = 2),
-    so they live here and not in check_positive.
+    prove it without evaluating anything: an exact leader from
+    expr.to_log_power (the term is q * n^p0 * (ln n)^p1 * ... with
+    rational q > 0) and expr.proves_positive (positive constants, n, and
+    iterated logs of rising arguments, combined by sums, products,
+    quotients and n-free powers). Both rest on one argument: from
+    n_start = domain_start on, every iterated log of n in the tree is
+    past its threshold exp^k(1) * (1 + 1e-6) and stays past it, so every
+    factor is positive. Any other term (differences, exp, a negative
+    coefficient) is sampled by expr.check_positive, which may reject it.
+    The proofs hold only from n_start on (lnln(n) is exact but negative
+    at n = 2), so they live here and not in check_positive.
 
     Each reading takes the tree once. domain_start reads the start of
     ln, lnln and lnlnln of n or of n + b (integer b) from constants. The
-    leader that to_log_power returns is kept: ln of the term is then
-    ln q + p0 ln n + p1 lnln n + ..., and log_combo builds that split
-    from it without reading the tree again. Any other term is split by
-    log_transform and linearize.
+    positive leader that to_log_power returns is kept. When it is exact,
+    or its coefficient q is 1, log_combo reads the exact part of ln a_n
+    from it, ln q + p0 ln n + p1 lnln n + ..., without reading the tree
+    again. An inexact leader leaves a vanishing part, ln(a_n / leader),
+    that only a sampled statistic reads; log_transform and linearize
+    build it on that first read. Every other term is split by
+    log_transform and linearize at once: with q != 1 they spell ln q
+    another way (-ln 2 in 1/((2n+1) ln(2n+1)), where the leader has
+    ln(1/2)).
     """
 
     def __init__(self, expression, params=None, text=None):
@@ -139,7 +144,8 @@ class ExprTerm(TermSource):
         self.text = text if text is not None else ex.format_expr(bound)
         self._n_start = ex.domain_start(bound)
         self._lead = ex.to_log_power(bound)
-        if self._lead is None and not ex.proves_positive(bound):
+        exact = self._lead is not None and self._lead.exact
+        if not exact and not ex.proves_positive(bound):
             ex.check_positive(bound, self._n_start)
         self._combo: LogCombo | None = None
 
@@ -152,10 +158,12 @@ class ExprTerm(TermSource):
 
     def log_combo(self) -> LogCombo:
         if self._combo is None:
-            self._combo = (
-                ex._lead_combo(self._lead) if self._lead is not None
-                else ex.linearize(ex.log_transform(self.expression))
-            )
+            e, lead = self.expression, self._lead
+            if lead is None or not (lead.exact or lead.coef == 1):
+                self._combo = ex.linearize(ex.log_transform(e))
+            else:
+                self._combo = ex._lead_combo(lead, [] if lead.exact else (
+                    lambda: ex.linearize(ex.log_transform(e)).vanishing))
         return self._combo
 
 

@@ -454,33 +454,33 @@ def eval_expr(e: Expr, n) -> ExtScalar:
     entered once for the whole tree; every operation inside computes at
     the same bits as it would on its own.
     """
-
-    def ev(x: Expr) -> ExtScalar:
-        if isinstance(x, Const):
-            return nm.from_value(x.value)
-        if isinstance(x, Var):
-            return n
-        if isinstance(x, Param):
-            raise UnboundParameterError([x.name])
-        if isinstance(x, Add):
-            return nm.ext_add(ev(x.left), ev(x.right))
-        if isinstance(x, Sub):
-            return nm.ext_sub(ev(x.left), ev(x.right))
-        if isinstance(x, Mul):
-            return nm.ext_mul(ev(x.left), ev(x.right))
-        if isinstance(x, Div):
-            return nm.ext_div(ev(x.left), ev(x.right))
-        if isinstance(x, Pow):
-            return nm.ext_pow(ev(x.base), ev(x.exponent))
-        if isinstance(x, Exp):
-            return nm.ext_exp(ev(x.arg))
-        if isinstance(x, IterLn):
-            return nm.iter_ln(x.count, ev(x.arg))
-        raise TypeError(f"not an expression node: {x!r}")
-
     with nm._Working():
-        n = nm.from_value(n)
-        return ev(e)
+        return _ev(e, nm.from_value(n))
+
+
+def _ev(x: Expr, n: ExtScalar) -> ExtScalar:
+    """eval_expr inside its working precision; n is an ExtScalar."""
+    if isinstance(x, Const):
+        return nm.from_value(x.value)
+    if isinstance(x, Var):
+        return n
+    if isinstance(x, Param):
+        raise UnboundParameterError([x.name])
+    if isinstance(x, Add):
+        return nm.ext_add(_ev(x.left, n), _ev(x.right, n))
+    if isinstance(x, Sub):
+        return nm.ext_sub(_ev(x.left, n), _ev(x.right, n))
+    if isinstance(x, Mul):
+        return nm.ext_mul(_ev(x.left, n), _ev(x.right, n))
+    if isinstance(x, Div):
+        return nm.ext_div(_ev(x.left, n), _ev(x.right, n))
+    if isinstance(x, Pow):
+        return nm.ext_pow(_ev(x.base, n), _ev(x.exponent, n))
+    if isinstance(x, Exp):
+        return nm.ext_exp(_ev(x.arg, n))
+    if isinstance(x, IterLn):
+        return nm.iter_ln(x.count, _ev(x.arg, n))
+    raise TypeError(f"not an expression node: {x!r}")
 
 
 # -- domain inference ---------------------------------------------------------
@@ -869,14 +869,17 @@ def _monomial_expr(a: _Lead) -> Expr:
 
 
 def to_log_power(e: Expr) -> _Lead | None:
-    """The leader of e when e equals it exactly and its coefficient is
-    positive: e is then q * n^p0 * (ln n)^p1 * ... with rational q > 0.
+    """The leader q * n^p0 * (ln n)^p1 * ... of e when its coefficient q
+    is a positive rational. Its exact field says whether e equals it
+    exactly; if not, e is the leader times 1 + o(1), so ln e is ln of the
+    leader plus a part that tends to 0.
 
-    None when e is outside that class (sums, exp factors, irrational or
-    non-positive coefficients, unbound parameters).
+    None when e has no such leader (leaders that cancel, exp of an
+    argument that does not tend to 0, irrational or non-positive
+    coefficients, unbound parameters).
     """
     a = _lead(e)
-    return a if a is not None and a.exact and a.coef > 0 else None
+    return a if a is not None and a.coef > 0 else None
 
 
 def _rising(e: Expr) -> bool:
@@ -938,22 +941,19 @@ def log_transform(e: Expr) -> Expr:
     powers, exp, and iterated logs transform exactly; anything else is
     wrapped as ln(subtree), which linearize splits further.
     """
-    def lt(x: Expr) -> Expr:
-        if isinstance(x, Mul):
-            return Add(lt(x.left), lt(x.right))
-        if isinstance(x, Div):
-            return Sub(lt(x.left), lt(x.right))
-        if isinstance(x, Pow):
-            return Mul(x.exponent, lt(x.base))
-        if isinstance(x, Exp):
-            return x.arg
-        if isinstance(x, (Var, IterLn, Const, Param)):
-            if isinstance(x, Const) and x.value <= 0:
-                raise DomainError("log transform of a non-positive constant")
-            return iterln(1, x)
-        return IterLn(1, x)
-
-    return lt(e)
+    if isinstance(e, Mul):
+        return Add(log_transform(e.left), log_transform(e.right))
+    if isinstance(e, Div):
+        return Sub(log_transform(e.left), log_transform(e.right))
+    if isinstance(e, Pow):
+        return Mul(e.exponent, log_transform(e.base))
+    if isinstance(e, Exp):
+        return e.arg
+    if isinstance(e, (Var, IterLn, Const, Param)):
+        if isinstance(e, Const) and e.value <= 0:
+            raise DomainError("log transform of a non-positive constant")
+        return iterln(1, e)
+    return IterLn(1, e)
 
 
 # -- linearization ------------------------------------------------------------
@@ -977,7 +977,10 @@ class LogCombo:
     vanishing parts are expression trees that the numeric sampler
     evaluates pointwise. Vanishing parts tend to 0, so no limit the
     ladder reads depends on them: is_exact and the exact readings
-    ignore them.
+    ignore them. vanishing may be given as a function that builds the
+    list: it runs on the first read, and merged and scaled defer their
+    own vanishing lists the same way, so a split that is only read
+    exactly never builds those trees.
     """
 
     coeffs: dict[int, Fraction]
@@ -1001,7 +1004,7 @@ class LogCombo:
             self.const + other.const,
             self.const_logs + other.const_logs,
             self.residuals + other.residuals,
-            self.vanishing + other.vanishing,
+            lambda: self.vanishing + other.vanishing,
         )
 
     def scaled(self, q: Fraction) -> "LogCombo":
@@ -1012,7 +1015,7 @@ class LogCombo:
             self.const * q,
             [(m * q, d, b) for (m, d, b) in self.const_logs],
             [Mul(Const(q), r) for r in self.residuals],
-            [Mul(Const(q), r) for r in self.vanishing],
+            lambda: [Mul(Const(q), r) for r in self.vanishing],
         )
 
     def leading(self) -> tuple[int, Fraction] | None:
@@ -1058,6 +1061,20 @@ class LogCombo:
             return total
 
 
+def _built_vanishing(combo: LogCombo) -> list[Expr]:
+    parts = combo._vanishing
+    if callable(parts):
+        parts = combo._vanishing = parts()
+    return parts
+
+
+# Set after the class is made, so that the vanishing field keeps its
+# default; equality and repr read the field through it and see the list.
+LogCombo.vanishing = property(
+    _built_vanishing, lambda combo, parts: setattr(combo, "_vanishing", parts)
+)
+
+
 def _const_fold(e: Expr) -> Fraction | None:
     """Exact rational value of an n-free subtree, when one exists."""
     if isinstance(e, Const):
@@ -1087,15 +1104,16 @@ def _const_fold(e: Expr) -> Fraction | None:
     return None
 
 
-def _lead_combo(a: _Lead, vanishing=()) -> LogCombo:
+def _lead_combo(a: _Lead, vanishing) -> LogCombo:
     """ln of the positive leader a = q * n^p0 * (ln n)^p1 * ...:
-    p0 ln n + p1 lnln n + ... + ln q, plus the vanishing parts given."""
+    p0 ln n + p1 lnln n + ... + ln q, plus the vanishing parts given (a
+    list, or a function that builds it; see LogCombo)."""
     return LogCombo(
         {i + 1: Fraction(p) for i, p in enumerate(a.exps) if p},
         Fraction(0),
         [] if a.coef == 1 else [(Fraction(1), 1, a.coef)],
         [],
-        list(vanishing),
+        vanishing,
     )
 
 
@@ -1106,7 +1124,7 @@ def _ln_split(x: Expr) -> LogCombo | None:
     if a is None or a.coef <= 0:
         return None
     return _lead_combo(
-        a, () if a.exact else [IterLn(1, Div(x, _monomial_expr(a)))]
+        a, [] if a.exact else [IterLn(1, Div(x, _monomial_expr(a)))]
     )
 
 

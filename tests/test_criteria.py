@@ -1,11 +1,13 @@
 """Decision ladder: statistics, verdicts, escalation, and rates."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from known_verdicts import FAMILIES, MutatedTerm, bertrand, bertrand_tuples
+from logladder import cli
 from logladder import criteria as cr
 from logladder import expr as ex
 from logladder import numeric as nm
@@ -78,10 +80,15 @@ def test_expr_term_proves_shifted_bertrand_tuples_positive(monkeypatch):
         774, 0)
 
 
-def _unit_leader_terms():
-    """Every term with an exact leader of coefficient 1 among the Bertrand
-    tuples (m <= 4), the known-verdict corpus and the golden argv."""
+def _corpus_terms(shifted=False):
+    """The terms of the Bertrand tuples (m <= 4), with shifted also
+    those of the 774 shifted tuples (m <= 3, n + c for c = 1, 2, 3), the
+    known-verdict corpus and the golden argv, skipping any that cannot
+    be built."""
     cases = [(bertrand(ps), {}) for ps in bertrand_tuples((1, 2, 3, 4))]
+    if shifted:
+        cases += [(bertrand(ps, c), {}) for c in (1, 2, 3)
+                  for ps in bertrand_tuples()]
     cases += [(k.expression, {}) for k in FAMILIES]
     for _, argv in _argv_cases():
         if argv[0] in ("analyze", "verify"):
@@ -90,11 +97,17 @@ def _unit_leader_terms():
             cases.append((argv[1], dict(p.split("=") for p in params)))
     for text, params in cases:
         try:
-            term = cr.ExprTerm(text, params)
+            yield cr.ExprTerm(text, params)
         except LogLadderError:  # unbound names, n^n, a sign change
             continue
-        lead = term._lead
-        if lead is not None and lead.coef == 1:
+
+
+def _unit_leader_terms():
+    """Every term with a leader of coefficient 1, exact or not, among
+    the Bertrand tuples (m <= 4), the known-verdict corpus and the
+    golden argv."""
+    for term in _corpus_terms():
+        if term._lead is not None and term._lead.coef == 1:
             yield term
 
 
@@ -114,6 +127,69 @@ def test_log_combo_from_the_leader_matches_linearize(monkeypatch):
         assert not calls, term.text  # built from the leader alone
         assert combo == ex.linearize(ex.log_transform(term.expression))
         calls.clear()
+
+
+def _split_fields(combo):
+    return [getattr(combo, f.name) for f in fields(ex.LogCombo)]
+
+
+def test_split_read_from_the_leader_is_the_full_split(monkeypatch):
+    # wherever log_combo reads the split from the leader, the split is
+    # the full one, field for field once its vanishing parts are built;
+    # every inexact leader of coefficient 1 is read that way
+    calls = _count_linearize(monkeypatch)
+    inexact = 0
+    for term in _corpus_terms(shifted=True):
+        combo = term.log_combo()
+        lead = term._lead
+        if lead is not None and lead.coef == 1:
+            assert not calls, term.text
+        if calls:
+            calls.clear()
+            continue
+        inexact += not lead.exact
+        full = ex.linearize(ex.log_transform(term.expression))
+        assert _split_fields(combo) == _split_fields(full), term.text
+        calls.clear()
+    assert inexact >= 774
+
+
+class _FullSplitTerm(cr.ExprTerm):
+    """An ExprTerm whose split is always the full one, built at once:
+    linearize(log_transform(e)) with its vanishing parts."""
+
+    def log_combo(self):
+        combo = ex.linearize(ex.log_transform(self.expression))
+        combo.vanishing  # built now, not on the first read
+        return combo
+
+
+def _report(term, policy=None) -> str:
+    return cli._json(cli._report_json(None, cr.analyze(term, policy)))
+
+
+_SHIFTED = [bertrand(ps, c) for c in (1, 2, 3)
+            for ps in bertrand_tuples((1, 2))]
+
+
+def test_shifted_tuples_decide_without_the_full_split(monkeypatch):
+    # the symbolic route reads a shifted tuple from its leader alone
+    want = [_report(_FullSplitTerm(text)) for text in _SHIFTED]
+
+    def refuse(e):
+        raise AssertionError("the full split was built")
+
+    monkeypatch.setattr(ex, "linearize", refuse)
+    monkeypatch.setattr(ex, "log_transform", refuse)
+    assert len(_SHIFTED) == 126
+    assert [_report(text) for text in _SHIFTED] == want
+
+
+def test_shifted_tuples_sample_the_full_split():
+    # the numeric route samples the vanishing parts that the leader's
+    # split builds on first read: every report is the full split's
+    for text in _SHIFTED:
+        assert _report(text, NUM) == _report(_FullSplitTerm(text), NUM), text
 
 
 def _assert_same_split(got, want):
@@ -486,8 +562,6 @@ def test_constant_combos_stay_constant(capsys):
     # the splits of iterated-log scales are built at import and shared by
     # every call: a call that changed one would change the next report
     import copy
-
-    from logladder import cli
 
     tables = (cr._CHAIN_COMBOS, sc._DELTA_COMBOS)
     before = copy.deepcopy(tables)

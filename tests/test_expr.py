@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from known_verdicts import FAMILIES, bertrand, bertrand_tuples
+from logladder import criteria as cr
 from logladder import expr as ex
 from logladder import numeric as nm
 from logladder.errors import (
@@ -121,18 +122,30 @@ def test_parse_errors():
     assert wrong == []
 
 
-def test_parse_and_bind_leave_no_cycle():
-    # reference counting alone frees every parse and binding
-    text = "a/(n*ln(n)*lnln(n)^2)"
-    ex.bind(ex.parse(text), {"a": 2})
+def _assert_no_cycle(work):
+    # reference counting alone frees everything work leaves behind
+    work()
     gc.collect()
     gc.disable()
     try:
         for _ in range(10):
-            ex.bind(ex.parse(text), {"a": 2})
+            work()
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_parse_and_bind_leave_no_cycle():
+    _assert_no_cycle(lambda: ex.bind(ex.parse("a/(n*ln(n)*lnln(n)^2)"),
+                                     {"a": 2}))
+
+
+def test_log_split_and_evaluation_leave_no_cycle():
+    e = ex.parse("1/((n+1)*ln(n+1)^2)")
+    _assert_no_cycle(lambda: ex.linearize(ex.log_transform(e)).vanishing)
+    _assert_no_cycle(lambda: ex.eval_expr(e, nm.from_value(10)))
+    _assert_no_cycle(lambda: cr.analyze(
+        "1/((n+1)*ln(n+1)^2)", cr.AnalysisPolicy(backend="numeric")))
 
 
 @pytest.mark.parametrize("opener, fits, position", [
@@ -395,6 +408,16 @@ def test_to_log_power_reads_exponents():
     form = ex.to_log_power(ex.parse("(ln(n))^(1/2)/n"))
     assert form is not None
     assert (form.coef, form.exps) == (1, (Fraction(-1), Fraction(1, 2)))
+
+
+def test_to_log_power_keeps_an_inexact_leader():
+    # n + 2 is n times 1 + o(1): the leader is kept, marked inexact
+    form = ex.to_log_power(ex.parse("(n+2)^(-1)"))
+    assert form == (1, (-1,), False)
+    assert ex.to_log_power(ex.parse("(2*n+1)^(-1)")) == (
+        Fraction(1, 2), (-1,), False)
+    for text in ("n-2*n^2", "(n+1)-n", "exp(n)", "n^2+exp(n)"):
+        assert ex.to_log_power(ex.parse(text)) is None, text
 
 
 def _exact_number(v) -> bool:
