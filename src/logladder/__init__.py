@@ -29,7 +29,6 @@ from .errors import (
     CancellationError,
     DivisionByZero,
     DomainError,
-    ExhaustedHierarchy,
     LogLadderError,
     ParseError,
     PositivityViolation,
@@ -71,7 +70,6 @@ __all__ = [
     "Custom",
     "DivisionByZero",
     "DomainError",
-    "ExhaustedHierarchy",
     "ExprTerm",
     "Geometric",
     "IterLog",

@@ -183,7 +183,7 @@ def _rate_json(rate):
             str(rate.exact_constant)
             if rate.exact_constant is not None else None
         ),
-        "one_sided": rate.one_sided,
+        "one_sided": False,
     }
 
 
@@ -331,8 +331,6 @@ def _fmt_rate(rate) -> str:
         bits.append(f"C={rate.exact_constant}")
     elif rate.constant is not None:
         bits.append(f"C={nm.fmt(rate.constant, digits=6)}")
-    if rate.one_sided:
-        bits.append("one-sided")
     return " ".join(bits)
 
 
@@ -416,6 +414,12 @@ def _cmd_verify(args) -> int:
         return 2
     checkpoints = args.checkpoints or list(_VERIFY_CHECKPOINTS)
     checkpoints = [c for c in checkpoints if c <= args.budget]
+    if len(set(checkpoints)) < 3:
+        left = ", ".join(map(str, sorted(set(checkpoints)))) or "none"
+        raise _StageError("input parsing", ParseError(
+            f"verify needs 3 distinct checkpoints at or below --budget "
+            f"{args.budget}; left: {left}"
+        ))
     try:
         check = sums.slope_check(
             term, final.rate, checkpoints,

@@ -40,7 +40,6 @@ from .errors import (
     CancellationError,
     DivisionByZero,
     DomainError,
-    ExhaustedHierarchy,
     PositivityViolation,
     RangeError,
 )
@@ -87,6 +86,8 @@ class TermSource:
     Implementations supply positive values at integer (or extended)
     indices and, when the sequence has an exact product-of-logs
     structure, the split of ln a_n used by the symbolic decision path.
+    sampled_log_combo is the split a sampler evaluates pointwise, with
+    the vanishing parts that log_combo may leave out.
     """
 
     text: str = "<terms>"
@@ -100,6 +101,9 @@ class TermSource:
 
     def log_combo(self) -> LogCombo | None:
         return None
+
+    def sampled_log_combo(self) -> LogCombo | None:
+        return self.log_combo()
 
 
 class ExprTerm(TermSource):
@@ -120,15 +124,12 @@ class ExprTerm(TermSource):
 
     Each reading takes the tree once. domain_start reads the start of
     ln, lnln and lnlnln of n or of n + b (integer b) from constants. The
-    positive leader that to_log_power returns is kept. When it is exact,
-    or its coefficient q is 1, log_combo reads the exact part of ln a_n
-    from it, ln q + p0 ln n + p1 lnln n + ..., without reading the tree
-    again. An inexact leader leaves a vanishing part, ln(a_n / leader),
-    that only a sampled statistic reads; log_transform and linearize
-    build it on that first read. Every other term is split by
-    log_transform and linearize at once: with q != 1 they spell ln q
-    another way (-ln 2 in 1/((2n+1) ln(2n+1)), where the leader has
-    ln(1/2)).
+    positive leader that to_log_power returns is kept, and log_combo
+    is its split, ln q + p0 ln n + p1 lnln n + ..., read without the
+    tree. An inexact leader leaves a vanishing part, ln(a_n / leader),
+    that only a sampler reads: sampled_log_combo is then the full split
+    linearize(log_transform(e)), built once. A term with no leader has
+    only the full split.
     """
 
     def __init__(self, expression, params=None, text=None):
@@ -148,6 +149,7 @@ class ExprTerm(TermSource):
         if not exact and not ex.proves_positive(bound):
             ex.check_positive(bound, self._n_start)
         self._combo: LogCombo | None = None
+        self._sampled: LogCombo | None = None
 
     @property
     def n_start(self) -> ExtScalar:
@@ -158,13 +160,18 @@ class ExprTerm(TermSource):
 
     def log_combo(self) -> LogCombo:
         if self._combo is None:
-            e, lead = self.expression, self._lead
-            if lead is None or not (lead.exact or lead.coef == 1):
-                self._combo = ex.linearize(ex.log_transform(e))
+            if self._lead is None:
+                self._combo = ex.linearize(ex.log_transform(self.expression))
             else:
-                self._combo = ex._lead_combo(lead, [] if lead.exact else (
-                    lambda: ex.linearize(ex.log_transform(e)).vanishing))
+                self._combo = ex._lead_combo(self._lead, [])
         return self._combo
+
+    def sampled_log_combo(self) -> LogCombo:
+        if self._lead is None or self._lead.exact:
+            return self.log_combo()
+        if self._sampled is None:
+            self._sampled = ex.linearize(ex.log_transform(self.expression))
+        return self._sampled
 
 
 class CallableTerm(TermSource):
@@ -242,7 +249,6 @@ class RatePrediction:
     exact_order: Fraction | None = None
     constant: ExtScalar | None = None
     exact_constant: Fraction | None = None
-    one_sided: bool = False
 
     @property
     def sum_kind(self) -> str:
@@ -588,11 +594,10 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
     return _Statistic(exact, sampling)
 
 
-def _numerator(term: TermSource, w: sc.ScaleFn, level: int):
-    """The exact split of ln a_n - ln dw(n) + sum_{i=1..level} i-fold
-    log of w(n), the level-th escalation numerator, or None when the
-    term or the scale has none."""
-    tc = term.log_combo()
+def _numerator(tc: LogCombo | None, w: sc.ScaleFn, level: int):
+    """The split of ln a_n - ln dw(n) + sum_{i=1..level} i-fold log of
+    w(n), the level-th escalation numerator, from tc, the split of
+    ln a_n, or None when the term or the scale has none."""
     dc = w.log_delta_combo()
     if tc is None or dc is None:
         return None
@@ -622,11 +627,12 @@ def _numerator_value(term: TermSource, w: sc.ScaleFn, level: int, num):
 def _quotient_statistic(term: TermSource, w: sc.ScaleFn,
                         level: int) -> _Statistic:
     """The level-th numerator over the (level+1)-fold log of w(n)."""
-    num = _numerator(term, w, level)
+    num = _numerator(term.log_combo(), w, level)
     den = _chain_combo(w, level + 1)
 
     def sampling(policy):
         bits = nm.get_precision().significand_bits
+        num = _numerator(term.sampled_log_combo(), w, level)
         value = _numerator_value(term, w, level, num)
         dl = den.leading()
         depth = dl[0] if dl is not None else level + 1
@@ -650,7 +656,7 @@ def _quotient_statistic(term: TermSource, w: sc.ScaleFn,
 def _slow_divergence_statistic(term: TermSource,
                                w: sc.ScaleFn) -> _Statistic:
     """ln g(n) with g = w(n) a_n / dw(n): the level-1 numerator."""
-    lng = _numerator(term, w, 1)
+    lng = _numerator(term.log_combo(), w, 1)
     lead = lng.leading() if lng is not None else None
     exact = None
     if lng is not None and lng.is_exact:
@@ -658,6 +664,7 @@ def _slow_divergence_statistic(term: TermSource,
 
     def sampling(policy):
         bits = nm.get_precision().significand_bits
+        lng = _numerator(term.sampled_log_combo(), w, 1)
         value = _numerator_value(term, w, 1, lng)
 
         def sample(n):
@@ -747,7 +754,7 @@ def _measure(stat: _Statistic, policy: AnalysisPolicy) -> _Measure:
     if spreads and max(spreads[-3:]) > float(DECIDE_MARGIN):
         est = lm.LimitEstimate("not_converged", samples_used=len(values))
     else:
-        est = lm._fit_limit(values, [drift(d) for d in drift_at])
+        est = lm.estimate_limit(values, [drift(d) for d in drift_at])
     return _Measure(est, samples=inter)
 
 
@@ -907,8 +914,8 @@ def hierarchy_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
     Level j adds the j-th iterated log of w(n) to the numerator and
     compares against the (j+1)-fold log: the level-j limit below -1
     gives convergence, above -1 divergence, and exactly -1 escalates to
-    level j+1. Raises ExhaustedHierarchy (carrying the per-level
-    verdicts) when no level decides.
+    level j+1. Returns the levels run: the last one decides, unless no
+    level does.
     """
     policy = policy or AnalysisPolicy()
     term = _as_term(seq, params)
@@ -919,11 +926,9 @@ def hierarchy_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
         if v.decision == "diverges" and _is_zero_statistic(v):
             v = replace(v, notes=v.notes + (_zero_statistic_note(j),))
         levels.append(v)
-        if v.decisive:
-            return levels
-        if v.reason != "statistic-at-boundary":
+        if v.decisive or v.reason != "statistic-at-boundary":
             break  # deeper levels assume this one landed exactly on -1
-    raise ExhaustedHierarchy(levels)
+    return levels
 
 
 def _is_zero_statistic(v: Verdict) -> bool:
@@ -1003,10 +1008,7 @@ def _scale_rungs(term, w, policy, trace):
         trace.append(v)
         if v.decisive:
             return v
-        try:
-            levels = hierarchy_test(term, w, policy)
-        except ExhaustedHierarchy as e:
-            levels = e.levels
+        levels = hierarchy_test(term, w, policy)
         trace.extend(levels)
         if levels and levels[-1].decisive:
             return levels[-1]

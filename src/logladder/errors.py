@@ -80,19 +80,5 @@ class AssumptionViolation(LogLadderError):
         self.which = which
 
 
-class ExhaustedHierarchy(LogLadderError):
-    """Every escalation level up to k_max stayed undecided.
-
-    Carries the per-level verdicts produced along the way so the caller
-    can keep them in the analysis trace.
-    """
-
-    def __init__(self, levels):
-        self.levels = list(levels)
-        super().__init__(
-            f"no decision after {len(self.levels)} escalation level(s)"
-        )
-
-
 class BudgetExceededError(LogLadderError):
     """A summation or search would exceed its term budget."""

@@ -977,10 +977,7 @@ class LogCombo:
     vanishing parts are expression trees that the numeric sampler
     evaluates pointwise. Vanishing parts tend to 0, so no limit the
     ladder reads depends on them: is_exact and the exact readings
-    ignore them. vanishing may be given as a function that builds the
-    list: it runs on the first read, and merged and scaled defer their
-    own vanishing lists the same way, so a split that is only read
-    exactly never builds those trees.
+    ignore them.
     """
 
     coeffs: dict[int, Fraction]
@@ -1004,7 +1001,7 @@ class LogCombo:
             self.const + other.const,
             self.const_logs + other.const_logs,
             self.residuals + other.residuals,
-            lambda: self.vanishing + other.vanishing,
+            self.vanishing + other.vanishing,
         )
 
     def scaled(self, q: Fraction) -> "LogCombo":
@@ -1015,7 +1012,7 @@ class LogCombo:
             self.const * q,
             [(m * q, d, b) for (m, d, b) in self.const_logs],
             [Mul(Const(q), r) for r in self.residuals],
-            lambda: [Mul(Const(q), r) for r in self.vanishing],
+            [Mul(Const(q), r) for r in self.vanishing],
         )
 
     def leading(self) -> tuple[int, Fraction] | None:
@@ -1061,20 +1058,6 @@ class LogCombo:
             return total
 
 
-def _built_vanishing(combo: LogCombo) -> list[Expr]:
-    parts = combo._vanishing
-    if callable(parts):
-        parts = combo._vanishing = parts()
-    return parts
-
-
-# Set after the class is made, so that the vanishing field keeps its
-# default; equality and repr read the field through it and see the list.
-LogCombo.vanishing = property(
-    _built_vanishing, lambda combo, parts: setattr(combo, "_vanishing", parts)
-)
-
-
 def _const_fold(e: Expr) -> Fraction | None:
     """Exact rational value of an n-free subtree, when one exists."""
     if isinstance(e, Const):
@@ -1104,10 +1087,9 @@ def _const_fold(e: Expr) -> Fraction | None:
     return None
 
 
-def _lead_combo(a: _Lead, vanishing) -> LogCombo:
+def _lead_combo(a: _Lead, vanishing: list[Expr]) -> LogCombo:
     """ln of the positive leader a = q * n^p0 * (ln n)^p1 * ...:
-    p0 ln n + p1 lnln n + ... + ln q, plus the vanishing parts given (a
-    list, or a function that builds it; see LogCombo)."""
+    p0 ln n + p1 lnln n + ... + ln q, plus the vanishing parts given."""
     return LogCombo(
         {i + 1: Fraction(p) for i, p in enumerate(a.exps) if p},
         Fraction(0),

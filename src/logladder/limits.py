@@ -16,9 +16,9 @@ not follow the model: no limit. Samples that grow geometrically, or
 leave the plain range at the end, diverge. Callers decide a side only
 when the limit clears the margin by more than the uncertainty.
 
-estimate_limit models the error in the sample position j, as 1/j and
-1/j^2. estimate_limsup_liminf applies it to the suffix envelopes of
-oscillating samples.
+Without drift terms, estimate_limit models the error in the sample
+position j, as 1/j and 1/j^2; estimate_limsup_liminf fits the suffix
+envelopes of oscillating samples that way.
 """
 
 from __future__ import annotations
@@ -199,19 +199,23 @@ def _least_squares(xs, eps):
     return mx - (b1 * m1 + b2 * m2), b1, b2, resid
 
 
-def _fit_limit(values, eps) -> LimitEstimate:
+def estimate_limit(values, eps=None) -> LimitEstimate:
     """Estimate the limit of samples whose error follows the drift terms.
 
     values: at least 8 samples, in grid order (ExtScalar, mpf or float;
     tower-range entries read as off-scale large). eps: one pair
     (e1, e2) of drift terms per sample, each tending to 0 along the
-    grid. The limit a of the least-squares fit a + b1*e1 + b2*e2 over
+    grid; None models the error in the sample position j, as 1/j and
+    1/j^2. The limit a of the least-squares fit a + b1*e1 + b2*e2 over
     the trailing samples is reported with the uncertainty |fitted drift
     at the last point| + largest residual; a residual above tolerance
     means the samples do not follow the model.
     """
+    values = list(values)
     if len(values) < 8:
         raise ValueError("estimate_limit needs at least 8 samples")
+    if eps is None:
+        eps = [(1 / j, 1 / j**2) for j in range(1, len(values) + 1)]
     with nm._Working():
         pairs = list(zip(_to_working_floats(values), eps))
         # Off-scale samples: diverged if they dominate the tail.
@@ -238,20 +242,6 @@ def _fit_limit(values, eps) -> LimitEstimate:
             unc += abs(drift)
         return LimitEstimate("converged", nm.from_value(a),
                              nm.from_value(unc), "fit", len(xs))
-
-
-def estimate_limit(values) -> LimitEstimate:
-    """Estimate the limit of a sampled sequence.
-
-    values: at least 8 samples, in grid order. Accepts ExtScalar, mpf, or
-    float entries; tower-range entries are treated as off-scale large.
-    Without a grid to take drift terms from, the error is modelled in
-    the sample position j, as 1/j and 1/j^2.
-    """
-    values = list(values)
-    return _fit_limit(
-        values, [(1 / j, 1 / j**2) for j in range(1, len(values) + 1)]
-    )
 
 
 def estimate_limsup_liminf(values):

@@ -27,6 +27,7 @@ from . import numeric as nm
 from .errors import (
     AssumptionViolation,
     CancellationError,
+    DivisionByZero,
     DomainError,
     ParseError,
     RangeError,
@@ -104,6 +105,11 @@ class IterLog(ScaleFn):
 
     def w_expr(self) -> Expr:
         return ex.iterln(self.depth, ex.Var())
+
+    def ln_chain(self, depth: int) -> Expr:
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        return ex.iterln(self.depth + depth, ex.Var())
 
     def log_delta_combo(self) -> LogCombo:
         combo = _DELTA_COMBOS.get(self.depth)
@@ -243,7 +249,8 @@ class Custom(ScaleFn):
         for p in grid:
             try:
                 vals.append((p, ex.eval_expr(self._expr, p)))
-            except (DomainError, CancellationError, RangeError):
+            except (DomainError, DivisionByZero, CancellationError,
+                    RangeError):
                 continue
         if len(vals) < 4:
             raise AssumptionViolation(
@@ -271,7 +278,8 @@ class Custom(ScaleFn):
                     ratios.append(
                         float(nm.ext_div(shifted, v).as_mpf()) - 1.0
                     )
-                except (DomainError, CancellationError, RangeError):
+                except (DomainError, DivisionByZero, CancellationError,
+                        RangeError):
                     continue
             if len(ratios) < 4:
                 continue

@@ -90,6 +90,9 @@ class MutatedTerm(cr.TermSource):
     def log_combo(self):
         return self.base.log_combo()
 
+    def sampled_log_combo(self):
+        return self.base.sampled_log_combo()
+
 
 class Known(NamedTuple):
     """One term: its text, its verdict and its float twin."""

@@ -779,6 +779,31 @@ def test_verify_refuses_a_tolerance_not_finite_or_negative(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, left", [
+    (["--budget", "100000"], "10000, 100000"),
+    (["--checkpoints", "100", "100", "100"], "100"),
+    (["--checkpoints", "1000", "10000", "100000", "--budget", "999"],
+     "none"),
+])
+def test_verify_names_the_checkpoints_under_the_budget(capsys, argv, left):
+    code, out, err = run(capsys, ["verify", "1/n^2", *argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in input parsing: verify needs 3 distinct "
+                          "checkpoints at or below --budget ")
+    assert err.endswith(f"; left: {left}\n")
+
+
+@pytest.mark.parametrize("scale", [
+    "expr:n-n", "expr:0*n", "expr:ln(n)-ln(n)", "expr:n/(n-n)",
+])
+def test_scale_dividing_by_zero_names_its_assumption(capsys, scale):
+    code, out, err = run(capsys, ["analyze", "1/n^2", "--w", scale])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error in ladder analysis: a: ")
+
+
 def test_verify_json_tag(capsys):
     code, out, _ = run(capsys, [
         "verify", "1/(n*ln(n)*lnln(n))", "--json",

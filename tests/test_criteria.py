@@ -1,7 +1,6 @@
 """Decision ladder: statistics, verdicts, escalation, and rates."""
 
 import math
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -10,10 +9,10 @@ from known_verdicts import FAMILIES, MutatedTerm, bertrand, bertrand_tuples
 from logladder import cli
 from logladder import criteria as cr
 from logladder import expr as ex
+from logladder import limits as lm
 from logladder import numeric as nm
 from logladder import scale as sc
 from logladder.errors import (
-    ExhaustedHierarchy,
     LogLadderError,
     PositivityViolation,
     RangeError,
@@ -118,50 +117,73 @@ def _count_linearize(monkeypatch) -> list:
     return calls
 
 
+def _exact_fields(combo):
+    return (combo.coeffs, combo.const, combo.const_logs, combo.residuals)
+
+
 def test_log_combo_from_the_leader_matches_linearize(monkeypatch):
+    # the leader's split has the full split's exact fields; a sampler
+    # reads the full split itself
     calls = _count_linearize(monkeypatch)
     terms = list(_unit_leader_terms())
     assert len(terms) > 1554
     for term in terms:
         combo = term.log_combo()
         assert not calls, term.text  # built from the leader alone
-        assert combo == ex.linearize(ex.log_transform(term.expression))
+        full = ex.linearize(ex.log_transform(term.expression))
+        assert _exact_fields(combo) == _exact_fields(full), term.text
+        assert not combo.vanishing
+        assert term.sampled_log_combo() == full
         calls.clear()
 
 
-def _split_fields(combo):
-    return [getattr(combo, f.name) for f in fields(ex.LogCombo)]
-
-
 def test_split_read_from_the_leader_is_the_full_split(monkeypatch):
-    # wherever log_combo reads the split from the leader, the split is
-    # the full one, field for field once its vanishing parts are built;
-    # every inexact leader of coefficient 1 is read that way
+    # every leader gives the split without the tree: the full split's
+    # exact fields for coefficient 1, the same constant for another;
+    # the sampled split is the full one, built only for an inexact leader
     calls = _count_linearize(monkeypatch)
     inexact = 0
     for term in _corpus_terms(shifted=True):
-        combo = term.log_combo()
         lead = term._lead
-        if lead is not None and lead.coef == 1:
-            assert not calls, term.text
-        if calls:
-            calls.clear()
+        if lead is None:
             continue
-        inexact += not lead.exact
+        combo = term.log_combo()
+        assert not calls, term.text
+        sampled = term.sampled_log_combo()
+        assert bool(calls) != lead.exact, term.text
         full = ex.linearize(ex.log_transform(term.expression))
-        assert _split_fields(combo) == _split_fields(full), term.text
+        if lead.coef == 1:
+            assert _exact_fields(combo) == _exact_fields(full), term.text
+        else:
+            _assert_same_split(combo, full)
+        assert sampled == (combo if lead.exact else full), term.text
+        assert term.sampled_log_combo() is sampled  # built once
+        inexact += not lead.exact
         calls.clear()
     assert inexact >= 774
 
 
+def test_shifted_split_prints_and_compares_without_the_full_split(
+        monkeypatch):
+    term = cr.ExprTerm("(n+2)^(-1)*(ln(n+2))^(-1/2)")
+    twin = cr.ExprTerm("(n+2)^(-1)*(ln(n+2))^(-1/2)")
+
+    def refuse(e):
+        raise AssertionError("the full split was built")
+
+    monkeypatch.setattr(ex, "linearize", refuse)
+    monkeypatch.setattr(ex, "log_transform", refuse)
+    combo = term.log_combo()
+    assert "vanishing=[]" in repr(combo)
+    assert combo == twin.log_combo()
+
+
 class _FullSplitTerm(cr.ExprTerm):
-    """An ExprTerm whose split is always the full one, built at once:
+    """An ExprTerm whose split is always the full one,
     linearize(log_transform(e)) with its vanishing parts."""
 
     def log_combo(self):
-        combo = ex.linearize(ex.log_transform(self.expression))
-        combo.vanishing  # built now, not on the first read
-        return combo
+        return ex.linearize(ex.log_transform(self.expression))
 
 
 def _report(term, policy=None) -> str:
@@ -190,6 +212,23 @@ def test_shifted_tuples_sample_the_full_split():
     # split builds on first read: every report is the full split's
     for text in _SHIFTED:
         assert _report(text, NUM) == _report(_FullSplitTerm(text), NUM), text
+
+
+def test_sampled_ladder_fits_through_estimate_limit(monkeypatch):
+    # every sampled rung fits with its own drift terms, through the
+    # public fitter
+    calls = []
+    real = lm.estimate_limit
+
+    def counted(values, eps=None):
+        calls.append(eps)
+        return real(values, eps)
+
+    monkeypatch.setattr(lm, "estimate_limit", counted)
+    report = cr.analyze("1/n^2", NUM)
+    assert report.backend == "numeric"
+    assert len(calls) == len(report.trace) == 1
+    assert calls[0] is not None
 
 
 def _assert_same_split(got, want):
@@ -373,11 +412,13 @@ def test_hierarchy_truncated_all_boundary_decides_zero():
 
 
 def test_hierarchy_exhausts():
-    with pytest.raises(ExhaustedHierarchy):
-        cr.hierarchy_test(
-            "1/(n*ln(n)*lnln(n)*lnlnln(n)*lnlnlnln(n))",
-            sc.IterLog(1), policy=cr.AnalysisPolicy(k_max=2),
-        )
+    vs = cr.hierarchy_test(
+        "1/(n*ln(n)*lnln(n)*lnlnln(n)*lnlnlnln(n))",
+        sc.IterLog(1), policy=cr.AnalysisPolicy(k_max=2),
+    )
+    assert [(v.level, v.decision) for v in vs] == [
+        (1, "inconclusive"), (2, "inconclusive")]
+    assert all(v.reason == "statistic-at-boundary" for v in vs)
 
 
 def test_hierarchy_kmax_validation():

@@ -92,6 +92,21 @@ def test_ln_chain_builds_iterated_logs():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_iterlog_ln_chain_is_the_generic_chain(monkeypatch):
+    from logladder import expr as ex
+    want = {(d, k): sc.ScaleFn.ln_chain(sc.IterLog(d), k)
+            for d in range(5) for k in range(6)}
+
+    def refuse(e):
+        raise AssertionError("log_transform rebuilt the chain")
+
+    monkeypatch.setattr(ex, "log_transform", refuse)
+    for (d, k), chain in want.items():
+        assert sc.IterLog(d).ln_chain(k) == chain
+    with pytest.raises(ValueError):
+        sc.IterLog(1).ln_chain(-1)
+
+
 def test_power_scale():
     w = sc.PowerOfN(Fraction(1, 2))
     n = nm.from_value(10**4)
