@@ -25,12 +25,9 @@ in how they read that estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
-
-from mpmath import mp
 
 from . import expr as ex
 from . import limits as lm
@@ -64,9 +61,6 @@ __all__ = [
 ]
 
 DECIDE_MARGIN = Fraction(1, 1000)
-_BELOW = nm.from_value(Fraction(-1) - DECIDE_MARGIN)
-_ABOVE = nm.from_value(Fraction(-1) + DECIDE_MARGIN)
-_MARGIN = nm.from_value(DECIDE_MARGIN)
 
 # Shared scales and coefficient default; none is ever changed.
 _SCALE_N, _SCALE_LN = sc.IterLog(0), sc.IterLog(1)
@@ -93,7 +87,8 @@ class TermSource:
     text: str = "<terms>"
 
     @property
-    def n_start(self) -> ExtScalar:
+    def n_start(self) -> int | ExtScalar:
+        """The first index: an int, or an ExtScalar past 1e15."""
         raise NotImplementedError
 
     def term(self, n: ExtScalar) -> ExtScalar:
@@ -152,7 +147,7 @@ class ExprTerm(TermSource):
         self._sampled: LogCombo | None = None
 
     @property
-    def n_start(self) -> ExtScalar:
+    def n_start(self) -> int | ExtScalar:
         return self._n_start
 
     def term(self, n: ExtScalar) -> ExtScalar:
@@ -188,16 +183,16 @@ class CallableTerm(TermSource):
         n_start = int(n_start)
         if n_start < 1:
             raise ValueError("n_start must be at least 1")
-        self._n_start = nm.from_value(n_start)
+        self._n_start = n_start
         for probe in (n_start, n_start + 1, 10 * (n_start + 1)):
             self.term(nm.from_value(probe))
 
     @property
-    def n_start(self) -> ExtScalar:
+    def n_start(self) -> int:
         return self._n_start
 
     def term(self, n: ExtScalar) -> ExtScalar:
-        if n.level > 0 or n.as_mpf() > mp.mpf(2) ** 62:
+        if n.level > 0 or n.as_mpf() > 2**62:
             raise RangeError(
                 "callable terms are sampled at plain integer indices only"
             )
@@ -228,8 +223,7 @@ _TAIL_TEMPLATES = frozenset({"precise-tail", "log-ratio-tail", "log-log-tail"})
 _RATIO_PREFIXES = ("log-ratio-", "log-log-")
 
 
-@dataclass(frozen=True)
-class RatePrediction:
+class RatePrediction(NamedTuple):
     """How the partial or tail sums grow, according to the deciding test.
 
     Templates:
@@ -240,14 +234,17 @@ class RatePrediction:
       log-log-tail      ln(tail sum)    / (level+1)-fold log w -> order + 1
       log-log-partial   ln(partial sum) / (level+1)-fold log w -> order + 1
       slow-log          partial sums ~ constant * ln w(n)
+
+    On the exact route order and constant are the Fractions exact_order
+    and exact_constant.
     """
 
     template: str
     scale: sc.ScaleFn
     level: int = 0
-    order: ExtScalar | None = None
+    order: Fraction | ExtScalar | None = None
     exact_order: Fraction | None = None
-    constant: ExtScalar | None = None
+    constant: Fraction | ExtScalar | None = None
     exact_constant: Fraction | None = None
 
     @property
@@ -256,12 +253,12 @@ class RatePrediction:
         return "tail" if self.template in _TAIL_TEMPLATES else "partial"
 
     @property
-    def exponent(self) -> ExtScalar | None:
+    def exponent(self) -> Fraction | ExtScalar | None:
         """Predicted limit of ln(sum)/normalizer for the ratio templates."""
         if not self.template.startswith(_RATIO_PREFIXES):
             return None
         if self.exact_order is not None:
-            return nm.from_value(self.exact_order + 1)
+            return self.exact_order + 1
         if self.order is None:
             return None
         return nm.ext_add(self.order, nm.ONE)
@@ -286,7 +283,8 @@ class RatePrediction:
             return nm.ext_mul(coef, base)
         if self.template == "slow-log" and self.constant is not None:
             return nm.ext_mul(
-                self.constant, ex.eval_expr(self.scale.ln_chain(1), n)
+                nm.from_value(self.constant),
+                ex.eval_expr(self.scale.ln_chain(1), n),
             )
         return None
 
@@ -294,8 +292,7 @@ class RatePrediction:
 # -- verdicts -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one test: a decision plus the statistic behind it.
 
     statistic holds the estimate of the test's limit; for the
@@ -322,32 +319,30 @@ class Verdict:
         return self.decision in ("converges", "diverges")
 
 
-@dataclass(frozen=True)
 class AnalysisPolicy:
     """Knobs for analyze(); the defaults mirror the CLI."""
 
-    scale: sc.ScaleFn | None = None
-    k_max: int = 4
-    backend: str = "auto"
-    grid: object | None = None
+    __slots__ = ("scale", "k_max", "backend", "grid")
 
-    def __post_init__(self):
-        if self.backend not in ("auto", "numeric"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.k_max < 1:
+    def __init__(self, scale: sc.ScaleFn | None = None, k_max: int = 4,
+                 backend: str = "auto", grid=None):
+        if backend not in ("auto", "numeric"):
+            raise ValueError(f"unknown backend {backend!r}")
+        if k_max < 1:
             raise ValueError("k_max must be at least 1")
         # Level j divides by the (j+1)-fold log of the scale; at w = ln n
         # that is the (j+2)-fold log of n, whose tower grid must fit
         # under the tower cap.
         limit = nm.MAX_TOWER_LEVEL - 2
-        if self.k_max > limit:
+        if k_max > limit:
             raise ValueError(
-                f"k_max={self.k_max} exceeds the tower budget (max {limit})"
+                f"k_max={k_max} exceeds the tower budget (max {limit})"
             )
+        self.scale, self.k_max, self.backend = scale, k_max, backend
+        self.grid = grid
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything analyze() learned about one series."""
 
     sequence: str
@@ -361,7 +356,7 @@ class AnalysisReport:
 def _ln_float(x: ExtScalar) -> float:
     """ln x for x > 0 as a float, inf past the float range."""
     try:
-        return float(mp.log(x.mag) if x.level == 0
+        return float(nm.mp.log(x.mag) if x.level == 0
                      else nm.ext_ln(x).as_mpf())
     except RangeError:
         return math.inf
@@ -396,7 +391,7 @@ _MAX_INDEX_BITS = 1 << 20
 
 def _index_bits(n: ExtScalar) -> int:
     v = abs(n.as_mpf())
-    bits = max(1, int(mp.log(v + 2, 2)) + 1)
+    bits = max(1, int(nm.mp.log(v + 2, 2)) + 1)
     if bits > _MAX_INDEX_BITS:
         raise RangeError("grid point too large for the Raabe increment")
     return bits
@@ -470,8 +465,8 @@ _TOWER_COUNT = 12
 
 
 def _n_floor(term: TermSource) -> ExtScalar:
-    lo = nm.from_value(_GRID_FLOOR)
-    return term.n_start if term.n_start > lo else lo
+    start, lo = nm.from_value(term.n_start), nm.from_value(_GRID_FLOOR)
+    return start if start > lo else lo
 
 
 def _plain_start(term: TermSource) -> int | None:
@@ -483,7 +478,7 @@ def _plain_start(term: TermSource) -> int | None:
         return None
     if v > 10**14:
         return None
-    return int(mp.ceil(v))
+    return int(nm.mp.ceil(v))
 
 
 def _tower_start(level: int, n_floor: ExtScalar, extra_depth: int):
@@ -500,6 +495,7 @@ def _tower_start(level: int, n_floor: ExtScalar, extra_depth: int):
     except (DomainError, RangeError):
         pass  # floor is below the level threshold; r0 = 2 clears it
     if extra_depth > 0:
+        mp = nm.mp
         req = mp.mpf("1.000001")
         for _ in range(extra_depth):
             req = mp.exp(req)
@@ -743,7 +739,10 @@ def _measure(stat: _Statistic, policy: AnalysisPolicy) -> _Measure:
             return _Measure(lm.LimitEstimate.exact_infinite(
                 1 if exact > 0 else -1
             ))
-        value = exact.const_value() if isinstance(exact, LogCombo) else exact
+        value = exact
+        if isinstance(exact, LogCombo):
+            # a constant, kept exact unless it has constant logs
+            value = exact.const_value() if exact.const_logs else exact.const
         return _Measure(lm.LimitEstimate.exact(value), exact)
     grid, sampler, drift = stat.sampling(policy)
     if grid is None:
@@ -777,11 +776,19 @@ def _decide(est: lm.LimitEstimate, exact: Fraction | None):
 def _side(value: ExtScalar, uncertainty: ExtScalar):
     """Side of -1 on which value +/- uncertainty lies beyond the
     margin, or None."""
-    if nm.ext_add(value, uncertainty) < _BELOW:
+    if nm.ext_add(value, uncertainty) < nm.default_scalar(-1 - DECIDE_MARGIN):
         return "converges"
-    if nm.ext_sub(value, uncertainty) > _ABOVE:
+    if nm.ext_sub(value, uncertainty) > nm.default_scalar(-1 + DECIDE_MARGIN):
         return "diverges"
     return None
+
+
+def _past_margin(x) -> bool:
+    """x > DECIDE_MARGIN: in Fractions for an exact x, at the default
+    precision for an ExtScalar."""
+    if isinstance(x, ExtScalar):
+        return x > nm.default_scalar(DECIDE_MARGIN)
+    return x > DECIDE_MARGIN
 
 
 def _inconclusive(test_id, w, level, est, reason, exact=None, notes=()):
@@ -873,10 +880,11 @@ def slow_divergence_test(seq, w: sc.ScaleFn,
     m = _measure(_slow_divergence_statistic(_as_term(seq, params), w), policy)
     est = m.est
     if (est is None or est.status != "converged"
-            or est.uncertainty > _MARGIN):
+            or _past_margin(est.uncertainty)):
         return _slow_undecided(m, w)
     exact_c = _exact_const_exp(m.exact) if m.exact is not None else None
-    c = nm.from_value(exact_c) if exact_c is not None else nm.ext_exp(est.value)
+    c = (exact_c if exact_c is not None
+         else nm.ext_exp(nm.from_value(est.value)))
     rate = RatePrediction(
         template="slow-log", scale=w, constant=c, exact_constant=exact_c,
     )
@@ -924,7 +932,7 @@ def hierarchy_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
         m = _measure(_quotient_statistic(term, w, j), policy)
         v = _limit_verdict(m, "hierarchy", w, j, "log-log-")
         if v.decision == "diverges" and _is_zero_statistic(v):
-            v = replace(v, notes=v.notes + (_zero_statistic_note(j),))
+            v = v._replace(notes=v.notes + (_zero_statistic_note(j),))
         levels.append(v)
         if v.decisive or v.reason != "statistic-at-boundary":
             break  # deeper levels assume this one landed exactly on -1
@@ -937,7 +945,7 @@ def _is_zero_statistic(v: Verdict) -> bool:
     est = v.statistic
     if est.status != "converged":
         return False
-    return abs(est.value) < _MARGIN
+    return abs(est.value) < nm.default_scalar(DECIDE_MARGIN)
 
 
 def one_sided_test(seq, w: sc.ScaleFn, policy: AnalysisPolicy | None = None,
@@ -973,7 +981,7 @@ def _envelope_verdict(m: _Measure, w: sc.ScaleFn) -> Verdict:
         # A limit (exact or fitted) bounds both envelopes, so the
         # two-sided verdict carries over.
         v = _limit_verdict(m, "one-sided", w, 0, "log-ratio-")
-        return replace(v, one_sided=True)
+        return v._replace(one_sided=True)
     if not _oscillates(m.samples):
         return _inconclusive(
             "one-sided", w, 0, m.est, "statistic-not-convergent"

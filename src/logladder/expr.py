@@ -31,12 +31,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
-
-from mpmath import mp
 
 from .errors import (
     CancellationError,
@@ -82,82 +79,109 @@ __all__ = [
 class Expr:
     """Base class for expression nodes. Nodes compare and hash by type
     and fields, so a node must not be changed once it is built: every
-    rewrite builds new nodes and shares the subtrees it keeps."""
+    rewrite builds new nodes and shares the subtrees it keeps. Each
+    node class lists its fields in __slots__, in constructor order."""
 
     __slots__ = ()
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
 
-# Slotted, with a generated hash: a frozen dataclass would set each field
-# through object.__setattr__, which costs more than the rest of building
-# a node.
-_node = dataclass(slots=True, unsafe_hash=True)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
 
-@_node
 class Const(Expr):
     """An exact rational: an int where it is integral, else a Fraction."""
 
-    value: int | Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: int | Fraction):
+        self.value = value
 
 
-@_node
 class Param(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@_node
 class Var(Expr):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
 
 
-@_node
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
 
 
-@_node
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
 
 
-@_node
 class Div(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
 
 
-@_node
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Expr):
+        self.base = base
+        self.exponent = exponent
 
 
-@_node
 class Exp(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.arg = arg
 
 
-@_node
 class IterLn(Expr):
     """count-fold iterated natural log of arg."""
 
-    count: int
-    arg: Expr
+    __slots__ = ("count", "arg")
+
+    def __init__(self, count: int, arg: Expr):
+        self.count = count
+        self.arg = arg
 
 
-# The field names of each node type's subtrees, in field order: its
-# dataclass fields that are expressions. Every generic walk over a tree
-# reads a node's subtrees here and nowhere else.
+# The field names of each node type's subtrees, in field order: every
+# field but a Const's value, a Param's name and an IterLn's count. Every
+# generic walk over a tree reads a node's subtrees here and nowhere else.
 _SUBTREE_FIELDS = {
-    cls: tuple(f.name for f in fields(cls) if f.type == "Expr")
+    cls: tuple(k for k in cls.__slots__ if k not in ("value", "name", "count"))
     for cls in (Const, Param, Var, Add, Sub, Mul, Div, Pow, Exp, IterLn)
 }
 
@@ -435,13 +459,13 @@ def _bound(x: Expr, values: dict) -> Expr:
     if isinstance(x, Param):
         return Const(values[x.name]) if x.name in values else x
     # a subtree without a bound parameter is kept as it is
-    changed = {}
-    for k in _SUBTREE_FIELDS[type(x)]:
-        c = getattr(x, k)
-        new = _bound(c, values)
-        if new is not c:
-            changed[k] = new
-    return replace(x, **changed) if changed else x
+    subtrees = _SUBTREE_FIELDS[type(x)]
+    old = x._values()
+    new = [_bound(c, values) if k in subtrees else c
+           for k, c in zip(x.__slots__, old)]
+    if all(a is b for a, b in zip(old, new)):
+        return x
+    return type(x)(*new)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -501,9 +525,10 @@ def _ln_threshold(k: int) -> ExtScalar:
 
 
 # The first index at which ln, lnln and lnlnln of n clear their
-# thresholds: the same integers at every working precision. Deeper logs
-# start near 2.33e1656520 and beyond; they are searched, and their start
-# stays an ExtScalar, since int() of it would take minutes.
+# thresholds: the same integers at every working precision, read with
+# no mpmath. Deeper logs start near 2.33e1656520 and beyond; they are
+# searched, and their start stays an ExtScalar, since int() of it would
+# take minutes.
 _LOG_STARTS = {1: 3, 2: 16, 3: 3814283}
 
 
@@ -519,12 +544,13 @@ def _shifted_start(arg: Expr, first: int | None) -> int | None:
     return max(1, n) if n <= 10**15 else None
 
 
-def domain_start(e: Expr) -> ExtScalar:
+def domain_start(e: Expr) -> int | ExtScalar:
     """Smallest integer n at which every iterated log in e clears its
-    safety threshold exp^k(1) * (1 + 1e-6).
+    safety threshold exp^k(1) * (1 + 1e-6), as an int.
 
     For thresholds too large to enumerate integers the real solution is
-    returned, rounded up to the representable resolution. One walk
+    returned as an ExtScalar, rounded up to the representable
+    resolution. One walk
     collects the logs and the free parameters. ln, lnln and lnlnln of n
     or of n + b (integer b) read their start from _LOG_STARTS; any other
     log is searched by _first_n_reaching, which returns the threshold
@@ -558,8 +584,9 @@ def domain_start(e: Expr) -> ExtScalar:
             start = max(start, n_k)
         elif far is None or nm.ext_cmp(n_k, far) > 0:
             far = n_k
-    best = nm.ONE if start == 1 else nm.from_value(start)
-    return far if far is not None and nm.ext_cmp(far, best) > 0 else best
+    if far is not None and nm.ext_cmp(far, nm.from_value(start)) > 0:
+        return far
+    return start
 
 
 def _eval_or_none(arg: Expr, n: ExtScalar) -> ExtScalar | None:
@@ -595,9 +622,11 @@ def _affine(e: Expr) -> tuple[Fraction, Fraction] | None:
     return None if inner is None else (q * inner[0], q * inner[1])
 
 
-def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> ExtScalar:
+def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> int | ExtScalar:
     """Minimal integer n >= 1 with arg(n) > threshold, assuming arg is
-    eventually increasing (true for the supported expression class)."""
+    eventually increasing (true for the supported expression class): an
+    int below 1e15, else the real solution as an ExtScalar."""
+    mp = nm.mp
     affine = _affine(arg)
     # n > (threshold - b)/a for arg = a*n + b; the threshold carries a
     # safety factor so it is never an exact integer of interest. A tower
@@ -609,7 +638,7 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> ExtScalar:
             t = (threshold.as_mpf() - mp.mpf(b.numerator) / b.denominator) \
                 * a.denominator / a.numerator
         if t < 1e15:
-            return nm.from_value(max(1, int(mp.floor(t)) + 1))
+            return max(1, int(mp.floor(t)) + 1)
         if isinstance(arg, Var):
             return threshold
 
@@ -654,13 +683,13 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> ExtScalar:
                 n += 1
             while n > 1 and above(nm.from_value(n - 1)):
                 n -= 1
-            return nm.from_value(n)
+            return n
     except Exception:
         pass
     return hi
 
 
-def check_positive(e: Expr, n0: ExtScalar) -> None:
+def check_positive(e: Expr, n0: int | ExtScalar) -> None:
     """Sampled positivity check past n0; raises PositivityViolation.
 
     e is evaluated at up to seven plain integers from n0 on and at three
@@ -670,6 +699,7 @@ def check_positive(e: Expr, n0: ExtScalar) -> None:
     rounds to n), so the 0 carries no sign and counts as no sample. A
     term that divides by zero at every point is undefined and raises.
     """
+    n0 = nm.from_value(n0)
     points: list[ExtScalar] = []
     try:
         base = n0.as_mpf()
@@ -963,8 +993,7 @@ def log_transform(e: Expr) -> Expr:
 _NOISE_BITS = 20
 
 
-@dataclass
-class LogCombo:
+class LogCombo(NamedTuple):
     """A log-side expression split into exact, residual and vanishing parts.
 
     value = sum over coeffs of c_k * ln_k(n)   (k = 0 means n itself)
@@ -977,14 +1006,15 @@ class LogCombo:
     vanishing parts are expression trees that the numeric sampler
     evaluates pointwise. Vanishing parts tend to 0, so no limit the
     ladder reads depends on them: is_exact and the exact readings
-    ignore them.
+    ignore them. A combo is never changed once built, so the default
+    vanishing list can be shared.
     """
 
     coeffs: dict[int, Fraction]
     const: Fraction
     const_logs: list[tuple[Fraction, int, Fraction]]  # (mult, depth, base)
     residuals: list[Expr]
-    vanishing: list[Expr] = field(default_factory=list)
+    vanishing: list[Expr] = []
 
     @property
     def is_exact(self) -> bool:
@@ -1051,7 +1081,7 @@ class LogCombo:
             if den is not None:
                 noise = nm.ext_mul(
                     max(nm.ext_abs(t) for t in terms),
-                    nm.from_value(mp.ldexp(1, _NOISE_BITS - nm._bits())),
+                    nm.from_value(nm.mp.ldexp(1, _NOISE_BITS - nm._bits())),
                 )
                 if not (noise < nm.ext_abs(den) or noise < nm.ext_abs(total)):
                     raise CancellationError("sum cancels to rounding noise")

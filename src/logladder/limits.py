@@ -24,9 +24,6 @@ envelopes of oscillating samples that way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from mpmath import mp
 
 from . import numeric as nm
 from .errors import RangeError
@@ -42,44 +39,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Geometric:
     """Points start * ratio^j for j = 0 .. count-1."""
 
-    start: object
-    ratio: object
-    count: int
+    __slots__ = ("start", "ratio", "count")
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, start, ratio, count: int):
+        if count < 1:
             raise ValueError("count must be at least 1")
-        if not float(self.ratio) > 1:
+        if not float(ratio) > 1:
             raise ValueError("ratio must exceed 1")
-        if not float(self.start) >= 1:
+        if not float(start) >= 1:
             raise ValueError("start must be at least 1")
+        self.start, self.ratio, self.count = start, ratio, count
 
 
-@dataclass(frozen=True)
 class TowerGeometric:
     """Points whose level-fold iterated log moves on an exact arithmetic
     grid: exp^level(start + j * step) for j = 0 .. count-1."""
 
-    level: int
-    start: object
-    step: object
-    count: int
+    __slots__ = ("level", "start", "step", "count")
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, level: int, start, step, count: int):
+        if count < 1:
             raise ValueError("count must be at least 1")
-        if self.level < 1:
+        if level < 1:
             raise ValueError("level must be at least 1")
-        if not float(self.step) > 0:
+        if not float(step) > 0:
             raise ValueError("step must be positive")
         # exp^level(start) is below 1 only at level 1 with start < 0.
-        if self.level == 1 and float(self.start) < 0:
+        if level == 1 and float(start) < 0:
             raise ValueError("start must be at least 0 at level 1, "
                              "so that exp(start) is at least 1")
+        self.level, self.start, self.step = level, start, step
+        self.count = count
 
 
 def make_grid(schedule) -> list[ExtScalar]:
@@ -102,8 +95,8 @@ def make_grid(schedule) -> list[ExtScalar]:
         return pts
     if isinstance(schedule, TowerGeometric):
         with nm._Working():
-            start = mp.mpf(str(schedule.start))
-            step = mp.mpf(str(schedule.step))
+            start = nm.mp.mpf(str(schedule.start))
+            step = nm.mp.mpf(str(schedule.step))
             return [
                 ExtScalar.tower(schedule.level, start + j * step)
                 for j in range(schedule.count)
@@ -111,35 +104,47 @@ def make_grid(schedule) -> list[ExtScalar]:
     raise TypeError(f"not a grid schedule: {schedule!r}")
 
 
-@dataclass(frozen=True)
 class LimitEstimate:
     """Outcome of estimate_limit.
 
     status is 'converged', 'diverged', or 'not_converged'. value and
     uncertainty are set when converged; direction is +1 or -1 when
     diverged. method records which stage produced the answer ('exact' is
-    used by symbolic callers that bypass sampling).
+    used by symbolic callers that bypass sampling: their value is a
+    Fraction, or an ExtScalar for a constant with logs, and their
+    uncertainty is 0).
     """
 
-    status: str
-    value: ExtScalar | None = None
-    uncertainty: ExtScalar | None = None
-    method: str = "none"
-    samples_used: int = 0
-    direction: int = 0
+    __slots__ = ("status", "value", "uncertainty", "method", "samples_used",
+                 "direction")
+
+    def __init__(self, status: str, value=None, uncertainty=None,
+                 method: str = "none", samples_used: int = 0,
+                 direction: int = 0):
+        self.status, self.value, self.uncertainty = status, value, uncertainty
+        self.method, self.samples_used = method, samples_used
+        self.direction = direction
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not LimitEstimate:
+            return NotImplemented
+        return self._values() == other._values()
 
     @classmethod
     def exact(cls, value) -> "LimitEstimate":
-        v = nm.from_value(value)
-        return cls("converged", v, nm.ZERO, "exact", 0)
+        return cls("converged", value, 0, "exact", 0)
 
     @classmethod
     def exact_infinite(cls, direction: int) -> "LimitEstimate":
         return cls("diverged", None, None, "exact", 0, direction)
 
 
-# Relative tolerance of the fit residual: the double nearest 0.001.
-_REL_TOL = mp.mpf(0.001)
+# Relative tolerance of the fit residual: the double nearest 0.001. The
+# fit multiplies it into an mpf, which reads a float exactly.
+_REL_TOL = 0.001
 # The fit skips the leading 1/_LEAD_SHARE of the samples, where terms
 # beyond the drift model still weigh.
 _LEAD_SHARE = 4
@@ -162,10 +167,10 @@ def _diverging(xs):
     if len(signs) != 1 or any(t == 0 for t in tail):
         return None
     for a, b in zip(tail, tail[1:]):
-        if not abs(b) >= mp.mpf("1.8") * abs(a):
+        if not abs(b) >= nm.mp.mpf("1.8") * abs(a):
             return None
     early = sorted(abs(t) for t in xs[: max(4, len(xs) // 2)] if t is not None)
-    anchor = early[len(early) // 2] if early else mp.mpf(0)
+    anchor = early[len(early) // 2] if early else nm.mp.mpf(0)
     if abs(tail[-1]) < 100 * (anchor + 1):
         return None
     return LimitEstimate(

@@ -26,11 +26,7 @@ since no digits of the true difference are known.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp
-from mpmath.libmp import from_int, from_rational, round_nearest
 
 from .errors import (
     CancellationError,
@@ -59,6 +55,7 @@ __all__ = [
     "iter_ln",
     "fmt",
     "from_value",
+    "default_scalar",
     "to_float",
     "get_precision",
     "local_precision",
@@ -67,13 +64,11 @@ __all__ = [
 ]
 
 _GUARD = 10
+_DEFAULT_BITS = 256
 
 # Plain-form exponent integers are capped at this many bits. exp() of an
 # argument past the corresponding magnitude returns a tower instead.
 _EXP_CAP_BITS = 1 << 14
-
-with mp.workprec(64):
-    _EXP_ARG_CAP = mp.mpf("0.693147180559945") * mp.mpf(2) ** _EXP_CAP_BITS
 
 # How high a tower exp() may build before raising RangeError; a canonical
 # tower at the top level is allowed a residue past e so the cap does not
@@ -81,19 +76,65 @@ with mp.workprec(64):
 MAX_TOWER_LEVEL = 6
 
 
-@dataclass(frozen=True)
+# mpmath is imported on first use, by _load: the exact route reads
+# Fractions only and never needs it. Until then the names in _LAZY are
+# unbound here; other modules read them as attributes of this module
+# (nm.mp, nm.ONE), and the module __getattr__ loads them.
+_LAZY = frozenset({"mp", "ZERO", "ONE", "_EXP_ARG_CAP", "_FMT_LIMIT",
+                   "_FMT_TINY"})
+_loaded = False
+
+
+def _load() -> None:
+    """Import mpmath and bind mp, the libmp functions and the mpf
+    constants. It calls no other function of this module, so loading
+    adds no arithmetic to whatever triggered it."""
+    global mp, from_int, from_rational, round_nearest, _EXP_ARG_CAP
+    global _FMT_LIMIT, _FMT_TINY, ZERO, ONE, _loaded
+    from mpmath import mp
+    from mpmath.libmp import from_int, from_rational, round_nearest
+
+    with mp.workprec(64):
+        _EXP_ARG_CAP = (mp.mpf("0.693147180559945")
+                        * mp.mpf(2) ** _EXP_CAP_BITS)
+    _FMT_LIMIT = mp.mpf(2) ** 4096
+    _FMT_TINY = mp.mpf(2) ** -4096
+    ZERO = ExtScalar(0, 0, mp.mpf(0))
+    ONE = ExtScalar(1, 0, mp.mpf(1))
+    _loaded = True
+
+
+def __getattr__(name):
+    if name in _LAZY and not _loaded:
+        _load()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class Precision:
     """Working precision for extended arithmetic.
 
     significand_bits is the mantissa size used by every operation (a few
-    guard bits are added internally).
+    guard bits are added internally). Equal bit counts compare equal.
     """
 
-    significand_bits: int = 256
+    __slots__ = ("significand_bits",)
 
-    def __post_init__(self):
-        if self.significand_bits < 64:
+    def __init__(self, significand_bits: int = _DEFAULT_BITS):
+        if significand_bits < 64:
             raise ValueError("significand_bits must be at least 64")
+        self.significand_bits = significand_bits
+
+    def __eq__(self, other):
+        if type(other) is not Precision:
+            return NotImplemented
+        return self.significand_bits == other.significand_bits
+
+    def __hash__(self):
+        return hash(self.significand_bits)
+
+    def __repr__(self):
+        return f"Precision(significand_bits={self.significand_bits})"
 
 
 _prec_stack: list[Precision] = [Precision()]
@@ -137,6 +178,8 @@ class _Working:
     __slots__ = ("_saved",)
 
     def __enter__(self):
+        if not _loaded:
+            _load()
         target = _prec_stack[-1].significand_bits + _GUARD
         saved = mp.prec
         if saved == target:
@@ -316,6 +359,8 @@ def from_value(x) -> ExtScalar:
     """Coerce an int, float, Fraction, mpf, or decimal string."""
     if isinstance(x, ExtScalar):
         return x
+    if not _loaded:
+        _load()
     if type(x) is int and -_EXACT_INT < x < _EXACT_INT:
         # exact at every precision, so no working precision and no
         # comparisons of mpf values
@@ -337,12 +382,22 @@ def from_value(x) -> ExtScalar:
             raise ParseError(f"not a scalar: {x!r}") from None
 
 
-ZERO = ExtScalar(0, 0, mp.mpf(0))
-ONE = ExtScalar(1, 0, mp.mpf(1))
+def default_scalar(q: Fraction) -> ExtScalar:
+    """q as from_value rounds it at the default precision, whatever the
+    active one: a constant that keeps its bits at every precision. Like
+    _load, it calls no other function of this module."""
+    if not _loaded:
+        _load()
+    p, d = q.numerator, q.denominator
+    mag = from_rational(abs(p), d, _DEFAULT_BITS + _GUARD, round_nearest)
+    return ExtScalar((p > 0) - (p < 0), 0, mp.make_mpf(mag))
 
 
-def fmt(x: ExtScalar, digits: int | None = None) -> str:
-    """Decimal rendering; towers print as exp^h(residue)."""
+def fmt(x, digits: int | None = None) -> str:
+    """Decimal rendering; towers print as exp^h(residue). An exact int
+    or Fraction prints as from_value reads it."""
+    if not isinstance(x, ExtScalar):
+        x = from_value(x)
     if digits is None:
         digits = max(6, int(_bits() * 0.3010) - 2)
     if x.level == 0:
@@ -351,7 +406,14 @@ def fmt(x: ExtScalar, digits: int | None = None) -> str:
     return f"exp^{x.level}({mp.nstr(x.mag, digits)})"
 
 
-def to_float(x: ExtScalar) -> float:
+def to_float(x) -> float:
+    """x as a float, +/-inf past the float range; x is an ExtScalar, or
+    an exact int or Fraction."""
+    if not isinstance(x, ExtScalar):
+        try:
+            return float(x)
+        except OverflowError:
+            return float("inf") if x > 0 else float("-inf")
     if x.level > 0:
         return float("inf")
     try:
@@ -419,11 +481,10 @@ def _log_gap_exceeds(big: ExtScalar, small: ExtScalar, bits: int) -> bool:
 
 # Absorption messages print their numbers to this many significant
 # digits at any working precision, and a magnitude past _FMT_LIMIT, or
-# below its reciprocal, as exp(<ln value>): the decimal digits of a
-# number that large or that small take about a second each.
+# below _FMT_TINY (2^4096 and 2^-4096, bound by _load), as
+# exp(<ln value>): the decimal digits of a number that large or that
+# small take about a second each.
 _WARN_DIGITS = 8
-_FMT_LIMIT = mp.mpf(2) ** 4096
-_FMT_TINY = mp.mpf(2) ** -4096
 
 
 def _fmt_addend(v) -> str:

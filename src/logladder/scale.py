@@ -17,10 +17,7 @@ exp of that split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp
 
 from . import expr as ex
 from . import numeric as nm
@@ -87,15 +84,22 @@ class ScaleFn:
         return f"{type(self).__name__}({self.name!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class IterLog(ScaleFn):
-    """w(n) = the depth-fold iterated natural log of n; depth 0 is n."""
+    """w(n) = the depth-fold iterated natural log of n; depth 0 is n.
+    Scales of equal depth compare and hash equal."""
 
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 0:
+    def __init__(self, depth: int):
+        if depth < 0:
             raise ValueError("IterLog depth must be nonnegative")
+        self.depth = depth
+
+    def __eq__(self, other):
+        if type(other) is not IterLog:
+            return NotImplemented
+        return self.depth == other.depth
+
+    def __hash__(self):
+        return hash(self.depth)
 
     @property
     def name(self) -> str:
@@ -123,6 +127,7 @@ class IterLog(ScaleFn):
         except RangeError:
             return nm.ZERO
         bits = nm.get_precision().significand_bits
+        mp = nm.mp
         with nm._Working():
             ld = mp.mpf(0)
             total = mp.mpf(0)
@@ -152,18 +157,23 @@ def _iterlog_delta_combo(depth: int) -> LogCombo:
 _DELTA_COMBOS = {d: _iterlog_delta_combo(d) for d in range(5)}
 
 
-@dataclass(frozen=True, repr=False)
 class PowerOfN(ScaleFn):
-    """w(n) = n^sigma for a fixed rational sigma > 0."""
+    """w(n) = n^sigma for a fixed rational sigma > 0. Scales of equal
+    sigma compare and hash equal."""
 
-    sigma: Fraction
-
-    def __post_init__(self):
-        s = self.sigma
-        if not isinstance(s, Fraction):
-            object.__setattr__(self, "sigma", ex._as_fraction(s))
-        if self.sigma <= 0:
+    def __init__(self, sigma):
+        sigma = ex._as_fraction(sigma)
+        if sigma <= 0:
             raise ValueError("PowerOfN needs sigma > 0")
+        self.sigma = sigma
+
+    def __eq__(self, other):
+        if type(other) is not PowerOfN:
+            return NotImplemented
+        return self.sigma == other.sigma
+
+    def __hash__(self):
+        return hash(self.sigma)
 
     @property
     def name(self) -> str:
@@ -188,6 +198,7 @@ class PowerOfN(ScaleFn):
         except RangeError:
             return nm.ZERO
         bits = nm.get_precision().significand_bits
+        mp = nm.mp
         with nm._Working():
             s = mp.mpf(self.sigma.numerator) / mp.mpf(self.sigma.denominator)
             t = mp.log1p(1 / nv)
@@ -230,8 +241,8 @@ class Custom(ScaleFn):
                     "scale increment vanished at doubled precision"
                 )
             if d.level == 0 and a.level == 0:
-                with mp.workprec(32):
-                    lost = mp.log(abs(a.as_mpf()) / abs(d.as_mpf()), 2)
+                with nm.mp.workprec(32):
+                    lost = nm.mp.log(abs(a.as_mpf()) / abs(d.as_mpf()), 2)
                 if lost > bits + 32:
                     raise CancellationError(
                         "scale increment lost more than the doubled-precision margin"

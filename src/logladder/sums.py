@@ -32,10 +32,8 @@ import csv
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, replace
 from functools import partial
-
-from mpmath import mp
+from typing import NamedTuple
 
 from . import criteria as cr
 from . import expr as ex
@@ -97,8 +95,7 @@ _PRECISE_COST = 2000
 _LOG_COST = 1500
 
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(NamedTuple):
     """One finished summation run.
 
     value is exactly the windowed sum of the evaluated terms. For tail
@@ -122,13 +119,12 @@ class SumResult:
     def estimate(self) -> ExtScalar:
         if self.truncation_correction is None:
             return self.value
-        with mp.workprec(_ACC_BITS):
+        with nm.mp.workprec(_ACC_BITS):
             total = self.value.as_mpf() + self.truncation_correction.as_mpf()
         return nm.from_value(total)
 
 
-@dataclass(frozen=True)
-class RateCheck:
+class RateCheck(NamedTuple):
     """Outcome of fitting a rate prediction against checkpoint sums.
 
     status is 'pass', 'fail', or 'insufficient-signal'; the last is a
@@ -358,7 +354,7 @@ def _chunk_totals(total_of, spans) -> list:
 
 def _start_index(term) -> int:
     try:
-        v = term.n_start.as_mpf()
+        v = nm.from_value(term.n_start).as_mpf()
     except RangeError:
         raise RangeError(
             "the sequence's first index is beyond summation range"
@@ -367,7 +363,7 @@ def _start_index(term) -> int:
         raise RangeError(
             "the sequence's first index is beyond any summation budget"
         )
-    return int(mp.ceil(v))
+    return int(nm.mp.ceil(v))
 
 
 def _log_exp_ops(e: ex.Expr) -> int:
@@ -417,6 +413,7 @@ def _run(term, n0: int, N: int, budget: int, cuts=(),
     cuts = sorted(set(int(c) for c in cuts))
     evaluate = partial(_chunk_total, _chunk_evaluator(term), term.text)
     spans = _spans(n0, N, cuts)
+    mp = nm.mp
     with mp.workprec(_ACC_BITS):
         # Terms are evaluated at the accumulator precision (it matters to
         # callables that use mpmath), but only this thread touches mpf
@@ -435,7 +432,7 @@ def _run(term, n0: int, N: int, budget: int, cuts=(),
 def _run_precise(term, n0: int, N: int, bits: int):
     """Per-term high-precision path; meant for modest ranges only."""
     with nm.local_precision(bits), nm._Working():
-        running = mp.mpf(0)
+        running = nm.mp.mpf(0)
         for n in range(n0, N + 1):
             v = term.term(nm.from_value(n))
             if v.sign < 0:
@@ -450,6 +447,7 @@ def _window(term, n0: int, N: int, budget: int, precision: int) -> SumResult:
     """Sum the terms n0..N, each evaluated at max(precision, 53) bits."""
     bits = max(precision, _TERM_BITS)
     total, _, n_terms = _run(term, n0, N, budget, bits=bits)
+    mp = nm.mp
     with mp.workprec(_ACC_BITS):
         roundoff = mp.mpf(n_terms) * mp.mpf(2) ** (1 - bits) * abs(total)
     return SumResult(
@@ -496,12 +494,13 @@ def _fitted_remainder(term, N: int):
                 "power-tail remainder"
             )
         rem = fa * N / (-1 - p)
-    return mp.mpf(rem), ""
+    return nm.mp.mpf(rem), ""
 
 
 def tail_sum(seq, n, N, budget: int = DEFAULT_BUDGET,
              precision: int = _TERM_BITS, params=None) -> SumResult:
-    """Sum the terms from n through N, inclusive of both ends.
+    """Sum the terms from n through N, inclusive of both ends; n may not
+    be below the sequence's first index.
 
     The result's truncation_correction carries a fitted remainder for
     the terms beyond N (local power fit at N, integrated); when the fit
@@ -511,10 +510,13 @@ def tail_sum(seq, n, N, budget: int = DEFAULT_BUDGET,
     n, N = int(n), int(N)
     if not n < N:
         raise ValueError("tail window needs n < N")
+    start = _start_index(term)
+    if n < start:
+        raise ValueError(f"tail start {n} is below the first index {start}")
     result = _window(term, n, N, budget, precision)
     rem, note = _fitted_remainder(term, N)
     corr = nm.from_value(rem) if rem is not None else None
-    return replace(result, truncation_correction=corr, note=note)
+    return result._replace(truncation_correction=corr, note=note)
 
 
 def checkpoint_sums(seq, checkpoints, budget: int = DEFAULT_BUDGET,

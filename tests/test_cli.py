@@ -404,6 +404,22 @@ def test_sum_tail_json(capsys):
     assert doc["estimate"] == pytest.approx(1.00005e-4, rel=1e-3)
 
 
+@pytest.mark.parametrize("text, tail_from, first", [
+    ("1/(n*ln(n)*lnln(n))", 3, 16),
+    ("1/(n*ln(n)*lnln(n))", 2, 16),
+    ("1/(n*ln(n))", 1, 3),
+])
+def test_sum_tail_below_the_first_index_is_refused(capsys, text, tail_from,
+                                                   first):
+    code, out, err = run(capsys, [
+        "sum", text, "100", "--tail-from", str(tail_from),
+    ])
+    assert code == 1
+    assert out == ""
+    assert err == (f"error in oracle summation: tail start {tail_from} is "
+                   f"below the first index {first}\n")
+
+
 def test_sum_checkpoints_csv(capsys, tmp_path):
     out_csv = tmp_path / "s.csv"
     code, out, _ = run(capsys, [

@@ -1,6 +1,5 @@
 """Summation oracle: direct sums, tail corrections, and rate fits."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +80,19 @@ def test_single_term_window():
                                                  rel=1e-14)
 
 
+def test_tail_window_starts_at_or_past_the_first_index():
+    # lnln needs n >= 16: a window from 3 would sum terms outside the
+    # sequence's domain, so it is refused as checkpoint_sums refuses one
+    text = "1/(n*ln(n)*lnln(n))"
+    for n in (2, 3, 15):
+        with pytest.raises(ValueError, match=f"tail start {n} is below "
+                                             "the first index 16"):
+            sums.tail_sum(text, n, 100)
+    r = sums.tail_sum(text, 16, 100)
+    assert r.n_terms == 85
+    assert r.value == sums.partial_sum(text, 100).value
+
+
 def test_tail_estimate_inverse_square():
     r = sums.tail_sum("1/n^2", 10**4, 10**8)
     want = float(mp.zeta(2, 10**4))  # independent reference for the tail
@@ -147,7 +159,7 @@ def test_slope_check_slow_log_fits_the_constant(text):
     chk = sums.slope_check(text, rate, _CPS)
     assert chk.passed
     assert chk.fitted_constant == pytest.approx(target, rel=0.005)
-    off = replace(rate, constant=nm.from_value(1.1 * target))
+    off = rate._replace(constant=nm.from_value(1.1 * target))
     assert sums.slope_check(text, off, _CPS).status == "fail"
 
 
