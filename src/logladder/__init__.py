@@ -36,9 +36,7 @@ from .errors import (
     UnboundParameterError,
 )
 from .limits import (
-    Geometric,
     LimitEstimate,
-    TowerGeometric,
     estimate_limit,
     estimate_limsup_liminf,
     make_grid,
@@ -71,7 +69,6 @@ __all__ = [
     "DivisionByZero",
     "DomainError",
     "ExprTerm",
-    "Geometric",
     "IterLog",
     "LimitEstimate",
     "LogLadderError",
@@ -84,7 +81,6 @@ __all__ = [
     "ScaleFn",
     "SumResult",
     "TermSource",
-    "TowerGeometric",
     "UnboundParameterError",
     "Verdict",
     "analyze",

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import criteria as cr
 from . import numeric as nm
@@ -34,7 +33,7 @@ from .errors import (
     RangeError,
     UnboundParameterError,
 )
-from .limits import Geometric, TowerGeometric, make_grid
+from .expr import _read_number
 from .scale import parse_scale
 
 __all__ = ["main"]
@@ -42,8 +41,6 @@ __all__ = ["main"]
 SCHEMA_VERSION = "1"
 
 _VERIFY_CHECKPOINTS = (10**4, 10**5, 10**6, 10**7)
-
-_MAX_GRID_POINTS = 10**4  # the default grids have 10 and 12
 
 
 class _StageError(Exception):
@@ -55,74 +52,14 @@ class _StageError(Exception):
         self.err = err
 
 
-def _too_long(text: str) -> bool:
-    """True when the digits of a number text plus its decimal exponent
-    pass Python's integer string limit: Fraction() would compute
-    10**exponent first, and the report could not print the value."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    mantissa, _, exponent = text.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "")
-    if not exponent.isdecimal():  # none, or Fraction() refuses the text
-        exponent = "0"
-    digits = sum(c.isdecimal() for c in mantissa)
-    return len(exponent) > len(str(limit)) or digits + int(exponent) > limit
-
-
 def _parse_params(pairs) -> dict:
     out = {}
     for raw in pairs or ():
         name, sep, val = raw.partition("=")
         if not sep or not name:
             raise ParseError(f"--param needs NAME=VALUE, got {raw!r}")
-        if _too_long(val):
-            raise ParseError(f"--param {name}: number too long (its digits "
-                             "and exponent pass Python's int string limit)")
-        try:
-            out[name] = Fraction(val)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(
-                f"--param {name}: cannot read {val!r} as a number"
-            ) from None
+        out[name] = _read_number(val, f"--param {name}")
     return out
-
-
-def _parse_grid(text: str, precision: int) -> list:
-    """Grid override syntax: semicolon-joined segments.
-
-    geometric:START:RATIO:COUNT or tower:LEVEL:START:STEP:COUNT. The
-    points are built once, here, so a grid that cannot be built is an
-    input error even when the ladder never samples it.
-    """
-    schedule = []
-    for seg in text.split(";"):
-        parts = seg.strip().split(":")
-        kind = parts[0]
-        try:
-            if kind == "geometric" and len(parts) == 4:
-                schedule.append(
-                    Geometric(int(parts[1]), int(parts[2]), int(parts[3]))
-                )
-            elif kind == "tower" and len(parts) == 5:
-                schedule.append(
-                    TowerGeometric(
-                        int(parts[1]), int(parts[2]),
-                        int(parts[3]), int(parts[4]),
-                    )
-                )
-            else:
-                raise ValueError(f"unrecognized grid segment {seg!r}")
-        except (ValueError, TypeError) as e:
-            raise ParseError(f"--grid: {e}")
-    count = sum(s.count for s in schedule)
-    if count > _MAX_GRID_POINTS:
-        raise ParseError(f"--grid: {count} points exceed {_MAX_GRID_POINTS}")
-    # a nonzero precision below 64 bits fails policy validation later
-    bits = precision if precision >= 64 else nm.get_precision()
-    try:
-        with nm.local_precision(bits):
-            return make_grid(schedule)
-    except RangeError as e:
-        raise ParseError(f"--grid: {e}") from None
 
 
 def _term(args, params) -> cr.ExprTerm:
@@ -140,18 +77,14 @@ def _analyze(args):
     try:
         params = _parse_params(args.param)
         scale = parse_scale(args.w) if args.w and args.w != "auto" else None
-        grid = _parse_grid(args.grid, args.precision) if args.grid else None
     except LogLadderError as e:
         raise _StageError("input parsing", e)
     try:
-        policy = cr.AnalysisPolicy(scale=scale, k_max=args.kmax, grid=grid)
-        scope = nm.local_precision(nm.Precision(args.precision)
-                                   if args.precision else nm.get_precision())
+        policy = cr.AnalysisPolicy(scale=scale, k_max=args.kmax)
     except ValueError as e:
         raise _StageError("policy validation", e)
-    with scope:
-        term = _term(args, params)
-        return term, scale, cr.analyze(term, policy=policy)
+    term = _term(args, params)
+    return term, scale, cr.analyze(term, policy=policy)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -616,10 +549,6 @@ def _add_common(p):
              "like 1/2 or decimal",
     )
     p.add_argument(
-        "--precision", type=int, default=0, metavar="BITS",
-        help="working precision override in bits",
-    )
-    p.add_argument(
         "--json", action="store_true", help="emit a JSON report"
     )
 
@@ -628,18 +557,13 @@ def _add_ladder(p):
     """Options of the decision ladder (analyze, verify)."""
     p.add_argument(
         "--w", default="auto",
-        help="scale: auto, n, ln, lnln, lnlnln, pow:SIGMA, or expr:...; "
-             "pinning a scale disables escalation to other scales",
+        help="scale: auto, n, ln, lnln, lnlnln, lnlnlnln, pow:SIGMA, or "
+             "expr:...; pinning a scale disables escalation to other "
+             "scales",
     )
     p.add_argument(
         "--kmax", type=int, default=4,
         help="deepest escalation level to try (default 4)",
-    )
-    p.add_argument(
-        "--grid", default=None,
-        help="sampling grid override: 'geometric:START:RATIO:COUNT' or "
-             "'tower:LEVEL:START:STEP:COUNT', ';'-joined; the first point "
-             "must be at least 1",
     )
 
 
@@ -681,6 +605,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(p)
     _add_budget(p)
     p.add_argument("upto", type=int, help="last index to sum")
+    p.add_argument(
+        "--precision", type=int, default=0, metavar="BITS",
+        help="working precision override in bits",
+    )
     p.add_argument(
         "--tail-from", type=int, default=None, metavar="N",
         help="sum the window [N, UPTO] and fit a beyond-window "

@@ -322,10 +322,10 @@ class Verdict(NamedTuple):
 class AnalysisPolicy:
     """Knobs for analyze(); the defaults mirror the CLI."""
 
-    __slots__ = ("scale", "k_max", "backend", "grid")
+    __slots__ = ("scale", "k_max", "backend")
 
     def __init__(self, scale: sc.ScaleFn | None = None, k_max: int = 4,
-                 backend: str = "auto", grid=None):
+                 backend: str = "auto"):
         if backend not in ("auto", "numeric"):
             raise ValueError(f"unknown backend {backend!r}")
         if k_max < 1:
@@ -339,7 +339,6 @@ class AnalysisPolicy:
                 f"k_max={k_max} exceeds the tower budget (max {limit})"
             )
         self.scale, self.k_max, self.backend = scale, k_max, backend
-        self.grid = grid
 
 
 class AnalysisReport(NamedTuple):
@@ -380,21 +379,16 @@ def _quotient_drift(d: ExtScalar):
     ln_d = _ln_float(d)
     if math.isinf(ln_d):
         return 0.0, 0.0
-    inv = math.exp(-ln_d)
+    try:
+        inv = math.exp(-ln_d)
+    except OverflowError:  # d below 1/DBL_MAX; the fit then reads no limit
+        inv = math.inf
     return ln_d * inv, math.log(ln_d) * inv if ln_d > 0 else 0.0
-
-
-# Forming n + 1 exactly takes log2(n) bits. Past this many a Raabe point
-# costs minutes and hundreds of megabytes per operation, so it is skipped.
-_MAX_INDEX_BITS = 1 << 20
 
 
 def _index_bits(n: ExtScalar) -> int:
     v = abs(n.as_mpf())
-    bits = max(1, int(nm.mp.log(v + 2, 2)) + 1)
-    if bits > _MAX_INDEX_BITS:
-        raise RangeError("grid point too large for the Raabe increment")
-    return bits
+    return max(1, int(nm.mp.log(v + 2, 2)) + 1)
 
 
 # The splits of the depth-fold logs of the scales the CLI names (n to
@@ -505,15 +499,13 @@ def _tower_start(level: int, n_floor: ExtScalar, extra_depth: int):
     return r0
 
 
-def _choose_grid(term: TermSource, tower, policy: AnalysisPolicy):
+def _choose_grid(term: TermSource, tower):
     """Sampling points for a statistic, or None when no grid fits.
 
     tower is None for a plain integer grid, or (den_depth, num) for a
     tower grid on the den_depth-fold log that also clears every deeper
     log in the numerator combo num.
     """
-    if policy.grid is not None:
-        return lm.make_grid(policy.grid)
     if tower is None:
         start = _plain_start(term)
         if start is None:
@@ -541,7 +533,7 @@ class _Statistic(NamedTuple):
 
     exact is the limit read off an exact log split: a Fraction, a
     constant LogCombo (whose value is the limit), +/-inf, or None when
-    there is no exact split. sampling(policy) sets up a sampler only
+    there is no exact split. sampling() sets up a sampler only
     when the statistic is sampled, and returns the grid (or None), the
     sampler and the drift: sampler(n) returns the statistic at one point
     and the argument (the point, or the denominator) at which drift
@@ -564,7 +556,7 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
         c0 = combo.coeffs.get(0, _ZERO)
         exact = _infinite(c0) if c0 != 0 else combo.coeffs.get(1, _ZERO)
 
-    def sampling(policy):
+    def sampling():
         bits = nm.get_precision().significand_bits
         # a(n+1) of a grid point is a(n) of its n+1 companion: each term
         # is evaluated once per index and precision for the sampler.
@@ -585,7 +577,7 @@ def _raabe_statistic(term: TermSource) -> _Statistic:
                 r = nm.ext_div(value(nm.ext_add(n, nm.ONE), p), a)
                 return nm.ext_mul(n, nm.ext_sub(r, nm.ONE)), n
 
-        return _choose_grid(term, None, policy), sample, _index_drift
+        return _choose_grid(term, None), sample, _index_drift
 
     return _Statistic(exact, sampling)
 
@@ -626,7 +618,7 @@ def _quotient_statistic(term: TermSource, w: sc.ScaleFn,
     num = _numerator(term.log_combo(), w, level)
     den = _chain_combo(w, level + 1)
 
-    def sampling(policy):
+    def sampling():
         bits = nm.get_precision().significand_bits
         num = _numerator(term.sampled_log_combo(), w, level)
         value = _numerator_value(term, w, level, num)
@@ -643,7 +635,7 @@ def _quotient_statistic(term: TermSource, w: sc.ScaleFn,
                     raise DomainError("comparison log not yet positive")
                 return nm.ext_div(value(n, dv), dv), dv
 
-        return _choose_grid(term, tower, policy), sample, _quotient_drift
+        return _choose_grid(term, tower), sample, _quotient_drift
 
     exact = None if num is None else _symbolic_ratio(num, den)
     return _Statistic(exact, sampling)
@@ -658,7 +650,7 @@ def _slow_divergence_statistic(term: TermSource,
     if lng is not None and lng.is_exact:
         exact = lng if lead is None else _infinite(lead[1])
 
-    def sampling(policy):
+    def sampling():
         bits = nm.get_precision().significand_bits
         lng = _numerator(term.sampled_log_combo(), w, 1)
         value = _numerator_value(term, w, 1, lng)
@@ -669,7 +661,7 @@ def _slow_divergence_statistic(term: TermSource,
 
         depth = lead[0] if lead is not None and lead[0] >= 1 else 1
         tower = None if lng is None else (depth, lng)
-        return _choose_grid(term, tower, policy), sample, _index_drift
+        return _choose_grid(term, tower), sample, _index_drift
 
     return _Statistic(exact, sampling)
 
@@ -744,7 +736,7 @@ def _measure(stat: _Statistic, policy: AnalysisPolicy) -> _Measure:
             # a constant, kept exact unless it has constant logs
             value = exact.const_value() if exact.const_logs else exact.const
         return _Measure(lm.LimitEstimate.exact(value), exact)
-    grid, sampler, drift = stat.sampling(policy)
+    grid, sampler, drift = stat.sampling()
     if grid is None:
         return _Measure(None, samples=[])
     values, drift_at, inter, spreads = _sample_grid(sampler, grid)

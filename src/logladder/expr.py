@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
@@ -437,6 +438,27 @@ def free_params(e: Expr) -> set[str]:
     return {x.name for x in _walk(e) if isinstance(x, Param)}
 
 
+def _read_number(text: str, what: str) -> Fraction:
+    """A number text such as a --param value or a pow: sigma, read as
+    Fraction reads it; a ParseError that starts with what when it is not
+    a number, or when its digits plus its decimal exponent pass Python's
+    integer string limit: Fraction() would compute 10**exponent first,
+    and the report could not print the value."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    if not exponent.isdecimal():  # none, or Fraction() refuses the text
+        exponent = "0"
+    digits = sum(c.isdecimal() for c in mantissa)
+    if len(exponent) > len(str(limit)) or digits + int(exponent) > limit:
+        raise ParseError(f"{what}: number too long (its digits and "
+                         "exponent pass Python's int string limit)")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what}: cannot read {text!r} as a number") from None
+
+
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
@@ -659,7 +681,8 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> int | ExtScalar:
         raise DomainError("could not locate the domain start")
     # Bisect between lo and hi on the log scale.
     for _ in range(80):
-        if hi.level == 0 and hi.mag < 1e15 and hi.mag - lo.mag < 1:
+        plain = hi.level == 0 and hi.mag < 1e15
+        if plain and hi.mag - lo.mag < 1:
             # Integer resolution: the walk below settles n exactly.
             break
         try:
@@ -667,7 +690,9 @@ def _first_n_reaching(arg: Expr, threshold: ExtScalar) -> int | ExtScalar:
             lhi = nm.ext_ln(hi).as_mpf()
         except Exception:
             break
-        if lhi - llo < mp.mpf("1e-9") * max(1, abs(lhi)):
+        # a relative width of 1e-9 is millions of integers near 1e15,
+        # too many for the walk
+        if not plain and lhi - llo < mp.mpf("1e-9") * max(1, abs(lhi)):
             break
         mid = nm.ext_exp(nm.from_value((llo + lhi) / 2))
         if above(mid):

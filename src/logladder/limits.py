@@ -30,8 +30,6 @@ from .errors import RangeError
 from .numeric import ExtScalar
 
 __all__ = [
-    "Geometric",
-    "TowerGeometric",
     "make_grid",
     "LimitEstimate",
     "estimate_limit",
@@ -45,12 +43,6 @@ class Geometric:
     __slots__ = ("start", "ratio", "count")
 
     def __init__(self, start, ratio, count: int):
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        if not float(ratio) > 1:
-            raise ValueError("ratio must exceed 1")
-        if not float(start) >= 1:
-            raise ValueError("start must be at least 1")
         self.start, self.ratio, self.count = start, ratio, count
 
 
@@ -61,29 +53,12 @@ class TowerGeometric:
     __slots__ = ("level", "start", "step", "count")
 
     def __init__(self, level: int, start, step, count: int):
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        if level < 1:
-            raise ValueError("level must be at least 1")
-        if not float(step) > 0:
-            raise ValueError("step must be positive")
-        # exp^level(start) is below 1 only at level 1 with start < 0.
-        if level == 1 and float(start) < 0:
-            raise ValueError("start must be at least 0 at level 1, "
-                             "so that exp(start) is at least 1")
         self.level, self.start, self.step = level, start, step
         self.count = count
 
 
 def make_grid(schedule) -> list[ExtScalar]:
-    """The points of a schedule, a list of schedules, or of points."""
-    if isinstance(schedule, ExtScalar):
-        return [schedule]
-    if isinstance(schedule, (list, tuple)):
-        pts: list[ExtScalar] = []
-        for s in schedule:
-            pts.extend(make_grid(s))
-        return pts
+    """The points of a Geometric or TowerGeometric schedule."""
     if isinstance(schedule, Geometric):
         start = nm.from_value(schedule.start)
         ratio = nm.from_value(schedule.ratio)
@@ -181,7 +156,8 @@ def _diverging(xs):
 def _least_squares(xs, eps):
     """Fit xs ~ a + b1*e1 + b2*e2 in closed form, the centred samples
     in floats. Returns (a, b1, b2, the largest residual); e2 is dropped
-    (b2 = 0) if the window cannot tell it from e1."""
+    (b2 = 0) if the window cannot tell it from e1. Raises OverflowError
+    or ValueError (from fsum) where the floats overflow."""
     k = len(xs)
     mx = sum(xs) / k
     ys = [float(x - mx) for x in xs]
@@ -189,6 +165,8 @@ def _least_squares(xs, eps):
     m2 = sum(e[1] for e in eps) / k
     u = [e[0] - m1 for e in eps]
     v = [e[1] - m2 for e in eps]
+    if not all(map(math.isfinite, ys + u + v)):
+        raise OverflowError("samples or drift terms past the float range")
     s11, s12, s22, s1y, s2y = (
         math.fsum(p * q for p, q in zip(a, b))
         for a, b in ((u, u), (u, v), (v, v), (u, ys), (v, ys))
@@ -214,7 +192,8 @@ def estimate_limit(values, eps=None) -> LimitEstimate:
     1/j^2. The limit a of the least-squares fit a + b1*e1 + b2*e2 over
     the trailing samples is reported with the uncertainty |fitted drift
     at the last point| + largest residual; a residual above tolerance
-    means the samples do not follow the model.
+    means the samples do not follow the model. The fit runs in floats,
+    so samples or drift terms past their range give no limit either.
     """
     values = list(values)
     if len(values) < 8:
@@ -235,7 +214,10 @@ def estimate_limit(values, eps=None) -> LimitEstimate:
         if est := _diverging(xs):
             return est
         tail = pairs[len(pairs) // _LEAD_SHARE:]
-        a, b1, b2, resid = _least_squares(*zip(*tail))
+        try:
+            a, b1, b2, resid = _least_squares(*zip(*tail))
+        except (OverflowError, ValueError):
+            return LimitEstimate("not_converged", samples_used=len(values))
         e1, e2 = tail[-1][1]
         drift = b1 * e1 + b2 * e2
         if not resid <= _REL_TOL * max(abs(a), 1):

@@ -494,6 +494,10 @@ def _fmt_addend(v) -> str:
     return text if v > 0 else "-" + text
 
 
+def _fmt_magnitude(x: ExtScalar) -> str:
+    return fmt(x, _WARN_DIGITS) if x.level else _fmt_addend(x.mag)
+
+
 def _add_plain(sx: int, xv, sy: int, yv):
     """Signed plain add with absorption detection. Returns an ExtScalar."""
     a = xv if sx > 0 else -xv
@@ -554,7 +558,7 @@ def _add_pairs(sx: int, xm: ExtScalar, sy: int, ym: ExtScalar):
             sb, big, ss, small = sy, ym, sx, xm
         if _log_gap_exceeds(big, small, prec + 2):
             _note_absorption(
-                f"term {fmt(small, _WARN_DIGITS)} absorbed into "
+                f"term {_fmt_magnitude(small)} absorbed into "
                 f"{fmt(big, _WARN_DIGITS)}"
             )
             return sb, big
@@ -563,7 +567,7 @@ def _add_pairs(sx: int, xm: ExtScalar, sy: int, ym: ExtScalar):
             # of a tower this size: ln(big + small) differs from ln(big)
             # by less than one ulp of the residue.
             _note_absorption(
-                f"term {fmt(small, _WARN_DIGITS)} below log resolution of "
+                f"term {_fmt_magnitude(small)} below log resolution of "
                 f"{fmt(big, _WARN_DIGITS)}"
             )
             return sb, big
@@ -655,9 +659,10 @@ def ext_pow(x: ExtScalar, y: ExtScalar) -> ExtScalar:
             raise DomainError(
                 "non-integer power of a negative value"
             )
-        with _Working():
-            e = int(y.mag) * y.sign
-            sign = -1 if e % 2 else 1
+        # the parity of the integer man * 2^exp, read without forming
+        # it: a plain y may have billions of digits
+        man, exp = y.mag.man_exp
+        sign = -1 if exp <= 0 and man >> -exp & 1 else 1
         mag = ext_pow(ext_abs(x), y)
         return _materialize(sign, mag)
     if (x.level == 0 and y.level == 0 and mp.isint(y.mag)

@@ -305,18 +305,20 @@ class Custom(ScaleFn):
 
 
 def parse_scale(text: str) -> ScaleFn:
-    """Parse a scale name: n, ln, lnln, lnlnln, pow:sigma, expr:..."""
+    """Parse a scale name: n, ln, lnln, lnlnln, lnlnlnln, pow:sigma,
+    expr:..."""
     s = text.strip()
     if s in ("n", "ln", "lnln", "lnlnln", "lnlnlnln"):
         return IterLog(len(s) // 2)
     if s.startswith("pow:"):
+        sigma = ex._read_number(s[4:], f"bad power scale {text!r}")
         try:
-            return PowerOfN(ex._as_fraction(s[4:]))
-        except (ValueError, ZeroDivisionError, TypeError) as err:
+            return PowerOfN(sigma)
+        except ValueError as err:
             raise ParseError(f"bad power scale {text!r}: {err}") from None
     if s.startswith("expr:"):
         return Custom(s[5:])
     raise ParseError(
-        f"unknown scale {text!r}; expected n, ln, lnln, lnlnln, pow:sigma,"
-        " or expr:..."
+        f"unknown scale {text!r}; expected n, ln, lnln, lnlnln, lnlnlnln,"
+        " pow:sigma, or expr:..."
     )

@@ -58,8 +58,6 @@ def _argv_cases():
         for text in ("1/(n*ln(n))", "(n+2)^(-3/2)"):
             cases.append((f"w:{w}:{text}",
                           ["analyze", text, "--w", w, "--json"]))
-    cases.append(("grid", ["analyze", "(n+1)^(-3/2)", "--grid",
-                           "geometric:200:3:12", "--json"]))
     # A trace through every rung at ln: scaled-log, slow-divergence,
     # hierarchy and one-sided.
     ln_rungs = "exp((lnln(n))^(1/4))/(n*ln(n))"

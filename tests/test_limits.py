@@ -48,6 +48,16 @@ def test_oscillation_not_converged():
     assert est.status == "not_converged"
 
 
+def test_samples_or_drift_past_the_float_range_give_no_limit():
+    # the fit runs in floats; the ladder met both at extreme pow: scales
+    huge = _vals([nm.mp.mpf(10) ** 941 * (1 + 1 / j) for j in range(1, 13)])
+    assert lm.estimate_limit(huge).status == "not_converged"
+    tiny = nm.from_value(nm.mp.mpf(10) ** -400)
+    eps = [cr._quotient_drift(tiny)] * 6 + [(1 / j, 0.0) for j in range(1, 7)]
+    est = lm.estimate_limit(_vals([1.0] * 12), eps)
+    assert est.status == "not_converged"
+
+
 def test_noise_floor_accepted():
     # flat window rattling by ~1e-9 in both directions around -2
     base = [-2 + 1e-9 * s for s in (1, -1, 1, -1, 0, 1, -1, 1, -1, 0, 1, -1)]
@@ -90,13 +100,6 @@ def test_tower_grid_is_increasing_and_huge():
     assert all(a < b for a, b in zip(grid, grid[1:]))
     # deep entries leave float range entirely
     assert math.isinf(nm.to_float(grid[-1]))
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        lm.Geometric(10, 1, 5)  # ratio must exceed 1
-    with pytest.raises(ValueError):
-        lm.TowerGeometric(0, 3, 1, 5)  # level must be >= 1
 
 
 def test_envelope_with_extreme_in_trimmed_tail_is_not_converged():
